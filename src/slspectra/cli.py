@@ -2,8 +2,7 @@
 
 Subcommands: eig, mfun, spectral, expand, classify, verify-example.
 Global flags: --config PATH (problem INI; default is the built-in free
-problem on [0,1]), --out DIR (artifact directory), --ode-tol, --quad-tol,
---threads.
+problem on [0,1]), --out DIR (artifact directory), --ode-tol, --quad-tol.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 numerical failure.  Numeric tables are comma-separated with a
@@ -205,9 +204,7 @@ def cmd_spectral(args) -> int:
     problem, cfg = _load_problem(args)
     tau = parse_tau(args.tau)
     window = _parse_pair(args.window, "window")
-    sigma = build_spectral_function(
-        problem, tau, window, ac_nodes=args.nodes, threads=args.threads
-    )
+    sigma = build_spectral_function(problem, tau, window, ac_nodes=args.nodes)
     doc = {
         "ac": [[_fmt(float(u)), _fmt(float(r))] for u, r in zip(sigma.ac_grid, sigma.ac_density)],
         "masses": [[_fmt(s), _fmt(j)] for s, j in sigma.point_masses],
@@ -235,9 +232,7 @@ def cmd_expand(args) -> int:
     y = _builtin_y(args.y)
     schedule = _parse_schedule(args.schedule)
     window = _parse_pair(args.window, "window")
-    sigma = build_spectral_function(
-        problem, tau, window, ac_nodes=args.nodes, threads=args.threads
-    )
+    sigma = build_spectral_function(problem, tau, window, ac_nodes=args.nodes)
     yhat = fourier_transform(problem, y, sigma)
     t_grid = np.linspace(problem.a, problem.b, args.t_points)
     rep = uniform_convergence_profile(problem, sigma, yhat, y, schedule, t_grid)
@@ -294,7 +289,6 @@ def cmd_verify_example(args) -> int:
         ode_tol=args.ode_tol,
         k_max=args.k_max,
         quad_tol=args.quad_tol,
-        threads=args.threads,
     )
     lines = []
     for r in results:
@@ -320,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="problem INI file (default: built-in free problem)")
     parser.add_argument("--out", default="slspectra-out", help="artifact directory")
     parser.add_argument("--ode-tol", type=float, dest="ode_tol",
-                        help="propagation tolerance; forces the adaptive integrator")
+                        help="propagation tolerance; selects the DOP853 reference engine")
     parser.add_argument("--quad-tol", type=float, dest="quad_tol", help="quadrature tolerance")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grid fills")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("eig", help="eigenvalues (real poles of m) in a range")

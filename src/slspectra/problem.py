@@ -14,9 +14,10 @@ restarts) work directly off this representation.
 
 from __future__ import annotations
 
+import ast
 import configparser
 import math
-import re
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -161,9 +162,13 @@ def constant_coefficient(a: float, b: float, value: float) -> PiecewiseCoefficie
 class QuadConfig:
     """Quadrature and propagation tolerances.
 
-    closed_form_pieces enables the exact transfer-matrix evaluation on pieces
-    where p, q and Delta are all constant; disable it to force the adaptive
-    Runge-Kutta integrator everywhere (mainly useful for convergence studies).
+    closed_form_pieces enables the fast propagation engines: the exact
+    transfer matrix on pieces where p, q and Delta are all constant and
+    error-controlled Magnus steps on the other pieces.  Disable it to select
+    the reference engine, the adaptive Runge-Kutta integrator DOP853, on
+    every piece (mainly useful for convergence studies and as a test oracle).
+    ode_tol is the relative tolerance of both the Magnus and the DOP853
+    engine.
     """
 
     abs_tol: float = 1e-11
@@ -196,7 +201,6 @@ class SLProblem:
             raise ConfigError("interval must be finite with a < b")
         if not math.isfinite(self.alpha):
             raise ConfigError("alpha must be finite")
-        span = self.b - self.a
         for name, coef in (("p", self.p), ("q", self.q), ("delta", self.delta)):
             if abs(coef.t0 - self.a) > 1e-12 * (1 + abs(self.a)) or abs(
                 coef.t1 - self.b
@@ -233,7 +237,6 @@ class SLProblem:
                 raise ConfigError(f"|{name}| is not finitely integrable: {exc}") from exc
             if not np.isfinite(abs(val)):
                 raise ConfigError(f"|{name}| integrates to a non-finite value")
-        _ = span
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -322,19 +325,37 @@ def weight_support_measure(problem: SLProblem) -> float:
 # ---------------------------------------------------------------------------
 # config loading
 
-_NUM_TOKEN = re.compile(r"^[0-9pieE+\-*/.() ]+$")
+_NUM_NAMES = {"pi": math.pi, "e": math.e}
+_NUM_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+
+
+def _num_eval(node: ast.AST) -> float:
+    """Numbers, + - * /, unary minus, parentheses, pi and e; nothing else."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in _NUM_NAMES:
+        return _NUM_NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        val = _num_eval(node.operand)
+        return -val if isinstance(node.op, ast.USub) else val
+    if isinstance(node, ast.BinOp) and type(node.op) in _NUM_BINOPS:
+        return _NUM_BINOPS[type(node.op)](_num_eval(node.left), _num_eval(node.right))
+    raise ValueError(f"unsupported expression {ast.dump(node)}")
 
 
 def _num(text: str, where: str) -> float:
-    """Parse a numeric config field; allows pi and basic arithmetic."""
+    """Parse a numeric config field; allows pi, e and + - * / arithmetic."""
     s = text.strip()
     if not s:
         raise ConfigError(f"{where}: empty numeric field")
-    if not _NUM_TOKEN.match(s):
-        raise ConfigError(f"{where}: cannot parse number {text!r}")
     try:
-        val = float(eval(s, {"__builtins__": {}}, {"pi": math.pi, "e": math.e}))
-    except Exception as exc:
+        val = _num_eval(ast.parse(s, mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError) as exc:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
     if not math.isfinite(val):
         raise ConfigError(f"{where}: non-finite value {text!r}")

@@ -10,19 +10,28 @@ Steps never straddle coefficient piece boundaries: each piece is integrated
 as its own segment and the solver restarts at the boundary, so
 discontinuities in p, q or Delta never sit inside a step.
 
-Two engines share the segment contract:
+Three engines share the segment contract (.t, .y and .sol()):
 
-* Pieces on which p, q and Delta are all constant are solved in closed form
+* Closed form.  Pieces on which p, q and Delta are all constant are solved
   by the 2x2 transfer matrix [[C, S/p], [(q - lambda Delta) S, C]] with
   C = cosh(w tau), S = sinh(w tau)/w, w^2 = (q - lambda Delta)/p.  This is
   exact to rounding, preserves the Wronskian identically (det = C^2 - w^2 S^2
   = 1) and costs microseconds, which keeps dense spectral sweeps cheap.
-* Everything else goes through an adaptive embedded Runge-Kutta method of
-  order 8(5,3) with dense output (DOP853).  Complex spectral parameters
-  propagate a complex state; real parameters stay on the cheaper real path.
+* Magnus.  Every other piece takes n uniform steps of the fourth-order,
+  two-point Gauss Magnus method (Iserles & Norsett 1999).  Each step is the
+  exponential of a traceless 2x2 matrix, so the transfer matrix has det = 1
+  and the Wronskian holds to rounding.  The coefficient samples at the Gauss
+  nodes do not depend on lambda and are cached per (piece, n); n is doubled
+  until the Richardson estimate |T_2n - T_n| / 15 meets quad.ode_tol.
+* DOP853, the reference engine: an adaptive embedded Runge-Kutta method of
+  order 8(5,3) with dense output.  It runs on every piece when
+  quad.closed_form_pieces = False (the CLI's --ode-tol sets that), and
+  serves as the test oracle for the two fast engines.  It also takes over a
+  variable piece whose Magnus step count would pass _MAGNUS_MAX_STEPS, which
+  for p = 1 + t/2 happens beyond |lambda| ~ 1e7.
 
-Set quad.closed_form_pieces = False to force the Runge-Kutta engine even on
-constant pieces (used by the tolerance-convergence tests).
+Complex spectral parameters propagate a complex state; real parameters stay
+in real arithmetic.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -38,7 +47,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -108,6 +117,188 @@ class _ExactSegment:
         C, S = self._cs(tau)
         y0, y10 = self._y0
         return np.stack([y0 * C + (y10 / self._p) * S, y0 * self._coef * S + y10 * C])
+
+
+# Two-point Gauss Magnus step: nodes at h (1/2 -+ sqrt(3)/6), commutator
+# weight sqrt(3)/12 h^2.
+_GAUSS_OFF = math.sqrt(3.0) / 6.0
+_MAGNUS_COMM = math.sqrt(3.0) / 12.0
+_MAGNUS_MIN_STEPS = 8
+_MAGNUS_MAX_STEPS = 1 << 16  # beyond this the piece falls back to DOP853
+_MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
+_EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
+
+
+def _magnus_parts(rules, left: np.ndarray, h):
+    """lambda-independent parts (A, B0, B1, D0, D1) of the Magnus exponents
+    Omega = [[D, A], [B, -D]] of the steps [left, left + h], where
+    B = B0 - lambda B1 and D = D0 - lambda D1."""
+    p_rule, q_rule, d_rule = rules
+    nodes = np.concatenate([left + h * (0.5 - _GAUSS_OFF), left + h * (0.5 + _GAUSS_OFF)])
+    m = left.size
+    a = 1.0 / p_rule(nodes)
+    q = q_rule(nodes)
+    d = d_rule(nodes)
+    a1, a2, q1, q2, d1, d2 = a[:m], a[m:], q[:m], q[m:], d[:m], d[m:]
+    c = _MAGNUS_COMM * h * h
+    return (
+        0.5 * h * (a1 + a2),
+        0.5 * h * (q1 + q2),
+        0.5 * h * (d1 + d2),
+        c * (a2 * q1 - a1 * q2),
+        c * (a2 * d1 - a1 * d2),
+    )
+
+
+@lru_cache(maxsize=64)  # a 2^16-step level holds 2.6 MB
+def _magnus_samples(rules, t0: float, t1: float, n: int):
+    """_magnus_parts on n uniform steps of [t0, t1], cached per (piece, n)."""
+    h = (t1 - t0) / n
+    parts = _magnus_parts(rules, t0 + h * np.arange(n), h)
+    for arr in parts:
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return parts
+
+
+def _cosh_sinhc(x):
+    """cosh(s) and sinh(s)/s elementwise, with s^2 = x; real x stays real."""
+    small = np.abs(x) < _EXPM_SERIES_CUT
+    if np.iscomplexobj(x):
+        r = np.sqrt(np.where(small, 1.0, x))
+        C, S = np.cosh(r), np.sinh(r)
+    else:
+        r = np.sqrt(np.where(small, 1.0, np.abs(x)))
+        if np.all(x <= 0.0):
+            C, S = np.cos(r), np.sin(r)
+        elif np.all(x >= 0.0):
+            C, S = np.cosh(r), np.sinh(r)
+        else:
+            pos = x > 0.0
+            rp, rn = np.where(pos, r, 0.0), np.where(pos, 0.0, r)
+            C = np.where(pos, np.cosh(rp), np.cos(rn))
+            S = np.where(pos, np.sinh(rp), np.sin(rn))
+    S = S / r
+    if np.any(small):
+        C = np.where(small, 1.0 + x * (1 / 2 + x * (1 / 24 + x / 720)), C)
+        S = np.where(small, 1.0 + x * (1 / 6 + x * (1 / 120 + x / 5040)), S)
+    return C, S
+
+
+def _magnus_steps(parts, lam):
+    """Step matrices exp(Omega) as component arrays (e00, e01, e10, e11).
+
+    Omega is traceless, so exp(Omega) = cosh(s) I + sinh(s)/s Omega with
+    s^2 = -det Omega = D^2 + A B.
+    """
+    A, B0, B1, D0, D1 = parts
+    B = B0 - lam * B1
+    D = D0 - lam * D1
+    C, S = _cosh_sinhc(D * D + A * B)
+    SD = S * D
+    return C + SD, S * A, S * B, C - SD
+
+
+def _mul(L, R):
+    """Elementwise 2x2 matrix products L @ R of component arrays."""
+    a1, b1, c1, d1 = L
+    a0, b0, c0, d0 = R
+    return a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+
+
+def _product(E) -> np.ndarray:
+    """E[n-1] @ ... @ E[0] by pairwise reduction; n is a power of two."""
+    a, b, c, d = E
+    while a.size > 1:
+        a, b, c, d = _mul((a[1::2], b[1::2], c[1::2], d[1::2]), (a[::2], b[::2], c[::2], d[::2]))
+    return np.array([[a[0], b[0]], [c[0], d[0]]])
+
+
+def _start_steps(rules, t0: float, t1: float, lam) -> int:
+    """Smallest power of two above _MAGNUS_STEPS_PER_OSC times the piece's
+    oscillation count int sqrt|lambda Delta - q| / p / pi, read off the
+    coarsest sample level."""
+    A, B0, B1, _, _ = _magnus_samples(rules, t0, t1, _MAGNUS_MIN_STEPS)
+    osc = float(np.sum(np.sqrt(np.abs(A * (B0 - lam * B1))))) / math.pi
+    n = _MAGNUS_MIN_STEPS
+    while n < _MAGNUS_STEPS_PER_OSC * osc and n < _MAGNUS_MAX_STEPS:
+        n *= 2
+    return n
+
+
+@lru_cache(maxsize=16)
+def _magnus_transfer(rules, t0: float, t1: float, lam, tol: float):
+    """(n, T): the transfer matrix T over [t0, t1] on n steps, with n doubled
+    until the Richardson estimate |T_2n - T_n| / 15 <= tol max(1, |T_2n|).
+    None when that takes more than _MAGNUS_MAX_STEPS steps.
+
+    Cached because phi and psi ask for the same transfer one after the other.
+    """
+    n = _start_steps(rules, t0, t1, lam)
+    with np.errstate(all="ignore"):
+        T = _product(_magnus_steps(_magnus_samples(rules, t0, t1, n), lam))
+        while True:
+            if not np.all(np.isfinite(T)):
+                raise PropagationError(
+                    f"non-finite transfer matrix on [{t0:.6g}, {t1:.6g}], "
+                    f"lambda={lam}; solution overflow"
+                )
+            if 2 * n > _MAGNUS_MAX_STEPS:
+                return None
+            n *= 2
+            T2 = _product(_magnus_steps(_magnus_samples(rules, t0, t1, n), lam))
+            if np.max(np.abs(T2 - T)) / 15.0 <= tol * max(1.0, float(np.max(np.abs(T2)))):
+                T2.setflags(write=False)
+                return n, T2
+            T = T2
+
+
+class _MagnusSegment:
+    """Fourth-order Magnus transfer across one variable-coefficient piece.
+
+    Holds only its endpoint states; the states at the n + 1 mesh nodes are
+    built on the first sol() call and kept, so endpoint-only callers never
+    hold mesh-sized arrays.
+    """
+
+    def __init__(self, t0: float, t1: float, y0: np.ndarray, rules, lam, n: int, T):
+        self.t0 = t0
+        self.t1 = t1
+        self._y0 = y0
+        self._rules = rules
+        self._lam = lam
+        self._nodes = None
+        self.n = n
+        self.t = np.array([t0, t1])
+        self.y = np.stack([y0, T @ y0], axis=1)
+
+    def _node_states(self) -> np.ndarray:
+        """States at the mesh nodes, shape (2, n + 1), by a prefix product."""
+        if self._nodes is None:
+            parts = _magnus_samples(self._rules, self.t0, self.t1, self.n)
+            with np.errstate(all="ignore"):
+                E = _magnus_steps(parts, self._lam)
+                k = 1
+                while k < self.n:
+                    for e, prod in zip(E, _mul([e[k:] for e in E], [e[:-k] for e in E])):
+                        e[k:] = prod
+                    k *= 2
+            a, b, c, d = E
+            y, y1 = self._y0
+            self._nodes = np.concatenate(
+                [self._y0[:, None], np.stack([a * y + b * y1, c * y + d * y1])], axis=1
+            )
+        return self._nodes
+
+    def sol(self, t_arr: np.ndarray) -> np.ndarray:
+        """States at t_arr: one partial Magnus step from the mesh node below."""
+        t = np.asarray(t_arr, dtype=float)
+        y, y1 = self._node_states()
+        h = (self.t1 - self.t0) / self.n
+        k = np.clip(np.floor((t - self.t0) / h).astype(int), 0, self.n - 1)
+        left = self.t0 + h * k
+        with np.errstate(all="ignore"):
+            a, b, c, d = _magnus_steps(_magnus_parts(self._rules, left, t - left), self._lam)
+        return np.stack([a * y[k] + b * y1[k], c * y[k] + d * y1[k]])
 
 
 class Trajectory:
@@ -228,7 +419,13 @@ def propagate(
             seg = _ExactSegment(
                 t0, t1, state, p_rule.value, q_rule.value - lam_eff * d_rule.value
             )
+        elif use_exact and (
+            magnus := _magnus_transfer((p_rule, q_rule, d_rule), t0, t1, lam_eff, rtol)
+        ):
+            seg = _MagnusSegment(t0, t1, state, (p_rule, q_rule, d_rule), lam_eff, *magnus)
         else:
+            # the reference engine, and the fallback for Magnus step budgets
+            # exhausted at very large |lambda|
             rhs = _piece_rhs(p_rule, q_rule, d_rule, lam_eff)
             seg = solve_ivp(
                 rhs,
@@ -305,10 +502,6 @@ class _TrajectoryCache:
 _cache = _TrajectoryCache()
 
 
-def set_cache_capacity(capacity: int) -> None:
-    _cache.capacity = int(capacity)
-
-
 def clear_cache() -> None:
     _cache.clear()
 
@@ -342,13 +535,3 @@ def wronskian(problem: SLProblem, lam: complex, t: float) -> complex:
     ph = phi_at(problem, lam, t)
     ps = psi_at(problem, lam, t)
     return ph.y * ps.y1 - ph.y1 * ps.y
-
-
-def wronskian_profile(problem: SLProblem, lam: complex, ts: Iterable[float]) -> np.ndarray:
-    """Wronskian sampled along the interval, for conservation checks."""
-    phi_tr = fundamental_trajectory(problem, lam, "phi")
-    psi_tr = fundamental_trajectory(problem, lam, "psi")
-    t_arr = np.asarray(list(ts), dtype=float)
-    py, py1 = phi_tr.eval(t_arr)
-    sy, sy1 = psi_tr.eval(t_arr)
-    return py * sy1 - py1 * sy

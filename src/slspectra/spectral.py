@@ -26,7 +26,6 @@ and by the eps-limit of eps * Im m, and the two must agree.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +63,6 @@ def _check_schedule(eps_schedule) -> np.ndarray:
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ConfigError("eps schedule must be positive and strictly decreasing")
     return eps
-
-
-@dataclass(frozen=True)
-class MFunctionSample:
-    """One evaluation of the m-function; lam is the spectral parameter."""
-
-    lam: complex
-    value: complex
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.value.real) and np.isfinite(self.value.imag)):
-            raise ValueError("MFunctionSample requires a finite value")
 
 
 def _endpoints(problem: SLProblem, lam: complex):
@@ -564,7 +551,6 @@ def build_spectral_function(
     window: tuple[float, float],
     ac_nodes: int = 600,
     eps_schedule=None,
-    threads: int = 1,
 ) -> SpectralFunction:
     """Assemble sigma on the window: locate poles, extract jumps, lay an ac
     grid avoiding pole neighbourhoods and fill densities."""
@@ -588,11 +574,8 @@ def build_spectral_function(
         keep &= np.abs(nodes - s_k) >= _EXCLUSION * (1.0 + abs(s_k))
     nodes, lo, hi = nodes[keep], lo[keep], hi[keep]
 
-    if tau.kind in ("constant", "infinity"):
-        dens = np.zeros(nodes.size)
-    else:
-        dens = np.zeros(nodes.size)
-        todo: list[int] = []
+    dens = np.zeros(nodes.size)
+    if tau.kind not in ("constant", "infinity"):
         for i, u in enumerate(nodes):
             if tau.has_boundary_values:
                 tv = _tau_value(tau, complex(float(u)))
@@ -600,17 +583,7 @@ def build_spectral_function(
                 # and pole neighbourhoods are already excluded above
                 if tv is INF_FLAG or abs(tv.imag) <= 1e-14 * (1.0 + abs(tv)):
                     continue
-            todo.append(i)
-
-        def fill(i: int) -> None:
-            dens[i] = spectral_density(problem, tau, float(nodes[i]), eps_schedule)
-
-        if threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, todo))
-        else:
-            for i in todo:
-                fill(i)
+            dens[i] = spectral_density(problem, tau, float(u), eps_schedule)
     return SpectralFunction(
         ac_grid=nodes,
         ac_density=dens,

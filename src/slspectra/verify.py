@@ -8,9 +8,9 @@ line per check and exits 0 iff all pass.
 
 Degradation knobs, used by the failure-path tests:
 
-* ``ode_tol``   -- also disables the closed-form piece propagation so the
-  adaptive integrator actually runs at that tolerance; a coarse value (1e-2)
-  makes the expansion checks fail.
+* ``ode_tol``   -- also selects the DOP853 reference engine on every piece,
+  so the adaptive integrator actually runs at that tolerance; a coarse value
+  (1e-2) makes the expansion checks fail.
 * ``k_max``     -- caps the truncation schedule of the mixed-expansion check;
   ``k_max=1`` makes it fail.
 * ``quad_tol``  -- sets the quadrature absolute/relative tolerances.
@@ -218,16 +218,12 @@ def criterion_m_oracle(free: SLProblem) -> CriterionResult:
     )
 
 
-def criterion_mixed_expansion(
-    free: SLProblem, k_max: int | None = None, threads: int = 1
-) -> CriterionResult:
+def criterion_mixed_expansion(free: SLProblem, k_max: int | None = None) -> CriterionResult:
     """Mixed point + ac expansion of (1-t^2)^2 for the square-root parameter."""
     ks = [2, 5, 10, 20, 40]
     if k_max is not None:
         ks = sorted({min(k, int(k_max)) for k in ks})
-    sigma = build_spectral_function(
-        free, sqrt_param(), (-10_000.0, 16_000.0), ac_nodes=2000, threads=threads
-    )
+    sigma = build_spectral_function(free, sqrt_param(), (-10_000.0, 16_000.0), ac_nodes=2000)
     y = lambda t: (1.0 - np.asarray(t, dtype=float) ** 2) ** 2
     yhat = fourier_transform(free, y, sigma)
     schedule = [Truncation(k, (-250.0 * k, 0.0)) for k in ks]
@@ -394,7 +390,6 @@ def run_all(
     ode_tol: float | None = None,
     k_max: int | None = None,
     quad_tol: float | None = None,
-    threads: int = 1,
 ) -> list[CriterionResult]:
     quad = _quad(ode_tol, quad_tol)
     free = free_problem(quad)
@@ -404,7 +399,7 @@ def run_all(
         lambda: criterion_point_masses(free),
         lambda: criterion_density(free),
         lambda: criterion_m_oracle(free),
-        lambda: criterion_mixed_expansion(free, k_max=k_max, threads=threads),
+        lambda: criterion_mixed_expansion(free, k_max=k_max),
         lambda: criterion_orthogonal_expansion(free),
         lambda: criterion_degenerate_weight(mid),
         lambda: criterion_nevanlinna(free, mid),

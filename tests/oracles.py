@@ -5,12 +5,13 @@ method (fixed-step RK4 shooting instead of transfer matrices / adaptive RK),
 so agreement with the package is meaningful.  Nothing in this file imports
 slspectra.
 
-Reference problems, both on [0, 1] with alpha = -pi/2 (so the normalized
+Reference problems, all on [0, 1] with alpha = -pi/2 (so the normalized
 solution phi has phi(0) = 1, phi^[1](0) = 0):
 
   * free problem: p = 1, q = 0, Delta = 1
   * middle-third problem: p = 1, q = 0, Delta = 1 on [0,1/3] u [2/3,1],
     Delta = 0 on (1/3, 2/3)
+  * linear-p problem: p = 1 + t/2, q = 0, Delta = 1 (Bessel closed form)
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq
 
 # ---------------------------------------------------------------------------
@@ -204,3 +206,51 @@ def midthird_coefficients_shooting(eigs: list[float], n_per_piece: int = 400) ->
             proj += float(np.trapezoid(yy, tt))
         out.append(proj / math.sqrt(norm_sq))
     return out
+
+
+# ---------------------------------------------------------------------------
+# linear-p problem, closed forms via Bessel functions (tau = constant 0)
+#
+# With x = 1 + t/2 the equation -(x y')' = lam y reads x y_xx + y_x + 4 lam y
+# = 0, Bessel's equation of order 0 in z = 4 sqrt(lam x).  So for lam > 0
+# phi = C0(z) / C0(z0) with C_nu = Y1(z0) J_nu - J1(z0) Y_nu, which has
+# phi^[1](0) ~ C1(z0) = 0; z0 = 4 sqrt(lam), z1 = 4 sqrt(1.5 lam).  The
+# eigenvalues are lam = 0 (phi == 1) and the roots of C1(z1) = 0, and since
+# int z C0^2 dz = z^2 (C0^2 + C1^2) / 2 and dt = z dz / (4 lam),
+# ||phi||^2 = [z^2 (C0^2 + C1^2) / 2]_{z0}^{z1} / (4 lam C0(z0)^2).
+
+
+def _linear_p_c(lam: float, nu: int, z: float) -> float:
+    z0 = 4.0 * math.sqrt(lam)
+    jn, yn = (special.j0, special.y0) if nu == 0 else (special.j1, special.y1)
+    return float(special.y1(z0) * jn(z) - special.j1(z0) * yn(z))
+
+
+def linear_p_eigs(lam_max: float) -> list[float]:
+    """Eigenvalues in [0, lam_max] of the linear-p problem with tau = 0."""
+
+    def g(r: float) -> float:  # C1(z1) as a function of r = sqrt(lam)
+        return _linear_p_c(r * r, 1, 4.0 * math.sqrt(1.5) * r)
+
+    rs = np.arange(1e-3, math.sqrt(lam_max) + 0.01, 0.01)
+    vals = [g(float(r)) for r in rs]
+    out = [0.0]
+    for r0, r1, v0, v1 in zip(rs[:-1], rs[1:], vals[:-1], vals[1:]):
+        if v0 * v1 < 0.0:
+            r = brentq(g, float(r0), float(r1), xtol=1e-300, rtol=1e-15)
+            if r * r <= lam_max:
+                out.append(r * r)
+    return out
+
+
+def linear_p_mass(lam: float) -> float:
+    """Spectral jump 1 / ||phi||^2 at an eigenvalue of the linear-p problem."""
+    if lam == 0.0:
+        return 1.0  # phi == 1 on [0, 1]
+    z0, z1 = 4.0 * math.sqrt(lam), 4.0 * math.sqrt(1.5 * lam)
+
+    def prim(z: float) -> float:
+        return 0.5 * z * z * (_linear_p_c(lam, 0, z) ** 2 + _linear_p_c(lam, 1, z) ** 2)
+
+    norm_sq = (prim(z1) - prim(z0)) / (4.0 * lam * _linear_p_c(lam, 0, z0) ** 2)
+    return 1.0 / norm_sq

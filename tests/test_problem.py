@@ -179,6 +179,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             loads_problem("[interval\na = 0")
 
+    def test_numeric_field_arithmetic(self):
+        prob = loads_problem(FREE_INI.replace("alpha = -pi/2", "alpha = -(pi - 2*e/4)/(1+1)"))
+        assert prob.alpha == pytest.approx(-(math.pi - math.e / 2) / 2, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["9**9**9", "2**10", "__import__('os')", "(1).real", "1j", "True", "abs(-1)", "1 if 1 else 0"],
+    )
+    def test_numeric_field_rejects_non_arithmetic(self, field):
+        # power, names, calls and attribute access are refused before any
+        # evaluation, so 9**9**9 fails at once instead of computing
+        with pytest.raises(ConfigError, match="cannot parse"):
+            loads_problem(FREE_INI.replace("a = 0.0", f"a = {field}"))
+
+    def test_numeric_field_division_by_zero(self):
+        with pytest.raises(ConfigError):
+            loads_problem(FREE_INI.replace("a = 0.0", "a = 1/0"))
+
 
 class TestDeltaInner:
     def test_cos_squared_value(self, free):
