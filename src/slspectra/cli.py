@@ -30,7 +30,7 @@ from .nevanlinna import asymptotics, classify_bc, eta_relation, parse_tau
 from .problem import QuadConfig, SLProblem, constant_coefficient_problem, loads_problem
 from .propagator import fundamental_trajectory
 from .spectral import build_spectral_function, find_eigenvalues, m_function
-from .transform import Truncation, fourier_transform, inverse_transform, uniform_convergence_profile
+from .transform import Truncation, fourier_transform, uniform_convergence_profile
 from . import verify
 
 TOOL_VERSION = "0.1.0"
@@ -234,7 +234,8 @@ def cmd_expand(args) -> int:
     window = _parse_pair(args.window, "window")
     sigma = build_spectral_function(problem, tau, window, ac_nodes=args.nodes)
     yhat = fourier_transform(problem, y, sigma)
-    t_grid = np.linspace(problem.a, problem.b, args.t_points)
+    # a negative count gives the same ConfigError as an empty grid
+    t_grid = np.linspace(problem.a, problem.b, max(args.t_points, 0))
     rep = uniform_convergence_profile(problem, sigma, yhat, y, schedule, t_grid)
     doc = {
         "truncations": [
@@ -246,13 +247,10 @@ def cmd_expand(args) -> int:
     out = _out_dir(args)
     outputs = [out / "expand.json"]
     outputs[0].write_text(json.dumps(doc, indent=2) + "\n")
-    y_ref = y(t_grid)
-    for i, trunc in enumerate(schedule):
-        rows = []
-        for t, ref in zip(t_grid, np.asarray(y_ref, dtype=float)):
-            val = inverse_transform(problem, sigma, yhat, float(t), trunc).value
-            rows.append((float(t), float(ref), val.real, abs(val - ref)))
+    y_ref = np.asarray(y(t_grid), dtype=float)
+    for i, vals in enumerate(rep.values):
         path = out / f"expand_trunc{i}.csv"
+        rows = zip(t_grid, y_ref, vals.real, np.abs(vals - y_ref))
         _write_table(path, ["t", "y_true", "y_reconstructed", "abs_error"], rows)
         outputs.append(path)
     _write_manifest(args, cfg, outputs)

@@ -408,49 +408,52 @@ def propagate(
         (problem.a, StateVec(complex(state[0]), complex(state[1])))
     ]
     bps = problem.breakpoints
-    for t0, t1 in zip(bps[:-1], bps[1:]):
-        p_rule, q_rule, d_rule = _rules_on(problem, t0, t1)
-        if (
-            use_exact
-            and isinstance(p_rule, ConstantRule)
-            and isinstance(q_rule, ConstantRule)
-            and isinstance(d_rule, ConstantRule)
-        ):
-            seg = _ExactSegment(
-                t0, t1, state, p_rule.value, q_rule.value - lam_eff * d_rule.value
-            )
-        elif use_exact and (
-            magnus := _magnus_transfer((p_rule, q_rule, d_rule), t0, t1, lam_eff, rtol)
-        ):
-            seg = _MagnusSegment(t0, t1, state, (p_rule, q_rule, d_rule), lam_eff, *magnus)
-        else:
-            # the reference engine, and the fallback for Magnus step budgets
-            # exhausted at very large |lambda|
-            rhs = _piece_rhs(p_rule, q_rule, d_rule, lam_eff)
-            seg = solve_ivp(
-                rhs,
-                (t0, t1),
-                state,
-                method="DOP853",
-                rtol=rtol,
-                atol=atol,
-                dense_output=True,
-            )
-            if not seg.success:
-                raise PropagationError(
-                    f"integration failed on [{t0:.6g}, {t1:.6g}] at lambda={lam}: {seg.message}"
+    # overflow at large |lambda| leaves a non-finite state, which the check
+    # below turns into a PropagationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0, t1 in zip(bps[:-1], bps[1:]):
+            p_rule, q_rule, d_rule = _rules_on(problem, t0, t1)
+            if (
+                use_exact
+                and isinstance(p_rule, ConstantRule)
+                and isinstance(q_rule, ConstantRule)
+                and isinstance(d_rule, ConstantRule)
+            ):
+                seg = _ExactSegment(
+                    t0, t1, state, p_rule.value, q_rule.value - lam_eff * d_rule.value
                 )
-        if not np.all(np.isfinite(np.abs(seg.y[:, -1]))):
-            raise PropagationError(
-                f"non-finite state at t={t1:.6g}, lambda={lam}; solution overflow"
-            )
-        segments.append(seg)
-        seg_bounds.append((t0, t1))
-        for k in range(1, seg.t.size):
-            nodes.append(
-                (float(seg.t[k]), StateVec(complex(seg.y[0, k]), complex(seg.y[1, k])))
-            )
-        state = seg.y[:, -1]
+            elif use_exact and (
+                magnus := _magnus_transfer((p_rule, q_rule, d_rule), t0, t1, lam_eff, rtol)
+            ):
+                seg = _MagnusSegment(t0, t1, state, (p_rule, q_rule, d_rule), lam_eff, *magnus)
+            else:
+                # the reference engine, and the fallback for Magnus step budgets
+                # exhausted at very large |lambda|
+                rhs = _piece_rhs(p_rule, q_rule, d_rule, lam_eff)
+                seg = solve_ivp(
+                    rhs,
+                    (t0, t1),
+                    state,
+                    method="DOP853",
+                    rtol=rtol,
+                    atol=atol,
+                    dense_output=True,
+                )
+                if not seg.success:
+                    raise PropagationError(
+                        f"integration failed on [{t0:.6g}, {t1:.6g}] at lambda={lam}: {seg.message}"
+                    )
+            if not np.all(np.isfinite(np.abs(seg.y[:, -1]))):
+                raise PropagationError(
+                    f"non-finite state at t={t1:.6g}, lambda={lam}; solution overflow"
+                )
+            segments.append(seg)
+            seg_bounds.append((t0, t1))
+            for k in range(1, seg.t.size):
+                nodes.append(
+                    (float(seg.t[k]), StateVec(complex(seg.y[0, k]), complex(seg.y[1, k])))
+                )
+            state = seg.y[:, -1]
     return Trajectory(problem, lam, segments, seg_bounds, nodes)
 
 

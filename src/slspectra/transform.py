@@ -1,15 +1,19 @@
 """Generalized Fourier transform against a spectral function.
 
 The transform of y is yhat(s) = int_a^b phi(t,s) Delta(t) y(t) dt, sampled
-at a SpectralFunction's ac nodes and point masses.  The inverse assembles
+at a SpectralFunction's ac nodes and point masses.  The inverse, its
+bound and the Parseval norm all come from one truncated spectral sum
 
-    sum_k phi(t, s_k) sigma_k yhat(s_k)
-    + int phi(t, u) rho(u) yhat(u) du
+    y_N(t) = sum_k phi(t, s_k) w_k yhat(s_k)
 
-over an explicit truncation (first k_max masses, ac window [lo, hi]); the
-ac integral is evaluated on the spectral function's own cells, whose nodes
-are midpoints in the variable xi = sign(u) sqrt|u|, so the integrable
-1/sqrt|u| edge of the density never needs a function value at u = 0.
+whose terms are the first k_max point masses s_k with their jumps w_k,
+then the ac nodes u_j inside the window [lo, hi] with weights
+w_j = rho(u_j) (cell_hi_j - cell_lo_j); the ac integral is thus evaluated
+on the spectral function's own cells, whose nodes are midpoints in the
+variable xi = sign(u) sqrt|u|, so the integrable 1/sqrt|u| edge of the
+density never needs a function value at u = 0.  The error bound is
+pointwise, sum_k |phi(t, s_k) w_k yhat(s_k)|, and the truncated Parseval
+norm is sum_k w_k |yhat(s_k)|^2.
 
 Membership in the uniform-convergence class F checks the left boundary
 condition, the tau-dependent right condition (bc1/bc2/bc3) and the
@@ -85,6 +89,7 @@ class MembershipReport(NamedTuple):
 class ConvergenceReport(NamedTuple):
     truncations: tuple[tuple[str, float], ...]
     monotone_tail: bool
+    values: tuple[np.ndarray, ...] = ()  # the truncated inverse on t_grid, per truncation
 
 
 class EigenMode(NamedTuple):
@@ -138,18 +143,18 @@ def fourier_transform(
     )
 
 
-def _check_aligned(sigma: SpectralFunction, yhat: TransformedFn) -> None:
-    if yhat.ac_u.shape != sigma.ac_grid.shape or not np.array_equal(
-        yhat.ac_u, sigma.ac_grid
-    ):
+def _terms(
+    sigma: SpectralFunction, yhat: TransformedFn, truncation: Truncation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s_k, sigma-weights w_k and yhat(s_k) of the truncated sum.
+
+    The terms are the first k_max point masses with their jumps, then the ac
+    nodes inside the window with weight density x cell width; terms of zero
+    weight are dropped."""
+    if not np.array_equal(yhat.ac_u, sigma.ac_grid):
         raise GridMismatchError("transform ac grid does not match the spectral function")
-    if tuple(s for s, _ in yhat.mass_values) != tuple(
-        s for s, _ in sigma.point_masses
-    ):
+    if tuple(s for s, _ in yhat.mass_values) != tuple(s for s, _ in sigma.point_masses):
         raise GridMismatchError("transform masses do not match the spectral function")
-
-
-def _check_truncation(sigma: SpectralFunction, truncation: Truncation) -> None:
     lo, hi = truncation.ac_window
     s_min, s_max = sigma.window
     tol = 1e-12 * (1.0 + max(abs(s_min), abs(s_max)))
@@ -158,6 +163,16 @@ def _check_truncation(sigma: SpectralFunction, truncation: Truncation) -> None:
             f"truncation window [{lo}, {hi}] exceeds spectral window "
             f"[{s_min}, {s_max}]"
         )
+    masses = sigma.point_masses[: truncation.k_max]
+    sel = (sigma.ac_grid >= lo) & (sigma.ac_grid <= hi)
+    ac_weights = sigma.ac_density * (sigma.cell_hi - sigma.cell_lo)
+    nodes = np.concatenate([[s for s, _ in masses], sigma.ac_grid[sel]])
+    weights = np.concatenate([[jump for _, jump in masses], ac_weights[sel]])
+    values = np.concatenate(
+        [[v for _, v in yhat.mass_values[: truncation.k_max]], yhat.ac_values[sel]]
+    )
+    keep = weights != 0.0
+    return nodes[keep], weights[keep], values[keep]
 
 
 def _inverse_on_grid(
@@ -166,29 +181,14 @@ def _inverse_on_grid(
     yhat: TransformedFn,
     t_arr: np.ndarray,
     truncation: Truncation,
-) -> tuple[np.ndarray, float]:
-    """Vectorized inverse over a t grid; (values, absolute-sum bound)."""
-    _check_aligned(sigma, yhat)
-    _check_truncation(sigma, truncation)
-    total = np.zeros(t_arr.shape, dtype=complex)
-    bound = 0.0
-    for (s_k, jump), (_, hv) in list(zip(sigma.point_masses, yhat.mass_values))[
-        : truncation.k_max
-    ]:
-        term = jump * hv
-        total += term * _phi_values(problem, s_k, t_arr)
-        bound += abs(term)
-    lo, hi = truncation.ac_window
-    if sigma.ac_grid.size:
-        sel = np.nonzero((sigma.ac_grid >= lo) & (sigma.ac_grid <= hi))[0]
-        for j in sel:
-            w = sigma.ac_density[j] * (sigma.cell_hi[j] - sigma.cell_lo[j])
-            if w == 0.0:
-                continue
-            term = w * yhat.ac_values[j]
-            total += term * _phi_values(problem, float(sigma.ac_grid[j]), t_arr)
-            bound += abs(term)
-    return total, bound
+) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated sum c @ Phi on a t grid, with Phi[k, j] = phi(t_j, s_k)
+    and c = w * yhat; returns (values, pointwise bound |c| @ |Phi|)."""
+    nodes, weights, values = _terms(sigma, yhat, truncation)
+    c = weights * values
+    phi = np.array([_phi_values(problem, s, t_arr) for s in nodes])
+    phi = phi.reshape(nodes.size, t_arr.size)  # keeps the shape when no term is left
+    return c @ phi, np.abs(c) @ np.abs(phi)
 
 
 def inverse_transform(
@@ -198,32 +198,12 @@ def inverse_transform(
     t: float,
     truncation: Truncation,
 ) -> InverseResult:
-    """Truncated inverse at one point, with the moduli-sum bound.
+    """Truncated inverse sum_k phi(t, s_k) w_k yhat(s_k) at one point.
 
-    The bound sums |phi(t,.)| against |contribution| pointwise at t, so it
-    dominates the partial sums of the expansion at that t."""
-    t_arr = np.array([float(t)])
-    _check_aligned(sigma, yhat)
-    _check_truncation(sigma, truncation)
-    total = 0.0 + 0.0j
-    bound = 0.0
-    for (s_k, jump), (_, hv) in list(zip(sigma.point_masses, yhat.mass_values))[
-        : truncation.k_max
-    ]:
-        phi_t = complex(_phi_values(problem, s_k, t_arr)[0])
-        total += phi_t * jump * hv
-        bound += abs(phi_t * jump * hv)
-    lo, hi = truncation.ac_window
-    if sigma.ac_grid.size:
-        sel = np.nonzero((sigma.ac_grid >= lo) & (sigma.ac_grid <= hi))[0]
-        for j in sel:
-            w = sigma.ac_density[j] * (sigma.cell_hi[j] - sigma.cell_lo[j])
-            if w == 0.0:
-                continue
-            phi_t = complex(_phi_values(problem, float(sigma.ac_grid[j]), t_arr)[0])
-            total += phi_t * w * yhat.ac_values[j]
-            bound += abs(phi_t * w * yhat.ac_values[j])
-    return InverseResult(value=complex(total), abs_bound=float(bound))
+    The bound sum_k |phi(t, s_k) w_k yhat(s_k)| is pointwise at t, so it
+    dominates every partial sum of the expansion at that t."""
+    values, bounds = _inverse_on_grid(problem, sigma, yhat, np.array([float(t)]), truncation)
+    return InverseResult(value=complex(values[0]), abs_bound=float(bounds[0]))
 
 
 def parseval_defect(
@@ -237,21 +217,10 @@ def parseval_defect(
     For ||y||_Delta = 0 the absolute transformed norm is returned (the
     relative form is meaningless on ker pi_Delta)."""
     yhat = fourier_transform(problem, y, sigma)
-    _check_truncation(sigma, truncation)
-    t_norm = 0.0
-    for (s_k, jump), (_, hv) in list(zip(sigma.point_masses, yhat.mass_values))[
-        : truncation.k_max
-    ]:
-        t_norm += jump * abs(hv) ** 2
-    lo, hi = truncation.ac_window
-    if sigma.ac_grid.size:
-        sel = (sigma.ac_grid >= lo) & (sigma.ac_grid <= hi)
-        widths = (sigma.cell_hi - sigma.cell_lo)[sel]
-        t_norm += float(
-            np.dot(sigma.ac_density[sel] * widths, np.abs(yhat.ac_values[sel]) ** 2)
-        )
+    _, weights, values = _terms(sigma, yhat, truncation)
+    t_norm = float(np.dot(weights, np.abs(values) ** 2))
     if yhat.source_norm_sq <= _ZERO_NORM:
-        return float(t_norm)
+        return t_norm
     return abs(t_norm - yhat.source_norm_sq) / yhat.source_norm_sq
 
 
@@ -328,7 +297,7 @@ def uniform_convergence_profile(
     t_grid,
 ) -> ConvergenceReport:
     """Sup-error of the truncated inverse against y_true over a nested
-    truncation schedule."""
+    truncation schedule; the report also carries the reconstructed values."""
     if not schedule:
         raise ConfigError("empty truncation schedule")
     for prev, cur in zip(schedule[:-1], schedule[1:]):
@@ -340,17 +309,23 @@ def uniform_convergence_profile(
         if not nested:
             raise ConfigError("truncation schedule must be nested")
     t_arr = np.asarray(list(t_grid), dtype=float)
+    if t_arr.size == 0:
+        raise ConfigError("empty t grid")
     y_ref = np.asarray(_as_vectorized(y_true)(t_arr))
     rows = []
+    values = []
     for tr in schedule:
         vals, _ = _inverse_on_grid(problem, sigma, yhat, t_arr, tr)
         sup = float(np.max(np.abs(vals - y_ref)))
         lo, hi = tr.ac_window
         rows.append((f"k_max={tr.k_max}, ac_window=[{lo:g},{hi:g}]", sup))
+        values.append(vals)
     sups = [s for _, s in rows]
     tail = sups[-3:]
     monotone = all(b <= a for a, b in zip(tail[:-1], tail[1:]))
-    return ConvergenceReport(truncations=tuple(rows), monotone_tail=monotone)
+    return ConvergenceReport(
+        truncations=tuple(rows), monotone_tail=monotone, values=tuple(values)
+    )
 
 
 def eigen_expansion(

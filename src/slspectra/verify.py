@@ -49,7 +49,6 @@ from .transform import (
     Truncation,
     eigen_expansion,
     fourier_transform,
-    inverse_transform,
     parseval_defect,
     uniform_convergence_profile,
 )
@@ -257,13 +256,10 @@ def criterion_orthogonal_expansion(free: SLProblem) -> CriterionResult:
     for k in range(1, 6):
         v_k = lambda t, k=k: math.sqrt(2.0) * np.cos(k * math.pi * np.asarray(t, dtype=float))
         vhat = fourier_transform(free, v_k, sigma)
-        vals = np.array(
-            [
-                inverse_transform(free, sigma, vhat, float(t), Truncation(51, (-1.0, 0.0))).value
-                for t in t_grid
-            ]
+        rep = uniform_convergence_profile(
+            free, sigma, vhat, v_k, [Truncation(51, (-1.0, 0.0))], t_grid
         )
-        worst_rep = max(worst_rep, float(np.max(np.abs(vals - v_k(t_grid)))))
+        worst_rep = max(worst_rep, rep.truncations[0][1])
 
     defect = parseval_defect(
         free, sigma, lambda t: np.asarray(t, dtype=float) ** 2, Truncation(51, (-1.0, 0.0))

@@ -145,6 +145,17 @@ class TestExpand:
             table = (tmp_path / f"expand_trunc{i}.csv").read_text().splitlines()
             assert table[0] == "t,y_true,y_reconstructed,abs_error"
             assert len(table) == 12
+            # the tables and expand.json come from the same reconstruction
+            abs_error = [float(line.split(",")[3]) for line in table[1:]]
+            assert max(abs_error) == sups[i]
+
+    @pytest.mark.parametrize("t_points", ["0", "-3"])
+    def test_empty_t_grid_exit_code(self, tmp_path, capsys, t_points):
+        code = run(tmp_path, "expand", "--tau", "constant:0", "--y", "cospi",
+                   "--schedule", "1:-1,1", "--window=-10,50", "--nodes", "32",
+                   f"--t-points={t_points}")
+        assert code == 2
+        assert "t grid" in capsys.readouterr().err
 
     def test_unknown_builtin_y(self, tmp_path, capsys):
         code = run(tmp_path, "expand", "--tau", "constant:0", "--y", "bogus",

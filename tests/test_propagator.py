@@ -1,6 +1,7 @@
 """Fundamental-solution propagation and its conservation laws."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,16 +11,19 @@ from hypothesis import strategies as st
 
 import oracles
 from slspectra import (
+    PropagationError,
     QuadConfig,
     StateVec,
     constant,
     constant_coefficient_problem,
     find_eigenvalues,
     loads_problem,
+    m_function,
     phi_at,
     point_mass,
     propagate,
     psi_at,
+    sqrt_param,
     wronskian,
 )
 from slspectra import propagator
@@ -169,6 +173,13 @@ class TestFundamentalSolutions:
     @pytest.mark.parametrize("lam,t", [(0.0, 0.0), (4.0, 1.0), (1j, 1.0)])
     def test_wronskian_examples(self, free, lam, t):
         assert wronskian(free, lam, t) == pytest.approx(1.0, abs=1e-10)
+
+    def test_closed_form_overflow_is_typed_error(self):
+        # cosh(1000) overflows: a typed error, and no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError):
+                m_function(constant_coefficient_problem(), sqrt_param(), -1e6 + 1j)
 
 
 class TestConservation:

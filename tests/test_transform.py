@@ -24,6 +24,8 @@ from slspectra import (
     sqrt_param,
     uniform_convergence_profile,
 )
+from slspectra.propagator import fundamental_trajectory
+from slspectra.transform import _inverse_on_grid
 
 C0 = constant(0.0)
 SQRT = sqrt_param()
@@ -50,6 +52,21 @@ def sigma_wide(free):
 @pytest.fixture(scope="module")
 def sigma_pp(free):
     return build_spectral_function(free, C0, (-10.0, 50.0), ac_nodes=32)
+
+
+def term_by_term(problem, sigma, yhat, tr):
+    """Oracle: the terms (phi(., s_k), w_k, yhat(s_k)) of the truncated sum,
+    listed one by one from the fundamental solutions."""
+    lo, hi = tr.ac_window
+    terms = [
+        (s, jump, hv)
+        for (s, jump), (_, hv) in zip(sigma.point_masses[: tr.k_max], yhat.mass_values)
+    ]
+    for j, u in enumerate(sigma.ac_grid):
+        if lo <= u <= hi:
+            w = sigma.ac_density[j] * (sigma.cell_hi[j] - sigma.cell_lo[j])
+            terms.append((float(u), w, yhat.ac_values[j]))
+    return [(fundamental_trajectory(problem, s, "phi"), w, hv) for s, w, hv in terms]
 
 
 class TestFourierTransform:
@@ -128,10 +145,45 @@ class TestInverseTransform:
         assert got.value == 0.0
         assert got.abs_bound == 0.0
 
+    def test_empty_truncation_is_zero(self, free, sigma_pp):
+        yhat = fourier_transform(free, quartic, sigma_pp)
+        got = inverse_transform(free, sigma_pp, yhat, 0.4, Truncation(0, (0.0, 0.0)))
+        assert got == (0.0, 0.0)
+        assert parseval_defect(free, sigma_pp, quartic, Truncation(0, (0.0, 0.0))) == 1.0
+
     def test_window_outside_sigma_rejected(self, free, sigma_pp):
         yhat = fourier_transform(free, quartic, sigma_pp)
         with pytest.raises(WindowError):
             inverse_transform(free, sigma_pp, yhat, 0.5, Truncation(3, (-100.0, 50.0)))
+
+    def test_single_sum_matches_term_by_term_oracle(self, free, sigma_wide):
+        yhat = fourier_transform(free, quartic, sigma_wide)
+        t_grid = np.linspace(0.0, 1.0, 11)
+        schedule = [Truncation(k, (-250.0 * k, 0.0)) for k in (2, 5, 10)]
+        profile = uniform_convergence_profile(
+            free, sigma_wide, yhat, quartic, schedule, t_grid
+        )
+        for tr, profile_vals in zip(schedule, profile.values):
+            terms = term_by_term(free, sigma_wide, yhat, tr)
+            grid_vals, grid_bound = _inverse_on_grid(free, sigma_wide, yhat, t_grid, tr)
+            assert np.array_equal(profile_vals, grid_vals)
+            for j, t in enumerate(t_grid):
+                parts = [
+                    complex(traj.eval(np.array([t]))[0][0]) * w * hv
+                    for traj, w, hv in terms
+                ]
+                want, want_bound = sum(parts), sum(abs(p) for p in parts)
+                got = inverse_transform(free, sigma_wide, yhat, float(t), tr)
+                assert abs(got.value - want) <= 1e-12
+                assert abs(grid_vals[j] - want) <= 1e-12
+                assert got.abs_bound == pytest.approx(want_bound, rel=1e-12)
+                assert grid_bound[j] == pytest.approx(want_bound, rel=1e-12)
+                assert got.abs_bound >= abs(got.value) - 1e-12
+            t_norm = sum(w * abs(hv) ** 2 for _, w, hv in terms)
+            want_defect = abs(t_norm - yhat.source_norm_sq) / yhat.source_norm_sq
+            assert parseval_defect(free, sigma_wide, quartic, tr) == pytest.approx(
+                want_defect, abs=1e-13
+            )
 
     def test_bad_truncation_rejected(self):
         with pytest.raises(ConfigError):
@@ -200,6 +252,10 @@ class TestConvergenceProfile:
         with pytest.raises(ConfigError):
             uniform_convergence_profile(
                 free, sigma_pp, yhat, quartic, [], np.linspace(0, 1, 11)
+            )
+        with pytest.raises(ConfigError):
+            uniform_convergence_profile(
+                free, sigma_pp, yhat, quartic, bad[:1], np.linspace(0, 1, 0)
             )
 
     def test_quartic_profile_monotone(self, free, sigma_wide):
