@@ -14,6 +14,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -55,10 +56,14 @@ def _parse_lambda(text: str) -> complex:
     try:
         if "," in text:
             re_s, im_s = text.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        return complex(text.replace(" ", ""))
+            lam = complex(float(re_s), float(im_s))
+        else:
+            lam = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ConfigError(f"bad lambda {text!r} (use 're', 're,im' or 're+imj')") from exc
+    if not cmath.isfinite(lam):
+        raise ConfigError(f"lambda must be finite, got {text!r}")
+    return lam
 
 
 def _parse_schedule(text: str) -> list[Truncation]:

@@ -80,6 +80,10 @@ class BoundaryParam:
 
 
 def constant(theta: float) -> BoundaryParam:
+    """tau(lambda) = theta, a finite real constant (use infinity() for the
+    Dirichlet-type parameter)."""
+    if not math.isfinite(theta):
+        raise ConfigError(f"constant parameter must be finite, got {theta!r}")
     return BoundaryParam(kind="constant", theta=float(theta))
 
 
@@ -102,7 +106,10 @@ def sqrt_param() -> BoundaryParam:
 
 
 def mobius(a: float, b: float, c: float, d: float) -> BoundaryParam:
-    """tau(lambda) = (a lambda + b)/(c lambda + d); requires a d - b c > 0."""
+    """tau(lambda) = (a lambda + b)/(c lambda + d); requires finite
+    coefficients with a d - b c > 0."""
+    if not all(math.isfinite(v) for v in (a, b, c, d)):
+        raise ConfigError(f"mobius({a},{b},{c},{d}) needs finite coefficients")
     det = a * d - b * c
     if det <= 0.0:
         raise ConfigError(

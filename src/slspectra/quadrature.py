@@ -6,6 +6,11 @@ each piece is then refined adaptively with an embedded Gauss-Legendre pair
 estimate, in the manner of Gauss-Kronrod error control).  Integrands receive
 a numpy array of abscissae and must return an array of values, which keeps
 dense-output evaluation of ODE trajectories cheap.
+
+The Fourier transform evaluates all its nodes on one shared composite grid
+built from the 21-point rule below (transform._shared_grids); this adaptive
+rule is that transform's per-node fallback and its test oracle, and it
+serves the weighted inner product delta_inner.
 """
 
 from __future__ import annotations

@@ -1,7 +1,14 @@
 """Generalized Fourier transform against a spectral function.
 
 The transform of y is yhat(s) = int_a^b phi(t,s) Delta(t) y(t) dt, sampled
-at a SpectralFunction's ac nodes and point masses.  The inverse, its
+at a SpectralFunction's ac nodes and point masses.  All nodes share one
+composite Gauss-Legendre grid on the support of Delta, split at every
+coefficient breakpoint and sized by the largest local wave number over the
+nodes.  A second grid with 1.5x the panels checks each node; the finer value
+is kept when the two agree within the problem's quadrature tolerances, and
+a node that fails is recomputed by the adaptive rule of quadrature.py, which
+raises QuadratureError rather than return a degraded value.  The source norm
+||y||^2_Delta comes from the same grids with the same check.  The inverse, its
 bound and the Parseval norm all come from one truncated spectral sum
 
     y_N(t) = sum_k phi(t, s_k) w_k yhat(s_k)
@@ -34,6 +41,7 @@ from .errors import ConfigError, CrossCheckError, GridMismatchError, WindowError
 from .nevanlinna import BoundaryParam, classify_bc
 from .problem import SLProblem, delta_inner, delta_norm
 from .propagator import fundamental_trajectory
+from .quadrature import _w_high, _x_high
 from .spectral import (
     SpectralFunction,
     _ell,
@@ -43,6 +51,7 @@ from .spectral import (
 )
 
 _ZERO_NORM = 1e-30  # below this, treat ||y||^2_Delta as zero
+_MAX_PANELS = 4096  # per subinterval; bounds the grid for extreme nodes
 
 
 @dataclass(frozen=True)
@@ -122,24 +131,88 @@ def _hat_at(problem: SLProblem, y: Callable, s: float) -> complex:
     return delta_inner(problem, y, phi)
 
 
+def _shared_grids(
+    problem: SLProblem, s_ext: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Nodes t and weights w * Delta(t) of two composite Gauss-Legendre rules
+    on the support of Delta, with m and ceil(1.5 m) panels per subinterval.
+
+    The subintervals are the Delta-support pieces split at every breakpoint,
+    since phi kinks where p, q or Delta jump.  m = ceil(1 + k len / pi), with
+    k the largest local wave (or e-folding) number sqrt(|q - s Delta| / |p|)
+    over nine probe points and the extreme nodes s_ext; |q - s Delta| is
+    convex in s, so the extremes bound k for every node in between."""
+    bps = np.asarray(problem.breakpoints)
+    grids: tuple[list, list] = ([], [])
+    for piece in problem.delta.pieces:
+        if piece.rule.is_zero:
+            continue
+        inner = bps[(bps > piece.t0) & (bps < piece.t1)]
+        edges = np.concatenate([[piece.t0], inner, [piece.t1]])
+        for t0, t1 in zip(edges[:-1], edges[1:]):
+            probe = np.linspace(t0, t1, 9)[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k2 = np.abs(problem.q(probe) - s_ext * piece.rule(probe)) / np.abs(
+                    problem.p(probe)
+                )
+                m = 1.0 + math.sqrt(float(np.max(k2))) * (t1 - t0) / math.pi
+            m = math.ceil(m) if m < _MAX_PANELS else _MAX_PANELS  # nan/inf: cap
+            for parts, panels in zip(grids, (m, math.ceil(1.5 * m))):
+                half = 0.5 * (t1 - t0) / panels
+                mids = t0 + half * (2.0 * np.arange(panels) + 1.0)
+                t = (mids[:, None] + half * _x_high).ravel()
+                parts.append((t, np.tile(half * _w_high, panels) * piece.rule(t)))
+    return tuple(
+        tuple(np.concatenate(arrs) for arrs in zip(*parts)) for parts in grids
+    )
+
+
 def fourier_transform(
     problem: SLProblem, y: Callable, sigma: SpectralFunction
 ) -> TransformedFn:
-    """yhat at every ac node and point mass of sigma, by piece-aware
-    quadrature of phi(.,s) Delta y."""
+    """yhat at every ac node and point mass of sigma, and ||y||^2_Delta.
+
+    All nodes share two composite Gauss-Legendre grids on the support of
+    Delta (see _shared_grids), the second with 1.5x the panels of the first.
+    phi(., s) is evaluated once per node on both grids together and reduced
+    at once to its two dot products with w Delta y; the 1.5x value is kept
+    when the two agree within max(abs_tol, rel_tol |yhat|) of problem.quad.
+    A node that fails this check, such as one whose y kinks inside a piece,
+    is recomputed by the adaptive rule (_hat_at), which raises
+    QuadratureError if it cannot converge; the source norm falls back to
+    delta_inner in the same way.  So no value degrades silently."""
     yv = _as_vectorized(y)
-    ac_vals = np.array(
-        [_hat_at(problem, yv, u) for u in sigma.ac_grid], dtype=complex
+    masses = [s for s, _ in sigma.point_masses]
+    nodes = np.concatenate([sigma.ac_grid, masses])
+    s_ext = np.array([nodes.min(), nodes.max()]) if nodes.size else np.zeros(1)
+    (t1, w1), (t2, w2) = _shared_grids(problem, s_ext)
+    t_all = np.concatenate([t1, t2])
+    y_all = np.asarray(yv(t_all))
+    c1, c2 = w1 * y_all[: t1.size], w2 * y_all[t1.size :]
+    abs_tol, rel_tol = problem.quad.abs_tol, problem.quad.rel_tol
+
+    def checked(coarse, fine, adaptive: Callable[[], complex]) -> complex:
+        if abs(coarse - fine) <= max(abs_tol, rel_tol * abs(fine)):
+            return complex(fine)
+        return complex(adaptive())
+
+    hats = []
+    for s in nodes:
+        row = _phi_values(problem, s, t_all)
+        hats.append(
+            checked(row[: t1.size] @ c1, row[t1.size :] @ c2,
+                    lambda s=s: _hat_at(problem, yv, s))
+        )
+    y_sq = np.abs(y_all) ** 2
+    norm_sq = checked(
+        w1 @ y_sq[: t1.size], w2 @ y_sq[t1.size :], lambda: delta_inner(problem, yv, yv)
     )
-    mass_vals = tuple(
-        (s_k, _hat_at(problem, yv, s_k)) for s_k, _ in sigma.point_masses
-    )
-    norm_sq = max(delta_inner(problem, yv, yv).real, 0.0)
+    n_ac = sigma.ac_grid.size
     return TransformedFn(
         ac_u=sigma.ac_grid.copy(),
-        ac_values=ac_vals,
-        mass_values=mass_vals,
-        source_norm_sq=norm_sq,
+        ac_values=np.array(hats[:n_ac], dtype=complex),
+        mass_values=tuple(zip(masses, hats[n_ac:])),
+        source_norm_sq=max(norm_sq.real, 0.0),
     )
 
 
@@ -354,6 +427,8 @@ def eigen_expansion(
         if t_grid is None
         else np.asarray(list(t_grid), dtype=float)
     )
+    if t_arr.size == 0:
+        raise ConfigError("empty t grid")
     yv = _as_vectorized(y)
 
     ell = max(_ell(problem), 0.1)
@@ -369,7 +444,7 @@ def eigen_expansion(
             break
         hi *= 2.0
     if len(eigs) < K:
-        raise ValueError(f"found only {len(eigs)} eigenvalues below {hi:g}, need {K}")
+        raise ConfigError(f"found only {len(eigs)} eigenvalues below {hi:g}, need {K}")
 
     modes: list[EigenMode] = []
     for lam_k in eigs:

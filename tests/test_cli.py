@@ -102,6 +102,22 @@ class TestMfun:
         assert complex(float(re_s), float(im_s)) == pytest.approx(want, rel=1e-5)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--tau", "constant:nan"),
+            ("eig", "--tau", "constant:inf", "--range", "0,10"),
+            ("mfun", "--tau", "sqrt", "--lambda", "nan"),
+            ("mfun", "--tau", "sqrt", "--lambda", "inf"),
+            ("classify", "--tau", "mobius:nan,0,0,1"),
+        ],
+    )
+    def test_usage_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestSpectral:
     def test_gap_window_empty(self, tmp_path, capsys):
         code = run(tmp_path, "spectral", "--tau", "constant:0",

@@ -135,7 +135,19 @@ class TestParseTau:
     def test_valid_specs(self, spec, kind):
         assert parse_tau(spec).kind == kind
 
-    @pytest.mark.parametrize("spec", ["", "constant:x", "mobius:1,2", "cot", "sqrt:2"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["", "constant:x", "mobius:1,2", "cot", "sqrt:2",
+         "constant:nan", "constant:inf", "mobius:nan,0,0,1", "mobius:1,0,0,inf"],
+    )
     def test_invalid_specs(self, spec):
         with pytest.raises(ConfigError):
             parse_tau(spec)
+
+    def test_non_finite_values_rejected(self):
+        # a NaN determinant compares false with 0 and used to pass the check
+        with pytest.raises(ConfigError):
+            mobius(math.nan, 0.0, 0.0, 1.0)
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                constant(theta)

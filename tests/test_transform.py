@@ -15,17 +15,21 @@ from slspectra import (
     TransformedFn,
     build_spectral_function,
     constant,
+    constant_coefficient_problem,
+    delta_inner,
     eigen_expansion,
     fourier_transform,
     inverse_transform,
+    loads_problem,
     membership_in_F,
     parseval_defect,
     pure_point_spectral,
     sqrt_param,
     uniform_convergence_profile,
 )
+from slspectra import transform
 from slspectra.propagator import fundamental_trajectory
-from slspectra.transform import _inverse_on_grid
+from slspectra.transform import _hat_at, _inverse_on_grid
 
 C0 = constant(0.0)
 SQRT = sqrt_param()
@@ -119,6 +123,94 @@ class TestFourierTransform:
                 mass_values=(),
                 source_norm_sq=-1.0,
             )
+
+
+POLY_P_INI = """
+[interval]
+a = 0.0
+b = 1.0
+alpha = -pi/2
+
+[coefficients.p]
+pieces =
+    0.0, 0.37, poly:1.0,0.5
+    0.37, 1.0, poly:2.0,0.5
+
+[coefficients.q]
+pieces =
+    0.0, 1.0, constant:0.0
+
+[coefficients.delta]
+pieces =
+    0.0, 1.0, constant:1.0
+"""
+
+
+@pytest.fixture
+def hat_calls(monkeypatch):
+    """Counts the adaptive fallbacks of fourier_transform."""
+    calls = []
+
+    def counting(problem, y, s):
+        calls.append(s)
+        return _hat_at(problem, y, s)
+
+    monkeypatch.setattr(transform, "_hat_at", counting)
+    return calls
+
+
+def assert_matches_adaptive(problem, y, sigma, yhat):
+    """Oracle: every node against the adaptive rule, the source norm
+    against delta_inner, within abs_tol + rel_tol |yhat|."""
+    quad = problem.quad
+    nodes = list(sigma.ac_grid) + [s for s, _ in sigma.point_masses]
+    got = list(yhat.ac_values) + [v for _, v in yhat.mass_values]
+    assert len(nodes) == len(got) > 0
+    for s, v in zip(nodes, got):
+        want = _hat_at(problem, y, s)
+        assert abs(v - want) <= quad.abs_tol + quad.rel_tol * abs(want), s
+    want = delta_inner(problem, y, y).real
+    assert abs(yhat.source_norm_sq - want) <= quad.abs_tol + quad.rel_tol * want
+
+
+class TestSharedGrid:
+    def test_criterion_5_sources(self, free, sigma_wide, hat_calls):
+        r2 = math.sqrt(oracles.sqrt_poles_free(2)[1])
+        for y in (quartic, lambda t: np.cos(r2 * t)):
+            yhat = fourier_transform(free, y, sigma_wide)
+            assert hat_calls == []  # smooth y: no adaptive fallback
+            assert_matches_adaptive(free, y, sigma_wide, yhat)
+
+    def test_degenerate_weight(self, mid, hat_calls):
+        sig = build_spectral_function(mid, C0, (-5.0, 130.0), ac_nodes=32)
+        yhat = fourier_transform(mid, lambda t: t, sig)
+        assert hat_calls == []
+        assert_matches_adaptive(mid, lambda t: t, sig, yhat)
+
+    def test_variable_p_with_jump(self, hat_calls):
+        # Magnus segments, and a kink of phi inside the single Delta piece
+        problem = loads_problem(POLY_P_INI)
+        sig = build_spectral_function(problem, SQRT, (-200.0, 2000.0), ac_nodes=24)
+        yhat = fourier_transform(problem, quartic, sig)
+        assert hat_calls == []
+        assert_matches_adaptive(problem, quartic, sig, yhat)
+
+    def test_grid_covers_support_only_and_is_capped(self, mid):
+        # panel counts: ceil(1 + 10 (1/3) / pi) = 3 and ceil(4.5) = 5 per live third
+        (t1, w1), (t2, w2) = transform._shared_grids(mid, np.array([-1.0, 100.0]))
+        assert (t1.size, t2.size) == (2 * 21 * 3, 2 * 21 * 5)
+        for t, w in ((t1, w1), (t2, w2)):
+            assert not np.any((t > 1.0 / 3.0) & (t < 2.0 / 3.0))
+            assert w.sum() == pytest.approx(2.0 / 3.0, rel=1e-14)
+        (t1, _), (t2, _) = transform._shared_grids(mid, np.array([0.0, 1e300]))
+        cap = transform._MAX_PANELS
+        assert (t1.size, t2.size) == (2 * 21 * cap, 2 * 21 * math.ceil(1.5 * cap))
+
+    def test_kink_falls_back_to_adaptive(self, free, sigma_pp, hat_calls):
+        y = lambda t: np.abs(t - 0.3)
+        yhat = fourier_transform(free, y, sigma_pp)
+        assert len(hat_calls) > 0
+        assert_matches_adaptive(free, y, sigma_pp, yhat)
 
 
 class TestInverseTransform:
@@ -311,6 +403,16 @@ class TestEigenExpansion:
             eigen_expansion(free, SQRT, lambda t: np.ones_like(t), 2)
         with pytest.raises(ConfigError):
             eigen_expansion(free, C0, lambda t: np.ones_like(t), 0)
+
+    def test_empty_t_grid_rejected(self, free):
+        with pytest.raises(ConfigError, match="empty t grid"):
+            eigen_expansion(free, C0, lambda t: np.ones_like(t), 2, t_grid=[])
+
+    def test_too_few_eigenvalues_is_config_error(self):
+        # Delta = 1e-6 puts lambda_1 = (pi/1e-3)^2 beyond the widest search
+        tiny = constant_coefficient_problem(delta=1e-6)
+        with pytest.raises(ConfigError, match="found only 1 eigenvalues"):
+            eigen_expansion(tiny, C0, lambda t: np.ones_like(t), 2)
 
     def test_mode_values_normalized(self, mid):
         # squared Delta-norm of each mode's sample vector is 1 by Simpson
