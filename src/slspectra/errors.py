@@ -5,8 +5,8 @@ class SLSpectraError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(SLSpectraError):
-    """Malformed or inconsistent problem configuration."""
+class ConfigError(SLSpectraError, ValueError):
+    """Malformed or inconsistent problem configuration or arguments."""
 
 
 class QuadratureError(SLSpectraError):

@@ -136,9 +136,10 @@ def parse_tau(spec: str) -> BoundaryParam:
     head, _, rest = s.partition(":")
     if head == "constant":
         try:
-            return constant(float(rest))
+            value = float(rest)
         except ValueError as exc:
             raise ConfigError(f"bad constant parameter {spec!r}") from exc
+        return constant(value)
     if head == "infinity":
         if rest:
             raise ConfigError(f"infinity parameter takes no arguments, got {spec!r}")

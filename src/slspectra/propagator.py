@@ -10,19 +10,21 @@ Steps never straddle coefficient piece boundaries: each piece is integrated
 as its own segment and the solver restarts at the boundary, so
 discontinuities in p, q or Delta never sit inside a step.
 
-Three engines share the segment contract (.t, .y and .sol()):
+Three engines cover the pieces:
 
-* Closed form.  Pieces on which p, q and Delta are all constant are solved
-  by the 2x2 transfer matrix [[C, S/p], [(q - lambda Delta) S, C]] with
-  C = cosh(w tau), S = sinh(w tau)/w, w^2 = (q - lambda Delta)/p.  This is
-  exact to rounding, preserves the Wronskian identically (det = C^2 - w^2 S^2
-  = 1) and costs microseconds, which keeps dense spectral sweeps cheap.
+* Closed form.  On a piece of length h where p, q and Delta are constant the
+  generator A = [[0, 1/p], [q - lambda Delta, 0]] does not vary, and the
+  transfer matrix is exp(hA) = cosh(s) I + sinh(s)/s hA with
+  s^2 = h^2 (q - lambda Delta) / p, evaluated by _cosh_sinhc.  It is exact
+  to rounding, has det = 1, so the Wronskian holds identically, and costs
+  microseconds, which keeps dense spectral sweeps cheap.
 * Magnus.  Every other piece takes n uniform steps of the fourth-order,
   two-point Gauss Magnus method (Iserles & Norsett 1999).  Each step is the
-  exponential of a traceless 2x2 matrix, so the transfer matrix has det = 1
-  and the Wronskian holds to rounding.  The coefficient samples at the Gauss
-  nodes do not depend on lambda and are cached per (piece, n); n is doubled
-  until the Richardson estimate |T_2n - T_n| / 15 meets quad.ode_tol.
+  exponential of a traceless 2x2 matrix, by the same formula, so the
+  transfer matrix has det = 1 and the Wronskian holds to rounding.  The
+  coefficient samples at the Gauss nodes do not depend on lambda and are
+  cached per (piece, n); n is doubled until the Richardson estimate
+  |T_2n - T_n| / 15 meets quad.ode_tol.
 * DOP853, the reference engine: an adaptive embedded Runge-Kutta method of
   order 8(5,3) with dense output.  It runs on every piece when
   quad.closed_form_pieces = False (the CLI's --ode-tol sets that), and
@@ -32,6 +34,15 @@ Three engines share the segment contract (.t, .y and .sol()):
 
 Complex spectral parameters propagate a complex state; real parameters stay
 in real arithmetic.
+
+endpoint_states gives phi, psi and their quasi-derivatives at b for an array
+of lambda: the closed-form transfers of all lambda in one elementwise pass,
+Magnus per lambda, multiplied over the pieces and applied to both initial
+vectors.  slspectra.spectral reads only these.  The cached dense Trajectory
+of fundamental_trajectory serves the callers that need solutions inside
+[a, b] (the transform, eigen_expansion, mfun --trace, phi_at/psi_at), and is
+the fallback of endpoint_states on the reference engine and past the Magnus
+step budget.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -56,7 +67,6 @@ from .errors import PropagationError
 from .problem import ConstantRule, SLProblem
 
 _MIN_RTOL = 2.5e-14  # DOP853 rejects tolerances at rounding level
-_SERIES_CUT = 1e-6  # |w|*tau below this: use the series for sinh(w tau)/w
 
 
 @dataclass(frozen=True)
@@ -92,29 +102,10 @@ class _ExactSegment:
         self.t = np.array([t0, t1])
         self.y = np.stack([y0, end], axis=1)
 
-    def _cs(self, tau: np.ndarray):
-        c = self._c
-        scale = math.sqrt(abs(c)) * float(np.max(tau, initial=0.0))
-        if scale < _SERIES_CUT:
-            x = c * tau * tau
-            C = 1.0 + x / 2.0 + x * x / 24.0
-            S = tau * (1.0 + x / 6.0 + x * x / 120.0)
-            return C, S
-        if isinstance(c, complex):
-            w = np.sqrt(complex(c))
-            wt = w * tau
-            return np.cosh(wt), np.sinh(wt) / w
-        if c > 0:
-            w = math.sqrt(c)
-            wt = w * tau
-            return np.cosh(wt), np.sinh(wt) / w
-        om = math.sqrt(-c)
-        ot = om * tau
-        return np.cos(ot), np.sin(ot) / om
-
     def sol(self, t_arr: np.ndarray) -> np.ndarray:
         tau = np.asarray(t_arr, dtype=float) - self.t0
-        C, S = self._cs(tau)
+        C, S = _cosh_sinhc(self._c * tau * tau)
+        S = S * tau
         y0, y10 = self._y0
         return np.stack([y0 * C + (y10 / self._p) * S, y0 * self._coef * S + y10 * C])
 
@@ -373,13 +364,18 @@ def _piece_rhs(p_rule, q_rule, d_rule, lam):
     return rhs
 
 
-def _rules_on(problem: SLProblem, t0: float, t1: float):
-    mid = np.array([0.5 * (t0 + t1)])
-    rules = []
-    for coef in (problem.p, problem.q, problem.delta):
-        i = int(coef.piece_index(mid)[0])
-        rules.append(coef.pieces[i].rule)
-    return rules
+@lru_cache(maxsize=32)
+def _pieces(problem: SLProblem):
+    """(t0, t1, (p, q, Delta) rules, all constant?) of every piece, cached per
+    problem."""
+    bps = problem.breakpoints
+    out = []
+    for t0, t1 in zip(bps[:-1], bps[1:]):
+        mid = np.array([0.5 * (t0 + t1)])
+        coefs = (problem.p, problem.q, problem.delta)
+        rules = tuple(c.pieces[int(c.piece_index(mid)[0])].rule for c in coefs)
+        out.append((t0, t1, rules, all(isinstance(r, ConstantRule) for r in rules)))
+    return tuple(out)
 
 
 def propagate(
@@ -407,29 +403,19 @@ def propagate(
     nodes: list[tuple[float, StateVec]] = [
         (problem.a, StateVec(complex(state[0]), complex(state[1])))
     ]
-    bps = problem.breakpoints
     # overflow at large |lambda| leaves a non-finite state, which the check
     # below turns into a PropagationError
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1 in zip(bps[:-1], bps[1:]):
-            p_rule, q_rule, d_rule = _rules_on(problem, t0, t1)
-            if (
-                use_exact
-                and isinstance(p_rule, ConstantRule)
-                and isinstance(q_rule, ConstantRule)
-                and isinstance(d_rule, ConstantRule)
-            ):
-                seg = _ExactSegment(
-                    t0, t1, state, p_rule.value, q_rule.value - lam_eff * d_rule.value
-                )
-            elif use_exact and (
-                magnus := _magnus_transfer((p_rule, q_rule, d_rule), t0, t1, lam_eff, rtol)
-            ):
-                seg = _MagnusSegment(t0, t1, state, (p_rule, q_rule, d_rule), lam_eff, *magnus)
+        for t0, t1, rules, constant in _pieces(problem):
+            if use_exact and constant:
+                p, q, d = (r.value for r in rules)
+                seg = _ExactSegment(t0, t1, state, p, q - lam_eff * d)
+            elif use_exact and (magnus := _magnus_transfer(rules, t0, t1, lam_eff, rtol)):
+                seg = _MagnusSegment(t0, t1, state, rules, lam_eff, *magnus)
             else:
                 # the reference engine, and the fallback for Magnus step budgets
                 # exhausted at very large |lambda|
-                rhs = _piece_rhs(p_rule, q_rule, d_rule, lam_eff)
+                rhs = _piece_rhs(*rules, lam_eff)
                 seg = solve_ivp(
                     rhs,
                     (t0, t1),
@@ -521,6 +507,56 @@ def fundamental_trajectory(problem: SLProblem, lam: complex, which: str) -> Traj
         traj = propagate(problem, lam, init)
         _cache.put(key, traj)
     return traj
+
+
+def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
+    """[[phi, psi], [phi^[1], psi^[1]]] at b for every lambda in lams, shape
+    (len(lams), 2, 2); real when every lambda is real.  Overflow raises
+    PropagationError."""
+    lams = np.atleast_1d(np.asarray(lams))
+    if np.iscomplexobj(lams) and np.all(lams.imag == 0.0):
+        lams = lams.real
+    lams = lams.astype(complex if np.iscomplexobj(lams) else float)
+    one, zero = np.ones_like(lams), np.zeros_like(lams)
+    T = (one, zero, zero, one)
+    fallback = np.full(lams.shape, not problem.quad.closed_form_pieces)
+    rtol = max(problem.quad.ode_tol, _MIN_RTOL)
+    pieces = _pieces(problem) if problem.quad.closed_form_pieces else ()
+    # overflow leaves non-finite states, which the check below turns into a
+    # PropagationError
+    with np.errstate(all="ignore"):
+        # exp(hA) of every constant piece for every lambda in one pass
+        const = [(t1 - t0, *(r.value for r in rules)) for t0, t1, rules, c in pieces if c]
+        h, p, q, d = np.array(const).reshape(-1, 4, 1).transpose(1, 0, 2)
+        coef = q - d * lams
+        C, S = _cosh_sinhc(h * h * coef / p)
+        closed = zip(C, S * (h / p), S * (h * coef), C)
+        for t0, t1, rules, constant in pieces:
+            if constant:
+                E = next(closed)
+            else:
+                E = np.zeros((4, lams.size), lams.dtype)
+                E[0] = E[3] = 1.0  # identity
+                for i, lam in enumerate(lams.tolist()):
+                    magnus = None if fallback[i] else _magnus_transfer(rules, t0, t1, lam, rtol)
+                    if magnus is None:
+                        fallback[i] = True  # the step budget ran out
+                    else:  # a real lambda may hit an entry cached under lam + 0j
+                        T_i = magnus[1] if np.iscomplexobj(E) else magnus[1].real
+                        E[:, i] = T_i.ravel()
+            T = _mul(E, T)
+        inits = np.array([_phi_init(problem.alpha), _psi_init(problem.alpha)]).T
+        out = np.stack(T, axis=-1).reshape(-1, 2, 2) @ inits
+    for i in np.flatnonzero(fallback):
+        ph, ps = (fundamental_trajectory(problem, lams[i], w).endpoint for w in ("phi", "psi"))
+        states = np.array([[ph.y, ps.y], [ph.y1, ps.y1]])
+        out[i] = states if np.iscomplexobj(out) else states.real
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if np.any(bad):
+        raise PropagationError(
+            f"non-finite state at t={problem.b:.6g}, lambda={lams[bad][0]}; solution overflow"
+        )
+    return out
 
 
 def phi_at(problem: SLProblem, lam: complex, t: float) -> StateVec:

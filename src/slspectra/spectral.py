@@ -41,11 +41,12 @@ from .errors import (
 )
 from .nevanlinna import INF_FLAG, BoundaryParam, eval_param
 from .problem import SLProblem
-from .propagator import fundamental_trajectory
+from .propagator import endpoint_states
 from .quadrature import piecewise_integrate
 
 _POLE_GUARD = 1e-14  # |D| below this fraction of |N| counts as "at a pole"
 _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
+_SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
 
 
 def default_eps_schedule() -> tuple[float, ...]:
@@ -65,12 +66,6 @@ def _check_schedule(eps_schedule) -> np.ndarray:
     return eps
 
 
-def _endpoints(problem: SLProblem, lam: complex):
-    ph = fundamental_trajectory(problem, lam, "phi").endpoint
-    ps = fundamental_trajectory(problem, lam, "psi").endpoint
-    return ph, ps
-
-
 def _tau_value(tau: BoundaryParam, lam: complex):
     """tau(lam) for complex lam, or the boundary value tau+(u) for real lam.
 
@@ -84,7 +79,7 @@ def _tau_value(tau: BoundaryParam, lam: complex):
         v = eval_param(tau, lam)
     else:
         if not tau.has_boundary_values:
-            raise ValueError(
+            raise ConfigError(
                 "real-axis evaluation needs boundary values tau+(u); "
                 f"parameter {tau.label()} does not provide them"
             )
@@ -95,54 +90,65 @@ def _tau_value(tau: BoundaryParam, lam: complex):
     return v
 
 
-def m_function(problem: SLProblem, tau: BoundaryParam, lam: complex) -> complex:
-    """Weyl-type m-function at lam; raises PoleProximityError at poles."""
-    lam = complex(lam)
-    ph, ps = _endpoints(problem, lam)
-    tv = _tau_value(tau, lam)
-    if tv is INF_FLAG:
-        num, den = ps.y, ph.y
-    else:
-        num = ps.y * tv - ps.y1
-        den = ph.y * tv - ph.y1
-    if abs(den) <= _POLE_GUARD * abs(num):
+def _tau_array(tau: BoundaryParam, lams):
+    """tau at every lam as a complex array (0 where tau is infinite), and the
+    mask of the infinite values."""
+    tvs = [_tau_value(tau, complex(lam)) for lam in lams]
+    inf = np.array([tv is INF_FLAG for tv in tvs], dtype=bool)
+    return np.array([0.0 if tv is INF_FLAG else tv for tv in tvs], dtype=complex), inf
+
+
+def _quotient(problem: SLProblem, lams, tv, inf):
+    """N = psi tau - psi^[1] and D = phi tau - phi^[1] at b for every lam, from
+    tau values tv; N = psi and D = phi where inf marks tau = infinity."""
+    (ph, ps), (ph1, ps1) = endpoint_states(problem, lams).transpose(1, 2, 0)
+    return np.where(inf, ps, ps * tv - ps1), np.where(inf, ph, ph * tv - ph1)
+
+
+def _m_values(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
+    """m_tau at every lam in lams; raises PoleProximityError if one is at a pole."""
+    lams = np.asarray(lams, dtype=complex)
+    num, den = _quotient(problem, lams, *_tau_array(tau, lams))
+    at_pole = np.abs(den) <= _POLE_GUARD * np.abs(num)
+    if np.any(at_pole):
+        i = int(np.argmax(at_pole))
         raise PoleProximityError(
-            f"m-function denominator vanishes at lambda={lam} (|D|={abs(den):.3e})"
+            f"m-function denominator vanishes at lambda={complex(lams[i])} "
+            f"(|D|={abs(den[i]):.3e})"
         )
     return num / den
+
+
+def m_function(problem: SLProblem, tau: BoundaryParam, lam: complex) -> complex:
+    """Weyl-type m-function at lam; raises PoleProximityError at poles."""
+    return complex(_m_values(problem, tau, [complex(lam)])[0])
 
 
 # ---------------------------------------------------------------------------
 # Stieltjes inversion: density
 
 
-def _density_boundary(problem: SLProblem, tau: BoundaryParam, u: float) -> float:
-    """(1/pi) Im m(u+i0) from tau's boundary value; exact in eps."""
-    tv = _tau_value(tau, complex(u))
-    ph, _ = _endpoints(problem, float(u))
-    if tv is INF_FLAG:
-        den = ph.y
-        im_t = 0.0
-        scale = abs(ph.y) + abs(ph.y1)
-    else:
-        den = ph.y * tv - ph.y1
-        im_t = tv.imag
-        scale = max(abs(ph.y * tv), abs(ph.y1), 1e-300)
-    if abs(den) < 1e-10 * scale:
+def _density_boundary(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
+    """(1/pi) Im m(u+i0) at every u from tau's boundary values; exact in eps."""
+    us = np.asarray(us, dtype=float)
+    tv, inf = _tau_array(tau, us)
+    (ph, _), (ph1, _) = endpoint_states(problem, us).transpose(1, 2, 0)
+    den = np.where(inf, ph, ph * tv - ph1)
+    scale = np.where(
+        inf, np.abs(ph) + np.abs(ph1), np.maximum(np.maximum(np.abs(ph * tv), np.abs(ph1)), 1e-300)
+    )
+    pole = np.abs(den) < 1e-10 * scale
+    if np.any(pole):
         raise PoleContaminatedError(
-            f"boundary denominator vanishes at u={u}: point mass nearby"
+            f"boundary denominator vanishes at u={us[pole][0]}: point mass nearby"
         )
-    if im_t == 0.0:
-        return 0.0
-    return im_t / (math.pi * abs(den) ** 2)
+    return np.where(tv.imag == 0.0, 0.0, tv.imag / (math.pi * np.abs(den) ** 2))
 
 
 def _density_extrapolation(
     problem: SLProblem, tau: BoundaryParam, u: float, eps: np.ndarray
 ) -> float:
-    vals = np.array(
-        [m_function(problem, tau, complex(u, e)).imag for e in eps], dtype=float
-    )
+    vals = _m_values(problem, tau, u + 1j * eps).imag
     k = min(6, eps.size)
     fit = np.polynomial.Polynomial.fit(eps[-k:], vals[-k:], deg=2)
     # Im m is analytic in eps off the poles, so the quadratic tracks the tail
@@ -182,7 +188,7 @@ def spectral_density(
     if method == "auto":
         method = "boundary" if tau.has_boundary_values else "extrapolation"
     if method == "boundary":
-        return _density_boundary(problem, tau, u)
+        return float(_density_boundary(problem, tau, [u])[0])
     if method == "extrapolation":
         return _density_extrapolation(problem, tau, u, eps)
     raise ConfigError(f"unknown density method {method!r}")
@@ -208,24 +214,29 @@ def _ell(problem: SLProblem) -> float:
     )
 
 
-def _scan_value(problem: SLProblem, tau: BoundaryParam, u: float):
-    """(value, valid) of the rescaled denominator at real u.
+def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
+    """(values, valid) of the rescaled denominator at the real points us.
 
     Rescaling by max(1,|tau+|) keeps the scan bounded through large tau
     without flipping signs.  Nodes where tau+ is genuinely complex (ac
-    spectrum) or near a tau pole are flagged invalid: no real m-pole there.
+    spectrum) or near a tau pole are flagged invalid: no real m-pole there,
+    and no propagation either.
     """
-    tv = _tau_value(tau, complex(u))
-    if tv is not INF_FLAG:
-        if abs(tv.imag) > 1e-12 * (1.0 + abs(tv)):
-            return 0.0, False
-        if abs(tv.real) > 1e6:
-            return 0.0, False
-    ph, _ = _endpoints(problem, float(u))
-    if tv is INF_FLAG:
-        return float(ph.y.real), True
-    tr = tv.real
-    return float((ph.y.real * tr - ph.y1.real) / max(1.0, abs(tr))), True
+    us = np.asarray(us, dtype=float)
+    tv, inf = _tau_array(tau, us)
+    valid = inf | ((np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv))) & (np.abs(tv.real) <= 1e6))
+    vals = np.zeros(us.size)
+    if np.any(valid):
+        tr, inf = tv.real[valid], inf[valid]
+        _, den = _quotient(problem, us[valid], tr, inf)
+        vals[valid] = den / np.where(inf, 1.0, np.maximum(1.0, np.abs(tr)))
+    return vals, valid
+
+
+def _scan_value(problem: SLProblem, tau: BoundaryParam, u: float):
+    """(value, valid) of the scan function at one real u."""
+    vals, valid = _scan_values(problem, tau, [u])
+    return float(vals[0]), bool(valid[0])
 
 
 def _s_of(u: float) -> float:
@@ -240,9 +251,8 @@ def _is_pole(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
     """Probe whether a zero of the denominator is a pole of m or a branch
     point: eps * Im m(lam0 + i eps) is eps-independent at a simple pole and
     ~ sqrt(eps) at a square-root branch point."""
-    e1, e2 = 1e-6, 4e-6
-    w1 = e1 * m_function(problem, tau, complex(lam0, e1)).imag
-    w2 = e2 * m_function(problem, tau, complex(lam0, e2)).imag
+    eps = np.array([1e-6, 4e-6])
+    w1, w2 = eps * _m_values(problem, tau, lam0 + 1j * eps).imag
     if w1 <= 0.0:
         return False
     ratio = w2 / w1
@@ -266,17 +276,14 @@ def _winding_confirms(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bo
         complex(lam0 - h, v),
         complex(lam0 - h, -v),
     ]
-    samples: list[complex] = []
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        for frac in np.linspace(0.0, 1.0, 50, endpoint=False):
-            z = z0 + (z1 - z0) * frac
-            tv = _tau_value(tau, z)
-            ph, _ = _endpoints(problem, z)
-            samples.append(ph.y if tv is INF_FLAG else ph.y * tv - ph.y1)
-    total = 0.0
-    for w0, w1 in zip(samples, samples[1:] + samples[:1]):
-        q = w1 / w0
-        total += math.atan2(q.imag, q.real)
+    z = np.array([
+        z0 + (z1 - z0) * frac
+        for z0, z1 in zip(corners[:-1], corners[1:])
+        for frac in np.linspace(0.0, 1.0, 50, endpoint=False)
+    ])
+    _, samples = _quotient(problem, z, *_tau_array(tau, z))
+    q = np.roll(samples, -1) / samples
+    total = float(np.sum(np.arctan2(q.imag, q.real)))
     return round(total / (2 * math.pi)) >= 1
 
 
@@ -298,10 +305,7 @@ def _scan_segment(
     is a suspected double root and is an error, never merged.
     """
     n = s_nodes.size
-    vals = np.empty(n)
-    valid = np.empty(n, dtype=bool)
-    for i, s in enumerate(s_nodes):
-        vals[i], valid[i] = _scan_value(problem, tau, _u_of(float(s)))
+    vals, valid = _scan_values(problem, tau, s_nodes * np.abs(s_nodes))
 
     def f(s: float) -> float:
         v, ok = _scan_value(problem, tau, _u_of(s))
@@ -358,7 +362,7 @@ def find_eigenvalues(
     if max_count < 1:
         raise ConfigError("max_count must be >= 1")
     if tau.kind == "analytic" and not tau.has_boundary_values:
-        raise ValueError(
+        raise ConfigError(
             "real pole search needs boundary values tau+(u); "
             f"parameter {tau.label()} does not provide them"
         )
@@ -367,8 +371,14 @@ def find_eigenvalues(
     # has both triple neighbours; margin finds are dropped below
     s_lo, s_hi = _s_of(lo) - step, _s_of(hi) + step
     n = int(math.ceil((s_hi - s_lo) / step)) + 1
-    n = min(max(n, 8), 200_000)
-    s_grid = np.linspace(s_lo, s_hi, n)
+    if n > _SCAN_NODES:
+        # a wider step would pass the root spacing and miss roots unnoticed
+        widest = _u_of(_s_of(lo) + (_SCAN_NODES - 4) * step)
+        raise ConfigError(
+            f"eigenvalue scan over [{lo:g}, {hi:g}] needs {n} nodes, more than "
+            f"{_SCAN_NODES}; the widest range allowed from {lo:g} is [{lo:g}, {widest:g}]"
+        )
+    s_grid = np.linspace(s_lo, s_hi, max(n, 8))
     roots: list[float] = []
     _scan_segment(problem, tau, s_grid, 3, roots)
 
@@ -394,15 +404,14 @@ def find_eigenvalues(
 # point masses
 
 
-def _num_den(problem: SLProblem, tau: BoundaryParam, u: float):
-    tv = _tau_value(tau, complex(u))
-    ph, ps = _endpoints(problem, float(u))
-    if tv is INF_FLAG:
-        return float(ps.y.real), float(ph.y.real)
-    if abs(tv.imag) > 1e-12 * (1.0 + abs(tv)):
-        raise ValueError(f"tau+({u}) is not real; no real pole possible here")
-    tr = tv.real
-    return float(ps.y.real * tr - ps.y1.real), float(ph.y.real * tr - ph.y1.real)
+def _num_den(problem: SLProblem, tau: BoundaryParam, us):
+    """N and D of m = N/D at the real points us, as real arrays."""
+    us = np.asarray(us, dtype=float)
+    tv, inf = _tau_array(tau, us)
+    complex_tv = ~inf & (np.abs(tv.imag) > 1e-12 * (1.0 + np.abs(tv)))
+    if np.any(complex_tv):
+        raise ConfigError(f"tau+({us[complex_tv][0]}) is not real; no real pole possible here")
+    return _quotient(problem, us, tv.real, inf)
 
 
 def point_mass(
@@ -422,18 +431,13 @@ def point_mass(
     eps = _check_schedule(eps_schedule)
 
     h = 1e-5 * (1.0 + abs(lam_k))
-    n_mid, _ = _num_den(problem, tau, lam_k)
-    _, d_hi = _num_den(problem, tau, lam_k + h)
-    _, d_lo = _num_den(problem, tau, lam_k - h)
-    d_prime = (d_hi - d_lo) / (2.0 * h)
+    num, den = _num_den(problem, tau, [lam_k, lam_k + h, lam_k - h])
+    d_prime = float(den[1] - den[2]) / (2.0 * h)
     if d_prime == 0.0:
         raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
-    jump_res = -n_mid / d_prime
+    jump_res = -float(num[0]) / d_prime
 
-    w = np.array(
-        [e * m_function(problem, tau, complex(lam_k, e)).imag for e in eps],
-        dtype=float,
-    )
+    w = eps * _m_values(problem, tau, lam_k + 1j * eps).imag
     k = min(6, eps.size)
     # eps * Im m = sigma_k + c1 eps^2 + c2 eps^4 near a simple pole in a gap
     fit = np.polynomial.Polynomial.fit(eps[-k:] ** 2, w[-k:], deg=2)
@@ -575,14 +579,17 @@ def build_spectral_function(
     nodes, lo, hi = nodes[keep], lo[keep], hi[keep]
 
     dens = np.zeros(nodes.size)
-    if tau.kind not in ("constant", "infinity"):
+    orthogonal = tau.kind in ("constant", "infinity")
+    if not orthogonal and tau.has_boundary_values:
+        tv, inf = _tau_array(tau, nodes)
+        # real boundary value: Im m(u+i0) = 0 exactly off the poles, and pole
+        # neighbourhoods are already excluded above
+        need = ~inf & (np.abs(tv.imag) > 1e-14 * (1.0 + np.abs(tv)))
+        if np.any(need):
+            _check_schedule(eps_schedule)
+            dens[need] = _density_boundary(problem, tau, nodes[need])
+    elif not orthogonal:
         for i, u in enumerate(nodes):
-            if tau.has_boundary_values:
-                tv = _tau_value(tau, complex(float(u)))
-                # real boundary value: Im m(u+i0) = 0 exactly off the poles,
-                # and pole neighbourhoods are already excluded above
-                if tv is INF_FLAG or abs(tv.imag) <= 1e-14 * (1.0 + abs(tv)):
-                    continue
             dens[i] = spectral_density(problem, tau, float(u), eps_schedule)
     return SpectralFunction(
         ac_grid=nodes,

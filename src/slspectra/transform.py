@@ -437,12 +437,12 @@ def eigen_expansion(
     q_scale = 1.0 + float(np.max(np.abs(problem.q(mids))))
     lo = -10.0 * q_scale
     hi = 1.3 * ((K + 2) * math.pi / ell) ** 2 + 10.0
-    eigs: list[float] = []
-    for _ in range(4):
-        eigs = find_eigenvalues(problem, tau, (lo, hi), max_count=K)
+    eigs = find_eigenvalues(problem, tau, (lo, hi), max_count=K)
+    for _ in range(3):
         if len(eigs) >= K:
             break
         hi *= 2.0
+        eigs = find_eigenvalues(problem, tau, (lo, hi), max_count=K)
     if len(eigs) < K:
         raise ConfigError(f"found only {len(eigs)} eigenvalues below {hi:g}, need {K}")
 

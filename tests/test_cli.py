@@ -40,6 +40,10 @@ class TestEig:
         assert run(tmp_path, "eig", "--tau", "sqrt", "--range", "5,5") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_range_beyond_scan_cap_exit_code(self, tmp_path, capsys):
+        assert run(tmp_path, "eig", "--tau", "sqrt", "--range", "0,1e12") == 2
+        assert "widest range allowed" in capsys.readouterr().err
+
     def test_deterministic_artifacts(self, tmp_path, capsys):
         run(tmp_path / "a", "eig", "--tau", "sqrt", "--range", "0,200")
         run(tmp_path / "b", "eig", "--tau", "sqrt", "--range", "0,200")

@@ -344,6 +344,65 @@ class TestMagnusEngine:
         assert len(traj.nodes) > 2  # DOP853 step nodes, not a Magnus segment
 
 
+def _per_lambda_endpoints(problem, lams):
+    """[[phi, psi], [phi^[1], psi^[1]]] at b, one cached trajectory per lambda."""
+    out = []
+    for lam in lams:
+        traj = (propagator.fundamental_trajectory(problem, lam, w) for w in ("phi", "psi"))
+        ph, ps = (t.endpoint for t in traj)
+        out.append([[ph.y, ps.y], [ph.y1, ps.y1]])
+    return np.array(out)
+
+
+class TestEndpointStates:
+    """The lambda-batched endpoint kernel against per-lambda trajectories."""
+
+    LAMBDAS = TestMagnusEngine.LAMBDAS
+    REAL = [lam for lam in LAMBDAS if not isinstance(lam, complex)]
+
+    @pytest.mark.parametrize("name", ["free", "mid", "poly", "table"])
+    def test_matches_fundamental_trajectory(self, request, name):
+        prob = request.getfixturevalue(name)
+        for lams in (self.LAMBDAS, self.REAL):
+            got = propagator.endpoint_states(prob, lams)
+            want = _per_lambda_endpoints(prob, lams)
+            assert got.shape == (len(lams), 2, 2)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        assert not np.iscomplexobj(got)  # real lambda stay in real arithmetic
+
+    def test_reference_engine_when_closed_forms_are_off(self, poly):
+        rk = rk_variant(poly, ode_tol=1e-12)
+        lams = [37.0, 500.0 + 3.0j]
+        got = propagator.endpoint_states(rk, lams)
+        np.testing.assert_array_equal(got, _per_lambda_endpoints(rk, lams))
+        fast = propagator.endpoint_states(poly, lams)
+        assert np.all(np.abs(got - fast) <= 1e-9 * np.maximum(1.0, np.abs(got)))
+
+    def test_step_budget_exhaustion_falls_back_to_reference(self, poly, monkeypatch):
+        dop853 = []
+        solve_ivp = propagator.solve_ivp
+        monkeypatch.setattr(
+            propagator, "solve_ivp", lambda *a, **k: dop853.append(1) or solve_ivp(*a, **k)
+        )
+        monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
+        propagator._magnus_transfer.cache_clear()
+        propagator.clear_cache()
+        try:
+            got = propagator.endpoint_states(poly, [37.0, 1e4])
+        finally:
+            propagator._magnus_transfer.cache_clear()
+            propagator.clear_cache()
+        assert dop853
+        want = _per_lambda_endpoints(rk_variant(poly, ode_tol=1e-12), [37.0, 1e4])
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+    def test_overflow_is_typed_error(self, free):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError):
+                propagator.endpoint_states(free, [1.0, -1e6 + 1j])
+
+
 class TestLinearP:
     """p = 1 + t/2 with tau = 0 against the Bessel closed form."""
 

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from slspectra import spectral
+from slspectra.nevanlinna import INF_FLAG
+from slspectra.propagator import fundamental_trajectory
 from slspectra import (
     ConfigError,
     CrossCheckError,
@@ -19,6 +22,7 @@ from slspectra import (
     constant,
     find_eigenvalues,
     m_function,
+    mobius,
     point_mass,
     pure_point_spectral,
     spectral_density,
@@ -129,6 +133,27 @@ class TestEigenvalues:
         opaque = BoundaryParam(kind="analytic", fn=lambda lam: 1.0j * lam)
         with pytest.raises(ValueError):
             find_eigenvalues(free, opaque, (0.0, 10.0))
+
+    def test_argument_errors_are_config_errors(self, free):
+        opaque = BoundaryParam(kind="analytic", fn=lambda lam: 1.0j * lam)
+        with pytest.raises(ConfigError):
+            find_eigenvalues(free, opaque, (0.0, 10.0))
+        with pytest.raises(ConfigError):
+            m_function(free, opaque, 2.0)
+        with pytest.raises(ConfigError):
+            point_mass(free, SQRT, -1.0)  # tau+(-1) = i is not real
+
+    def test_scan_beyond_node_cap_refused(self, free, monkeypatch):
+        # one scan node per pi/6 in sqrt(u): [0, 1e12] would need ~1.9e6
+        def refuse(*args):
+            raise AssertionError("propagated before refusing the range")
+
+        monkeypatch.setattr(spectral, "endpoint_states", refuse)
+        with pytest.raises(ConfigError, match="widest range allowed from 0 is") as exc:
+            find_eigenvalues(free, SQRT, (0.0, 1e12))
+        widest = float(str(exc.value).rsplit(", ", 1)[1].rstrip("]"))
+        cap = spectral._SCAN_NODES
+        assert (math.sqrt(widest) + 2 * math.pi / 6) / (math.pi / 6) + 1 <= cap
 
 
 class TestPointMass:
@@ -245,3 +270,177 @@ class TestStieltjesCdf:
     def test_monotone(self, sigma_sqrt, s1, s2):
         lo, hi = sorted((s1, s2))
         assert stieltjes_cdf(sigma_sqrt, hi) - stieltjes_cdf(sigma_sqrt, lo) >= -1e-12
+
+
+# Per-lambda reference routes for the batched consumers of endpoint_states:
+# one pair of cached trajectories per lambda and scalar arithmetic.
+
+
+def _endpoints(problem, lam):
+    return tuple(fundamental_trajectory(problem, lam, w).endpoint for w in ("phi", "psi"))
+
+
+def _scan_values_per_lambda(problem, tau, us):
+    vals, valid = np.zeros(len(us)), np.zeros(len(us), dtype=bool)
+    for i, u in enumerate(us):
+        tv = spectral._tau_value(tau, complex(u))
+        if tv is not INF_FLAG and (abs(tv.imag) > 1e-12 * (1.0 + abs(tv)) or abs(tv.real) > 1e6):
+            continue
+        ph, _ = _endpoints(problem, float(u))
+        if tv is INF_FLAG:
+            vals[i] = ph.y.real
+        else:
+            vals[i] = (ph.y.real * tv.real - ph.y1.real) / max(1.0, abs(tv.real))
+        valid[i] = True
+    return vals, valid
+
+
+def _num_den_per_lambda(problem, tau, us):
+    out = []
+    for u in us:
+        tv = spectral._tau_value(tau, complex(u))
+        ph, ps = _endpoints(problem, float(u))
+        if tv is INF_FLAG:
+            out.append((ps.y.real, ph.y.real))
+            continue
+        if abs(tv.imag) > 1e-12 * (1.0 + abs(tv)):
+            raise ConfigError(f"tau+({u}) is not real")
+        tr = tv.real
+        out.append((ps.y.real * tr - ps.y1.real, ph.y.real * tr - ph.y1.real))
+    return np.array(out).T
+
+
+def _m_values_per_lambda(problem, tau, lams):
+    out = []
+    for lam in lams:
+        lam = complex(lam)
+        ph, ps = _endpoints(problem, lam)
+        tv = spectral._tau_value(tau, lam)
+        if tv is INF_FLAG:
+            num, den = ps.y, ph.y
+        else:
+            num, den = ps.y * tv - ps.y1, ph.y * tv - ph.y1
+        if abs(den) <= spectral._POLE_GUARD * abs(num):
+            raise PoleProximityError(f"pole at {lam}")
+        out.append(num / den)
+    return np.array(out)
+
+
+def _density_boundary_per_lambda(problem, tau, us):
+    out = []
+    for u in us:
+        tv = spectral._tau_value(tau, complex(u))
+        ph, _ = _endpoints(problem, float(u))
+        if tv is INF_FLAG:
+            den, im_t, scale = ph.y, 0.0, abs(ph.y) + abs(ph.y1)
+        else:
+            den, im_t = ph.y * tv - ph.y1, tv.imag
+            scale = max(abs(ph.y * tv), abs(ph.y1), 1e-300)
+        if abs(den) < 1e-10 * scale:
+            raise PoleContaminatedError(f"pole near {u}")
+        out.append(0.0 if im_t == 0.0 else im_t / (math.pi * abs(den) ** 2))
+    return np.array(out)
+
+
+def _winding_per_lambda(problem, tau, lam0):
+    h, v = 1e-2 * (1.0 + abs(lam0)), 1e-2
+    corners = [complex(lam0 - h, -v), complex(lam0 + h, -v), complex(lam0 + h, v),
+               complex(lam0 - h, v), complex(lam0 - h, -v)]
+    samples = []
+    for z0, z1 in zip(corners[:-1], corners[1:]):
+        for frac in np.linspace(0.0, 1.0, 50, endpoint=False):
+            z = z0 + (z1 - z0) * frac
+            tv = spectral._tau_value(tau, z)
+            ph, _ = _endpoints(problem, z)
+            samples.append(ph.y if tv is INF_FLAG else ph.y * tv - ph.y1)
+    total = sum(math.atan2((w1 / w0).imag, (w1 / w0).real)
+                for w0, w1 in zip(samples, samples[1:] + samples[:1]))
+    return round(total / (2 * math.pi)) >= 1
+
+
+@pytest.fixture
+def per_lambda(monkeypatch):
+    """Route the spectral module through the per-lambda oracles."""
+
+    def install():
+        monkeypatch.setattr(spectral, "_scan_values", _scan_values_per_lambda)
+        monkeypatch.setattr(spectral, "_num_den", _num_den_per_lambda)
+        monkeypatch.setattr(spectral, "_m_values", _m_values_per_lambda)
+        monkeypatch.setattr(spectral, "_density_boundary", _density_boundary_per_lambda)
+        monkeypatch.setattr(spectral, "_winding_confirms", _winding_per_lambda)
+
+    return install
+
+
+def _rel(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0))
+
+
+MOBIUS = mobius(1.0, 2.0, 0.0, 1.0)  # lambda + 2
+
+
+class TestBatchedMatchesPerLambda:
+    """Each batched consumer of the endpoint kernel against its per-lambda route,
+    at the drift bounds: eigenvalues and m 1e-13, densities 1e-12, masses 1e-8."""
+
+    CASES = [("mid", "c0", (-1.0, 3000.0)), ("free", "sqrt", (0.0, 1000.0)),
+             ("mid", "sqrt", (-50.0, 2000.0)), ("mid", "infinity", (-1.0, 3000.0))]
+    TAUS = {"c0": C0, "sqrt": SQRT, "infinity": BoundaryParam(kind="infinity")}
+
+    @pytest.mark.parametrize("name,tau,interval", CASES)
+    def test_scan_eigenvalues_and_masses(self, request, per_lambda, name, tau, interval):
+        prob, tau = request.getfixturevalue(name), self.TAUS[tau]
+        s = np.linspace(-10.0, 60.0, 301)
+        us = s * np.abs(s)
+        vals, valid = spectral._scan_values(prob, tau, us)
+        eigs = find_eigenvalues(prob, tau, interval)
+        masses = [point_mass(prob, tau, lam) for lam in eigs]
+        per_lambda()
+        want_vals, want_valid = spectral._scan_values(prob, tau, us)
+        np.testing.assert_array_equal(valid, want_valid)
+        scale = [max(abs(ph.y), abs(ph.y1)) for ph, _ in (_endpoints(prob, u) for u in us)]
+        assert np.all(np.abs(vals - want_vals) <= 1e-13 * np.maximum(1.0, scale))
+        want_eigs = find_eigenvalues(prob, tau, interval)
+        assert len(eigs) == len(want_eigs) > 3
+        assert _rel(eigs, want_eigs) <= 1e-13
+        want_masses = [point_mass(prob, tau, lam) for lam in want_eigs]
+        assert float(np.max(np.abs(np.array(masses) / want_masses - 1.0))) <= 1e-8
+
+    def test_spectral_function(self, mid, per_lambda):
+        sig = build_spectral_function(mid, SQRT, (-2000.0, 3000.0), ac_nodes=300)
+        per_lambda()
+        want = build_spectral_function(mid, SQRT, (-2000.0, 3000.0), ac_nodes=300)
+        np.testing.assert_array_equal(sig.ac_grid, want.ac_grid)
+        assert np.count_nonzero(want.ac_density) > 100
+        dens_dev = np.abs(sig.ac_density - want.ac_density) / np.maximum(want.ac_density, 1e-300)
+        assert float(np.max(dens_dev)) <= 1e-12
+        got_poles, got_jumps = zip(*sig.point_masses)
+        want_poles, want_jumps = zip(*want.point_masses)
+        assert _rel(got_poles, want_poles) <= 1e-13
+        assert float(np.max(np.abs(np.array(got_jumps) / want_jumps - 1.0))) <= 1e-8
+
+    def test_extrapolated_density(self, free, per_lambda):
+        us = (-1.0, -7.5, -30.0)
+        got = [spectral_density(free, SQRT, u, method="extrapolation") for u in us]
+        per_lambda()
+        want = [spectral_density(free, SQRT, u, method="extrapolation") for u in us]
+        assert float(np.max(np.abs(np.array(got) / want - 1.0))) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["free", "mid"])
+    def test_m_function(self, request, name):
+        prob = request.getfixturevalue(name)
+        lams = [2.0j, -3.0 + 0.5j, 40.0 + 7.0j, 1e-2 + 1e-2j, -1.0, 1e3 + 1j, -500.0 + 2.0j]
+        for tau in (SQRT, C0, self.TAUS["infinity"], MOBIUS):
+            want = _m_values_per_lambda(prob, tau, lams)
+            assert _rel(spectral._m_values(prob, tau, lams), want) <= 1e-13
+            assert _rel([m_function(prob, tau, lam) for lam in lams], want) <= 1e-13
+
+    def test_winding(self, free):
+        pole = oracles.sqrt_poles_free(2)[1]
+        for lam0 in (pole, pole + 3.0):
+            assert spectral._winding_confirms(free, SQRT, lam0) == _winding_per_lambda(
+                free, SQRT, lam0
+            )
+        assert spectral._winding_confirms(free, SQRT, pole)

@@ -414,6 +414,21 @@ class TestEigenExpansion:
         with pytest.raises(ConfigError, match="found only 1 eigenvalues"):
             eigen_expansion(tiny, C0, lambda t: np.ones_like(t), 2)
 
+    def test_too_few_eigenvalues_names_the_searched_bound(self, monkeypatch):
+        searched = []
+        find = transform.find_eigenvalues
+
+        def spy(problem, tau, interval, max_count=10000):
+            searched.append(interval[1])
+            return find(problem, tau, interval, max_count)
+
+        monkeypatch.setattr(transform, "find_eigenvalues", spy)
+        tiny = constant_coefficient_problem(delta=1e-6)
+        with pytest.raises(ConfigError) as exc:
+            eigen_expansion(tiny, C0, lambda t: np.ones_like(t), 2)
+        assert len(searched) == 4
+        assert f"below {searched[-1]:g}," in str(exc.value)
+
     def test_mode_values_normalized(self, mid):
         # squared Delta-norm of each mode's sample vector is 1 by Simpson
         modes = eigen_expansion(mid, C0, lambda t: np.ones_like(t), 2,
