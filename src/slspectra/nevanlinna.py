@@ -68,7 +68,7 @@ class BoundaryParam:
         if self.kind == "infinity":
             return complex(INF_FLAG)
         if self.boundary_fn is None:
-            raise ValueError(f"parameter {self.name or 'analytic'} has no boundary values")
+            raise ConfigError(f"parameter {self.name or 'analytic'} has no boundary values")
         return complex(self.boundary_fn(u))
 
     def label(self) -> str:
@@ -172,7 +172,7 @@ def eval_param(tau: BoundaryParam, lam: complex) -> complex:
         return complex(INF_FLAG)
     lam = complex(lam)
     if lam.imag == 0.0:
-        raise ValueError("analytic boundary parameter evaluated on the real axis")
+        raise ConfigError("analytic boundary parameter evaluated on the real axis")
     return complex(tau.fn(lam))
 
 
@@ -235,7 +235,7 @@ def asymptotics(
     if tau.kind == "constant":
         return Asymptotics(B=0.0, moment_finite=True, D=tau.theta)
     if tau.kind == "infinity":
-        raise ValueError("asymptotics undefined for the infinite parameter")
+        raise ConfigError("asymptotics undefined for the infinite parameter")
 
     ys = y0 * np.exp2(np.arange(K + 1))
     tv = np.array([tau.fn(1j * y) for y in ys], dtype=complex)
@@ -294,9 +294,9 @@ class EtaRelation:
 
     def __post_init__(self) -> None:
         if self.case not in ("full", "graph", "zero"):
-            raise ValueError(f"unknown eta case {self.case!r}")
+            raise ConfigError(f"unknown eta case {self.case!r}")
         if self.case == "graph" and self.d is None:
-            raise ValueError("graph relation needs its slope")
+            raise ConfigError("graph relation needs its slope")
 
 
 @dataclass(frozen=True)
@@ -306,9 +306,9 @@ class BCClass:
 
     def __post_init__(self) -> None:
         if self.label not in ("bc1", "bc2", "bc3"):
-            raise ValueError(f"unknown class {self.label!r}")
+            raise ConfigError(f"unknown class {self.label!r}")
         if self.label == "bc2" and self.d_tau is None:
-            raise ValueError("bc2 requires a finite d_tau")
+            raise ConfigError("bc2 requires a finite d_tau")
 
 
 def eta_relation(tau: BoundaryParam) -> EtaRelation:
@@ -354,7 +354,7 @@ def check_nevanlinna(
     Constant and infinite parameters are valid by construction.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ConfigError("n_samples must be at least 1")
     if tau.kind in ("constant", "infinity"):
         return NevanlinnaCheck(ok=True, worst_im=0.0, worst_sym=0.0, worst_at=1j)
     n_r = max(2, int(math.ceil(math.sqrt(n_samples))))

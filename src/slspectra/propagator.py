@@ -24,7 +24,10 @@ Three engines cover the pieces:
   transfer matrix has det = 1 and the Wronskian holds to rounding.  The
   coefficient samples at the Gauss nodes do not depend on lambda and are
   cached per (piece, n); n is doubled until the Richardson estimate
-  |T_2n - T_n| / 15 meets quad.ode_tol.
+  |T_2n - T_n| / 15 meets quad.ode_tol.  _magnus_transfers does this for
+  a whole batch of lambda: those with the same starting n share one
+  (rows, n) step array, reduced pairwise along the step axis, and only the
+  rows not yet converged are doubled again.
 * DOP853, the reference engine: an adaptive embedded Runge-Kutta method of
   order 8(5,3) with dense output.  It runs on every piece when
   quad.closed_form_pieces = False (the CLI's --ode-tol sets that), and
@@ -37,12 +40,12 @@ in real arithmetic.
 
 endpoint_states gives phi, psi and their quasi-derivatives at b for an array
 of lambda: the closed-form transfers of all lambda in one elementwise pass,
-Magnus per lambda, multiplied over the pieces and applied to both initial
-vectors.  slspectra.spectral reads only these.  The cached dense Trajectory
-of fundamental_trajectory serves the callers that need solutions inside
-[a, b] (the transform, eigen_expansion, mfun --trace, phi_at/psi_at), and is
-the fallback of endpoint_states on the reference engine and past the Magnus
-step budget.
+one Magnus batch per variable piece, multiplied over the pieces and applied
+to both initial vectors.  slspectra.spectral reads only these.  The cached
+dense Trajectory of fundamental_trajectory serves the callers that need
+solutions inside [a, b] (the transform, eigen_expansion, mfun --trace,
+phi_at/psi_at), and is the fallback of endpoint_states on the reference
+engine and past the Magnus step budget.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -55,7 +58,6 @@ so their Wronskian phi psi^[1] - phi^[1] psi is identically 1.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import PropagationError
+from .errors import ConfigError, PropagationError
 from .problem import ConstantRule, SLProblem
 
 _MIN_RTOL = 2.5e-14  # DOP853 rejects tolerances at rounding level
@@ -118,6 +120,7 @@ _MAGNUS_MIN_STEPS = 8
 _MAGNUS_MAX_STEPS = 1 << 16  # beyond this the piece falls back to DOP853
 _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
 _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
+_MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
 
 
 def _magnus_parts(rules, left: np.ndarray, h):
@@ -196,51 +199,85 @@ def _mul(L, R):
     return a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
 
 
-def _product(E) -> np.ndarray:
-    """E[n-1] @ ... @ E[0] by pairwise reduction; n is a power of two."""
-    a, b, c, d = E
-    while a.size > 1:
-        a, b, c, d = _mul((a[1::2], b[1::2], c[1::2], d[1::2]), (a[::2], b[::2], c[::2], d[::2]))
-    return np.array([[a[0], b[0]], [c[0], d[0]]])
+def _products(parts, lams: np.ndarray) -> np.ndarray:
+    """E[n-1] @ ... @ E[0] of the steps in parts for every lambda, as
+    components of shape (4, len(lams)), by pairwise reduction along the step
+    axis; n is a power of two.  A step array holds at most _MAGNUS_BATCH
+    entries, so lambda are taken in chunks of rows."""
+    rows = max(1, _MAGNUS_BATCH // parts[0].size)
+    out = np.empty((4, lams.size), lams.dtype)
+    for i in range(0, lams.size, rows):
+        E = _magnus_steps(parts, lams[i : i + rows, None])
+        while E[0].shape[1] > 1:
+            E = _mul([e[:, 1::2] for e in E], [e[:, ::2] for e in E])
+        out[:, i : i + rows] = [e[:, 0] for e in E]
+    return out
 
 
-def _start_steps(rules, t0: float, t1: float, lam) -> int:
-    """Smallest power of two above _MAGNUS_STEPS_PER_OSC times the piece's
-    oscillation count int sqrt|lambda Delta - q| / p / pi, read off the
-    coarsest sample level."""
+def _start_steps(rules, t0: float, t1: float, lams: np.ndarray) -> np.ndarray:
+    """Per lambda, the smallest power of two above _MAGNUS_STEPS_PER_OSC
+    times the piece's oscillation count int sqrt|lambda Delta - q| / p / pi,
+    read off the coarsest sample level, and at most _MAGNUS_MAX_STEPS."""
     A, B0, B1, _, _ = _magnus_samples(rules, t0, t1, _MAGNUS_MIN_STEPS)
-    osc = float(np.sum(np.sqrt(np.abs(A * (B0 - lam * B1))))) / math.pi
-    n = _MAGNUS_MIN_STEPS
-    while n < _MAGNUS_STEPS_PER_OSC * osc and n < _MAGNUS_MAX_STEPS:
-        n *= 2
+    osc = np.sum(np.sqrt(np.abs(A * (B0 - lams[:, None] * B1))), axis=1) / math.pi
+    n = np.full(lams.shape, _MAGNUS_MIN_STEPS)
+    while np.any(grow := (n < _MAGNUS_STEPS_PER_OSC * osc) & (n < _MAGNUS_MAX_STEPS)):
+        n[grow] *= 2
     return n
+
+
+def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float):
+    """(n, T, spent) for every lambda in lams: the transfer matrix T[i] over
+    [t0, t1] on n[i] steps, with n[i] doubled until the Richardson estimate
+    |T_2n - T_n| / 15 <= tol max(1, |T_2n|).  spent marks the lambda for
+    which that takes more than _MAGNUS_MAX_STEPS steps; their n is 0 and
+    their T is zero.  Overflow raises PropagationError.
+
+    lambda sharing a starting step count go through the doublings as one
+    (rows, n) step array on the cached _magnus_samples, and only the rows
+    that have not converged go on to the next doubling.
+    """
+    n_out = np.zeros(lams.shape, int)
+    T_out = np.zeros((4, lams.size), lams.dtype)
+    spent = np.zeros(lams.shape, bool)
+    start = _start_steps(rules, t0, t1, lams)
+    with np.errstate(all="ignore"):
+        for n in np.unique(start).tolist():
+            idx = np.flatnonzero(start == n)
+            T = _products(_magnus_samples(rules, t0, t1, n), lams[idx])
+            while idx.size:
+                bad = ~np.isfinite(T).all(axis=0)
+                if np.any(bad):
+                    raise PropagationError(
+                        f"non-finite transfer matrix on [{t0:.6g}, {t1:.6g}], "
+                        f"lambda={lams[idx[bad][0]]}; solution overflow"
+                    )
+                if 2 * n > _MAGNUS_MAX_STEPS:
+                    spent[idx] = True
+                    break
+                n *= 2
+                T2 = _products(_magnus_samples(rules, t0, t1, n), lams[idx])
+                err = np.max(np.abs(T2 - T), axis=0) / 15.0
+                done = err <= tol * np.maximum(1.0, np.max(np.abs(T2), axis=0))
+                n_out[idx[done]] = n
+                T_out[:, idx[done]] = T2[:, done]
+                idx, T = idx[~done], T2[:, ~done]
+    return n_out, T_out.T.reshape(-1, 2, 2), spent
 
 
 @lru_cache(maxsize=16)
 def _magnus_transfer(rules, t0: float, t1: float, lam, tol: float):
-    """(n, T): the transfer matrix T over [t0, t1] on n steps, with n doubled
-    until the Richardson estimate |T_2n - T_n| / 15 <= tol max(1, |T_2n|).
-    None when that takes more than _MAGNUS_MAX_STEPS steps.
+    """(n, T) of _magnus_transfers for the one lambda, or None when its step
+    budget ran out.
 
     Cached because phi and psi ask for the same transfer one after the other.
     """
-    n = _start_steps(rules, t0, t1, lam)
-    with np.errstate(all="ignore"):
-        T = _product(_magnus_steps(_magnus_samples(rules, t0, t1, n), lam))
-        while True:
-            if not np.all(np.isfinite(T)):
-                raise PropagationError(
-                    f"non-finite transfer matrix on [{t0:.6g}, {t1:.6g}], "
-                    f"lambda={lam}; solution overflow"
-                )
-            if 2 * n > _MAGNUS_MAX_STEPS:
-                return None
-            n *= 2
-            T2 = _product(_magnus_steps(_magnus_samples(rules, t0, t1, n), lam))
-            if np.max(np.abs(T2 - T)) / 15.0 <= tol * max(1.0, float(np.max(np.abs(T2)))):
-                T2.setflags(write=False)
-                return n, T2
-            T = T2
+    n, T, spent = _magnus_transfers(rules, t0, t1, np.array([lam]), tol)
+    if spent[0]:
+        return None
+    T = T[0]
+    T.setflags(write=False)
+    return int(n[0]), T
 
 
 class _MagnusSegment:
@@ -456,36 +493,32 @@ def _psi_init(alpha: float) -> tuple[float, float]:
 
 
 class _TrajectoryCache:
-    """Bounded LRU of fundamental-solution trajectories, thread safe."""
+    """Bounded LRU of fundamental-solution trajectories."""
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return self._data[key]
-            self.misses += 1
-            return None
+        if key in self._data:
+            self._data.move_to_end(key)
+            self.hits += 1
+            return self._data[key]
+        self.misses += 1
+        return None
 
     def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.capacity:
+            self._data.popitem(last=False)
 
     def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
 
 
 _cache = _TrajectoryCache()
@@ -498,7 +531,7 @@ def clear_cache() -> None:
 def fundamental_trajectory(problem: SLProblem, lam: complex, which: str) -> Trajectory:
     """Cached trajectory of phi or psi at the given spectral parameter."""
     if which not in ("phi", "psi"):
-        raise ValueError("which must be 'phi' or 'psi'")
+        raise ConfigError("which must be 'phi' or 'psi'")
     lam = complex(lam)
     key = (problem, lam.real, lam.imag, which)
     traj = _cache.get(key)
@@ -536,14 +569,10 @@ def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
                 E = next(closed)
             else:
                 E = np.zeros((4, lams.size), lams.dtype)
-                E[0] = E[3] = 1.0  # identity
-                for i, lam in enumerate(lams.tolist()):
-                    magnus = None if fallback[i] else _magnus_transfer(rules, t0, t1, lam, rtol)
-                    if magnus is None:
-                        fallback[i] = True  # the step budget ran out
-                    else:  # a real lambda may hit an entry cached under lam + 0j
-                        T_i = magnus[1] if np.iscomplexobj(E) else magnus[1].real
-                        E[:, i] = T_i.ravel()
+                run = np.flatnonzero(~fallback)
+                _, T_run, spent = _magnus_transfers(rules, t0, t1, lams[run], rtol)
+                E[:, run] = T_run.reshape(-1, 4).T
+                fallback[run[spent]] = True  # the step budget ran out
             T = _mul(E, T)
         inits = np.array([_phi_init(problem.alpha), _psi_init(problem.alpha)]).T
         out = np.stack(T, axis=-1).reshape(-1, 2, 2) @ inits

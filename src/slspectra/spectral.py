@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
@@ -43,10 +42,14 @@ from .nevanlinna import INF_FLAG, BoundaryParam, eval_param
 from .problem import SLProblem
 from .propagator import endpoint_states
 from .quadrature import piecewise_integrate
+# brentq is not called here; it stays importable as spectral.brentq
+from .roots import brentq, chandrupatla  # noqa: F401
 
 _POLE_GUARD = 1e-14  # |D| below this fraction of |N| counts as "at a pole"
 _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
+_ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets in s: width <= 2e-12 + 4e-14 |s|
+_ROOT_LTOL = 1e-15  # ... or width in lambda <= 1e-15 (1 + |lambda|)
 
 
 def default_eps_schedule() -> tuple[float, ...]:
@@ -234,7 +237,9 @@ def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
 
 
 def _scan_value(problem: SLProblem, tau: BoundaryParam, u: float):
-    """(value, valid) of the scan function at one real u."""
+    """(value, valid) of the scan function at one real u.  The package
+    itself scans and refines in batches; perfbench/tracer.py counts calls to
+    this name as scan evaluations."""
     vals, valid = _scan_values(problem, tau, [u])
     return float(vals[0]), bool(valid[0])
 
@@ -293,26 +298,23 @@ def _scan_segment(
     s_nodes: np.ndarray,
     depth: int,
     roots: list[float],
+    brackets: list[tuple[float, float, float, float]],
 ) -> None:
-    """Bracket roots of the scan function on the given s nodes.
+    """Roots of the scan function on the given s nodes: zeros at a node go
+    to roots, sign changes to brackets as (s_lo, s_hi, value_lo, value_hi)
+    for find_eigenvalues to refine.
 
     Degenerating weights produce near-tangent eigenvalue pairs whose gap
     shrinks with lambda; at the base resolution such a pair is just an
     interior dip of |f| with no sign change, and whether three wide-spaced
     samples reveal the notch depends on grid phase.  So every interior
     same-sign dip triple is subdivided unconditionally until the depth
-    budget runs out.  A dip that survives the full depth at rounding level
-    is a suspected double root and is an error, never merged.
+    budget runs out, and the brackets of every depth are collected.  A dip
+    that survives the full depth at rounding level is a suspected double
+    root and is an error, never merged.
     """
     n = s_nodes.size
     vals, valid = _scan_values(problem, tau, s_nodes * np.abs(s_nodes))
-
-    def f(s: float) -> float:
-        v, ok = _scan_value(problem, tau, _u_of(s))
-        if not ok:
-            raise PoleProximityError(f"scan function invalid inside bracket at s={s}")
-        return v
-
     for i in range(n - 1):
         if not (valid[i] and valid[i + 1]):
             continue
@@ -320,10 +322,7 @@ def _scan_segment(
             roots.append(_u_of(float(s_nodes[i])))
             continue
         if vals[i] * vals[i + 1] < 0.0:
-            s_root = brentq(
-                f, float(s_nodes[i]), float(s_nodes[i + 1]), rtol=1e-14, maxiter=200
-            )
-            roots.append(_u_of(float(s_root)))
+            brackets.append((float(s_nodes[i]), float(s_nodes[i + 1]), vals[i], vals[i + 1]))
     if valid[-1] and vals[-1] == 0.0:
         roots.append(_u_of(float(s_nodes[-1])))
 
@@ -344,7 +343,7 @@ def _scan_segment(
                 )
             continue
         sub = np.linspace(float(s_nodes[i - 1]), float(s_nodes[i + 1]), 17)
-        _scan_segment(problem, tau, sub, depth - 1, roots)
+        _scan_segment(problem, tau, sub, depth - 1, roots, brackets)
 
 
 def find_eigenvalues(
@@ -353,9 +352,14 @@ def find_eigenvalues(
     interval: tuple[float, float],
     max_count: int = 10000,
 ) -> list[float]:
-    """Real poles of m_tau in [lo, hi], ascending, refined by bracketed
-    root search of the (rescaled) denominator in the variable s = sign(u)
-    sqrt|u|."""
+    """Real poles of m_tau in [lo, hi], ascending.
+
+    A scan in the variable s = sign(u) sqrt|u| brackets the sign changes of
+    the (rescaled) denominator (_scan_segment), and chandrupatla refines all
+    brackets together, with one _scan_values call per iteration.  A bracket
+    stops at width 2e-12 + 4e-14 |s|, or at width 1e-15 (1 + |lambda|) in
+    lambda, which ends the refinement of a root at lambda = 0 where the
+    tolerance in s is far below rounding."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigError(f"empty search interval [{lo}, {hi}]")
@@ -380,7 +384,26 @@ def find_eigenvalues(
         )
     s_grid = np.linspace(s_lo, s_hi, max(n, 8))
     roots: list[float] = []
-    _scan_segment(problem, tau, s_grid, 3, roots)
+    brackets: list[tuple[float, float, float, float]] = []
+    _scan_segment(problem, tau, s_grid, 3, roots, brackets)
+    if brackets:
+
+        def f(s: np.ndarray) -> np.ndarray:
+            vals, valid = _scan_values(problem, tau, _u_of(s))
+            if not np.all(valid):
+                raise PoleProximityError(
+                    f"scan function invalid inside bracket at s={s[~valid][0]}"
+                )
+            return vals
+
+        def converged(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+            u1 = _u_of(s1)
+            return np.abs(_u_of(s2) - u1) <= _ROOT_LTOL * (1.0 + np.abs(u1))
+
+        s_roots = chandrupatla(
+            f, *np.array(brackets).T, _ROOT_XTOL, _ROOT_RTOL, maxiter=200, converged=converged
+        )
+        roots += _u_of(s_roots).tolist()
 
     if tau.kind == "analytic":
         roots = [r for r in roots if _is_pole(problem, tau, r)]

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slspectra import (
+    BCClass,
     BoundaryParam,
     ConfigError,
+    EtaRelation,
     asymptotics,
     check_nevanlinna,
     classify_bc,
@@ -151,3 +153,26 @@ class TestParseTau:
         for theta in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError):
                 constant(theta)
+
+
+class TestArgumentErrorsAreConfigErrors:
+    """Each argument check of the module raises the typed ConfigError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: BoundaryParam(kind="analytic", fn=lambda lam: lam).boundary_value(1.0),
+            lambda: eval_param(mobius(1.0, 0.0, 0.0, 1.0), 2.0),
+            lambda: asymptotics(infinity()),
+            lambda: EtaRelation(case="half"),
+            lambda: EtaRelation(case="graph"),
+            lambda: BCClass(label="bc4"),
+            lambda: BCClass(label="bc2"),
+            lambda: check_nevanlinna(sqrt_param(), n_samples=0),
+        ],
+        ids=["boundary_value", "eval_param", "asymptotics", "eta_case", "eta_slope",
+             "bc_label", "bc2_slope", "n_samples"],
+    )
+    def test_raises_config_error(self, call):
+        with pytest.raises(ConfigError):
+            call()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from slspectra import (
+    ConfigError,
     PropagationError,
     QuadConfig,
     StateVec,
@@ -401,6 +402,98 @@ class TestEndpointStates:
             warnings.simplefilter("error")
             with pytest.raises(PropagationError):
                 propagator.endpoint_states(free, [1.0, -1e6 + 1j])
+
+
+def _magnus_transfer_per_lambda(rules, t0, t1, lam, tol):
+    """(n, T) or None: one lambda at a time, on 1-D step arrays (the loop the
+    batched transfers replace)."""
+    A, B0, B1, _, _ = propagator._magnus_samples(rules, t0, t1, propagator._MAGNUS_MIN_STEPS)
+    osc = float(np.sum(np.sqrt(np.abs(A * (B0 - lam * B1))))) / math.pi
+    n = propagator._MAGNUS_MIN_STEPS
+    while n < propagator._MAGNUS_STEPS_PER_OSC * osc and n < propagator._MAGNUS_MAX_STEPS:
+        n *= 2
+
+    def product(n):
+        a, b, c, d = propagator._magnus_steps(propagator._magnus_samples(rules, t0, t1, n), lam)
+        while a.size > 1:
+            a, b, c, d = propagator._mul(
+                (a[1::2], b[1::2], c[1::2], d[1::2]), (a[::2], b[::2], c[::2], d[::2])
+            )
+        return np.array([[a[0], b[0]], [c[0], d[0]]])
+
+    with np.errstate(all="ignore"):
+        T = product(n)
+        while 2 * n <= propagator._MAGNUS_MAX_STEPS:
+            n *= 2
+            T2 = product(n)
+            if np.max(np.abs(T2 - T)) / 15.0 <= tol * max(1.0, float(np.max(np.abs(T2)))):
+                return n, T2
+            T = T2
+    return None
+
+
+def _variable_piece(problem):
+    pieces = propagator._pieces(problem)
+    return next((t0, t1, rules) for t0, t1, rules, const in pieces if not const)
+
+
+class TestMagnusTransfers:
+    """The lambda-batched Magnus transfers against the one-lambda loop."""
+
+    LAMBDAS = TestMagnusEngine.LAMBDAS
+    REAL = TestEndpointStates.REAL
+    WIDE = list(np.linspace(-2e3, 2e4, 240))  # many start-step groups
+
+    @pytest.mark.parametrize("name", ["poly", "table"])
+    def test_equal_to_one_lambda_loop(self, request, name):
+        prob = request.getfixturevalue(name)
+        t0, t1, rules = _variable_piece(prob)
+        tol = max(prob.quad.ode_tol, propagator._MIN_RTOL)
+        for lams in (self.LAMBDAS, self.REAL, self.WIDE):
+            lams = np.array(lams)
+            n, T, spent = propagator._magnus_transfers(rules, t0, t1, lams, tol)
+            assert T.shape == (lams.size, 2, 2) and not np.any(spent)
+            assert np.iscomplexobj(T) == np.iscomplexobj(lams)
+            for i, lam in enumerate(lams.tolist()):
+                want_n, want_T = _magnus_transfer_per_lambda(rules, t0, t1, lam, tol)
+                assert n[i] == want_n
+                np.testing.assert_array_equal(T[i], want_T)
+                propagator._magnus_transfer.cache_clear()
+                one_n, one_T = propagator._magnus_transfer(rules, t0, t1, lam, tol)
+                assert one_n == want_n
+                np.testing.assert_array_equal(one_T, want_T)
+        # the wide batch spans several start-step groups, and some group has
+        # more rows than one step array holds
+        start = propagator._start_steps(rules, t0, t1, lams)
+        groups, rows = np.unique(start, return_counts=True)
+        assert groups.size >= 3
+        assert np.any(rows > propagator._MAGNUS_BATCH // groups)
+
+    def test_step_budget_mask(self, poly, monkeypatch):
+        t0, t1, rules = _variable_piece(poly)
+        monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
+        propagator._magnus_transfer.cache_clear()
+        try:
+            n, T, spent = propagator._magnus_transfers(rules, t0, t1, np.array([37.0, 1e4]), 1e-6)
+            assert propagator._magnus_transfer(rules, t0, t1, 1e4, 1e-6) is None
+        finally:
+            propagator._magnus_transfer.cache_clear()
+        np.testing.assert_array_equal(spent, [False, True])
+        want_n, want_T = _magnus_transfer_per_lambda(rules, t0, t1, 37.0, 1e-6)
+        assert n[0] == want_n <= 64 and n[1] == 0
+        np.testing.assert_array_equal(T[0], want_T)
+
+    def test_overflow_is_typed_error(self, poly):
+        t0, t1, rules = _variable_piece(poly)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError):
+                propagator._magnus_transfers(rules, t0, t1, np.array([1.0, -1e6 + 1j]), 1e-11)
+
+
+def test_fundamental_trajectory_rejects_unknown_solution(free):
+    with pytest.raises(ConfigError):
+        propagator.fundamental_trajectory(free, 1.0, "chi")
 
 
 class TestLinearP:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from slspectra import spectral
+from scipy.optimize import brentq as scipy_brentq
+from slspectra import loads_problem, spectral
 from slspectra.nevanlinna import INF_FLAG
 from slspectra.propagator import fundamental_trajectory
 from slspectra import (
@@ -444,3 +445,122 @@ class TestBatchedMatchesPerLambda:
                 free, SQRT, lam0
             )
         assert spectral._winding_confirms(free, SQRT, pole)
+
+
+# p = 1 + t/2, so every scan evaluation runs a Magnus transfer
+VARCOEF_INI = """
+[interval]
+a = 0.0
+b = 1.0
+alpha = -pi/2
+
+[coefficients.p]
+pieces =
+    0.0, 1.0, poly:1.0,0.5
+
+[coefficients.q]
+pieces =
+    0.0, 1.0, constant:0.0
+
+[coefficients.delta]
+pieces =
+    0.0, 1.0, constant:1.0
+"""
+
+
+@pytest.fixture(scope="module")
+def varcoef():
+    return loads_problem(VARCOEF_INI)
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Record the arguments and roots of every chandrupatla call."""
+    calls = []
+    refine = spectral.chandrupatla
+
+    def recording(*args, **kwargs):
+        roots = refine(*args, **kwargs)
+        calls.append((args, kwargs, roots))
+        return roots
+
+    monkeypatch.setattr(spectral, "chandrupatla", recording)
+    return calls
+
+
+class TestBracketRefinement:
+    """The batched bracket refinement of find_eigenvalues against scipy's brentq."""
+
+    CASES = [("free", SQRT, (0.0, 1000.0)), ("mid", C0, (-1.0, 3000.0)),
+             ("mid", SQRT, (-50.0, 2000.0)), ("varcoef", C0, (-20.0, 1100.0))]
+
+    @pytest.mark.parametrize(
+        "name,tau,interval", CASES, ids=["free-sqrt", "mid-c0", "mid-sqrt", "poly-c0"]
+    )
+    def test_every_bracket_matches_brentq(self, request, refinements, name, tau, interval):
+        prob = request.getfixturevalue(name)
+        find_eigenvalues(prob, tau, interval)
+        (args, kwargs, roots), = refinements
+        f, x1, x2 = args[:3]
+        assert x1.size > 3
+        for a, b, s in zip(x1, x2, roots):
+            want = scipy_brentq(lambda x: float(f(np.array([x]))[0]), a, b, rtol=1e-14)
+            ds, du = abs(s - want), abs(s * abs(s) - want * abs(want))
+            assert ds <= 4e-12 + 5e-14 * abs(want) or du <= 2e-15 * (1.0 + want * want)
+
+    def test_roots_far_inside_the_stopping_width(self, free):
+        # the stopping width is 2e-12 + 4e-14 |s|, about 1e-13 relative in
+        # lambda at s ~ 300; the secant zero of the last bracket is at rounding
+        got = np.array(find_eigenvalues(free, C0, (1.0, 1e5)))
+        want = (np.pi * np.arange(1, got.size + 1)) ** 2
+        assert got.size == 100
+        assert float(np.max(np.abs(got / want - 1.0))) <= 4e-15
+
+    def test_one_bracket_call_shape(self):
+        root = spectral.brentq(math.cos, 0.0, 3.0, rtol=1e-14)
+        assert root == pytest.approx(math.pi / 2, abs=3e-12)
+        assert spectral.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        with pytest.raises(ConfigError):
+            spectral.brentq(math.cos, 0.0, 1.0)
+
+    def test_root_at_zero_stops_at_lambda_width(self, varcoef, refinements):
+        # D(lambda) is only ~1e-17 to 1e-23 near the root at 0, so brentq's
+        # tolerance in s (4e-24 in lambda) bisects rounding noise
+        find_eigenvalues(varcoef, C0, (-20.0, 1100.0))
+        (args, kwargs, roots), = refinements
+        f, x1, x2, f1, f2, *rest = args
+        i = int(np.flatnonzero((x1 <= 0.0) & (x2 >= 0.0))[0])
+        ours = []
+        counted = lambda x: ours.append(x.size) or f(x)
+        root = spectral.chandrupatla(counted, x1[i], x2[i], f1[i], f2[i], *rest, **kwargs)[0]
+        theirs = []
+        scalar = lambda x: theirs.append(x) or float(f(np.array([x]))[0])
+        scipy_brentq(scalar, x1[i], x2[i], rtol=1e-14)
+        assert len(ours) < len(theirs)
+        assert abs(root * abs(root)) <= 1e-12
+        assert abs(roots[i] * abs(roots[i])) <= 1e-12
+
+    def test_varcoef_endpoint_calls_halved(self, varcoef, monkeypatch):
+        calls = []
+        endpoint_states = spectral.endpoint_states
+        monkeypatch.setattr(
+            spectral, "endpoint_states", lambda *a: calls.append(1) or endpoint_states(*a)
+        )
+        eigs = find_eigenvalues(varcoef, C0, (-20.0, 1100.0))
+        assert len(eigs) == 10
+        assert len(calls) < 105 / 2  # one scan plus one brentq call per evaluation before
+
+    def test_bracket_turning_invalid_raises(self, free, monkeypatch):
+        scan_values, refine = spectral._scan_values, spectral.chandrupatla
+        refining = []
+
+        def invalid_once_refining(problem, tau, us):
+            vals, valid = scan_values(problem, tau, us)
+            return vals, valid & (not refining)
+
+        monkeypatch.setattr(spectral, "_scan_values", invalid_once_refining)
+        monkeypatch.setattr(
+            spectral, "chandrupatla", lambda *a, **k: refining.append(1) or refine(*a, **k)
+        )
+        with pytest.raises(PoleProximityError):
+            find_eigenvalues(free, C0, (0.0, 100.0))
