@@ -41,11 +41,13 @@ in real arithmetic.
 endpoint_states gives phi, psi and their quasi-derivatives at b for an array
 of lambda: the closed-form transfers of all lambda in one elementwise pass,
 one Magnus batch per variable piece, multiplied over the pieces and applied
-to both initial vectors.  slspectra.spectral reads only these.  The cached
-dense Trajectory of fundamental_trajectory serves the callers that need
-solutions inside [a, b] (the transform, eigen_expansion, mfun --trace,
-phi_at/psi_at), and is the fallback of endpoint_states on the reference
-engine and past the Magnus step budget.
+to both initial vectors.  slspectra.spectral reads only these.  phi_rows
+gives phi on a t grid for an array of real lambda by the same closed-form
+steps, for the transform and its inverse.  The cached dense Trajectory of
+fundamental_trajectory serves the other callers that need solutions inside
+[a, b] (eigen_expansion, mfun --trace, phi_at/psi_at), and is the fallback
+of both kernels: on the reference engine, past the Magnus step budget and,
+for phi_rows, on variable pieces.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -105,9 +107,7 @@ class _ExactSegment:
         self.y = np.stack([y0, end], axis=1)
 
     def sol(self, t_arr: np.ndarray) -> np.ndarray:
-        tau = np.asarray(t_arr, dtype=float) - self.t0
-        C, S = _cosh_sinhc(self._c * tau * tau)
-        S = S * tau
+        C, S = _closed_form(self._c, np.asarray(t_arr, dtype=float) - self.t0)
         y0, y10 = self._y0
         return np.stack([y0 * C + (y10 / self._p) * S, y0 * self._coef * S + y10 * C])
 
@@ -121,6 +121,7 @@ _MAGNUS_MAX_STEPS = 1 << 16  # beyond this the piece falls back to DOP853
 _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
 _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
 _MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
+_ROW_BATCH = 1 << 15  # most lambda x t entries in one block of phi_rows
 
 
 def _magnus_parts(rules, left: np.ndarray, h):
@@ -155,13 +156,14 @@ def _magnus_samples(rules, t0: float, t1: float, n: int):
 
 
 def _cosh_sinhc(x):
-    """cosh(s) and sinh(s)/s elementwise, with s^2 = x; real x stays real."""
-    small = np.abs(x) < _EXPM_SERIES_CUT
+    """cosh(s) and sinh(s)/s elementwise, with s^2 = x an array; real x stays real."""
+    ax = np.abs(x)
+    small = ax < _EXPM_SERIES_CUT
     if np.iscomplexobj(x):
         r = np.sqrt(np.where(small, 1.0, x))
         C, S = np.cosh(r), np.sinh(r)
     else:
-        r = np.sqrt(np.where(small, 1.0, np.abs(x)))
+        r = np.sqrt(np.where(small, 1.0, ax))
         if np.all(x <= 0.0):
             C, S = np.cos(r), np.sin(r)
         elif np.all(x >= 0.0):
@@ -172,10 +174,19 @@ def _cosh_sinhc(x):
             C = np.where(pos, np.cosh(rp), np.cos(rn))
             S = np.where(pos, np.sinh(rp), np.sin(rn))
     S = S / r
-    if np.any(small):
-        C = np.where(small, 1.0 + x * (1 / 2 + x * (1 / 24 + x / 720)), C)
-        S = np.where(small, 1.0 + x * (1 / 6 + x * (1 / 120 + x / 5040)), S)
+    if np.any(small):  # the series only where it is used
+        xs = x[small]
+        C[small] = 1.0 + xs * (1 / 2 + xs * (1 / 24 + xs / 720))
+        S[small] = 1.0 + xs * (1 / 6 + xs * (1 / 120 + xs / 5040))
     return C, S
+
+
+def _closed_form(c, tau):
+    """cosh(s) and tau sinh(s)/s with s^2 = c tau^2: the entries of the
+    closed-form transfer over a length tau of a piece where
+    c = (q - lambda Delta) / p."""
+    C, S = _cosh_sinhc(c * tau * tau)
+    return C, S * tau
 
 
 def _magnus_steps(parts, lam):
@@ -329,6 +340,18 @@ class _MagnusSegment:
         return np.stack([a * y[k] + b * y1[k], c * y[k] + d * y1[k]])
 
 
+def _locate(problem: SLProblem, ends: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The points t clipped to [a, b] and the piece of each, given the inner
+    piece ends (a piece owns its start); PropagationError outside [a, b]."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    a, b = problem.a, problem.b
+    tol = 1e-9 * (1.0 + abs(b - a))
+    if np.any(t_arr < a - tol) or np.any(t_arr > b + tol):
+        raise PropagationError("evaluation point outside [a, b]")
+    t_arr = np.clip(t_arr, a, b)
+    return t_arr, np.searchsorted(ends, t_arr, side="right")
+
+
 class Trajectory:
     """Dense solution of one propagation over [a, b].
 
@@ -353,13 +376,7 @@ class Trajectory:
 
     def eval(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Values (y, y^[1]) at the query points, as arrays."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        a, b = self.problem.a, self.problem.b
-        tol = 1e-9 * (1.0 + abs(b - a))
-        if np.any(t_arr < a - tol) or np.any(t_arr > b + tol):
-            raise PropagationError("evaluation point outside [a, b]")
-        t_arr = np.clip(t_arr, a, b)
-        idx = np.searchsorted(self._seg_ends, t_arr, side="right")
+        t_arr, idx = _locate(self.problem, self._seg_ends, t)
         y = np.empty(t_arr.shape, dtype=complex)
         y1 = np.empty(t_arr.shape, dtype=complex)
         for i, seg in enumerate(self._segments):
@@ -585,6 +602,44 @@ def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
         raise PropagationError(
             f"non-finite state at t={problem.b:.6g}, lambda={lams[bad][0]}; solution overflow"
         )
+    return out
+
+
+def phi_rows(problem: SLProblem, lams, t) -> np.ndarray:
+    """phi(t_j, lambda_k) for real lambda, as a (len(lams), len(t)) array.
+
+    On an all-constant problem with closed-form pieces, each block of at
+    most _ROW_BATCH lambda x t entries walks the pieces once: one partial
+    step from the piece's start state to its t points, and one to its end,
+    which carries the state on.  The expressions are those of _ExactSegment,
+    so the rows match the per-lambda trajectories to rounding, and overflow
+    of phi or phi^[1] at a piece end raises PropagationError, as in
+    propagate.  Other problems take fundamental_trajectory's rows.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    pieces = _pieces(problem)
+    t, idx = _locate(problem, np.array([t1 for _, t1, _, _ in pieces[:-1]]), t)
+    if not (problem.quad.closed_form_pieces and all(c for *_, c in pieces)):
+        rows = [fundamental_trajectory(problem, lam, "phi").eval(t)[0].real for lam in lams]
+        return np.array(rows).reshape(lams.size, t.size)
+    out = np.empty((lams.size, t.size))
+    n = max(1, _ROW_BATCH // max(1, t.size))
+    with np.errstate(all="ignore"):  # overflow is checked at every piece end
+        for i in range(0, lams.size, n):
+            lam = lams[i : i + n, None]
+            y, y1 = (np.full(lam.shape, v) for v in _phi_init(problem.alpha))
+            for k, (t0, t1, rules, _) in enumerate(pieces):
+                p, q, d = (r.value for r in rules)
+                coef, sel = q - lam * d, idx == k
+                C, S = _closed_form(coef / p, t[sel] - t0)
+                out[i : i + n, sel] = y * C + (y1 / p) * S
+                C, S = _closed_form(coef / p, t1 - t0)
+                y, y1 = y * C + (y1 / p) * S, y * coef * S + y1 * C
+                bad = ~(np.isfinite(y) & np.isfinite(y1))
+                if np.any(bad):
+                    raise PropagationError(
+                        f"non-finite state at t={t1:.6g}, lambda={lam[bad][0]}; solution overflow"
+                    )
     return out
 
 

@@ -95,7 +95,13 @@ def _tau_value(tau: BoundaryParam, lam: complex):
 
 def _tau_array(tau: BoundaryParam, lams):
     """tau at every lam as a complex array (0 where tau is infinite), and the
-    mask of the infinite values."""
+    mask of the infinite values; a constant or infinite tau needs no per-lam
+    call."""
+    shape = np.shape(lams)
+    if tau.kind == "constant":
+        return np.full(shape, complex(tau.theta)), np.zeros(shape, bool)
+    if tau.kind == "infinity":
+        return np.zeros(shape, complex), np.ones(shape, bool)
     tvs = [_tau_value(tau, complex(lam)) for lam in lams]
     inf = np.array([tv is INF_FLAG for tv in tvs], dtype=bool)
     return np.array([0.0 if tv is INF_FLAG else tv for tv in tvs], dtype=complex), inf

@@ -8,8 +8,10 @@ nodes.  A second grid with 1.5x the panels checks each node; the finer value
 is kept when the two agree within the problem's quadrature tolerances, and
 a node that fails is recomputed by the adaptive rule of quadrature.py, which
 raises QuadratureError rather than return a degraded value.  The source norm
-||y||^2_Delta comes from the same grids with the same check.  The inverse, its
-bound and the Parseval norm all come from one truncated spectral sum
+||y||^2_Delta comes from the same grids with the same check.  Both sides
+use one matrix Phi[k, j] = phi(t_j, s_k) from propagator.phi_rows, a block
+of nodes at a time.  The inverse, its bound and the Parseval norm all come
+from one truncated spectral sum
 
     y_N(t) = sum_k phi(t, s_k) w_k yhat(s_k)
 
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, CrossCheckError, GridMismatchError, WindowError
 from .nevanlinna import BoundaryParam, classify_bc
 from .problem import SLProblem, delta_inner, delta_norm
-from .propagator import fundamental_trajectory
+from .propagator import _ROW_BATCH, fundamental_trajectory, phi_rows
 from .quadrature import _w_high, _x_high
 from .spectral import (
     SpectralFunction,
@@ -118,8 +120,12 @@ def _as_vectorized(y: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return np.vectorize(y)
 
 
-def _phi_values(problem: SLProblem, s: float, t_arr: np.ndarray) -> np.ndarray:
-    return fundamental_trajectory(problem, float(s), "phi").eval(t_arr)[0]
+def _phi_blocks(problem: SLProblem, s: np.ndarray, t: np.ndarray):
+    """(slice, rows) over the nodes s: phi_rows on t of at most _ROW_BATCH
+    entries at a time, so no caller holds the whole matrix."""
+    n = max(1, _ROW_BATCH // max(1, t.size))
+    for i in range(0, s.size, n):
+        yield slice(i, i + n), phi_rows(problem, s[i : i + n], t)
 
 
 def _hat_at(problem: SLProblem, y: Callable, s: float) -> complex:
@@ -174,9 +180,9 @@ def fourier_transform(
 
     All nodes share two composite Gauss-Legendre grids on the support of
     Delta (see _shared_grids), the second with 1.5x the panels of the first.
-    phi(., s) is evaluated once per node on both grids together and reduced
-    at once to its two dot products with w Delta y; the 1.5x value is kept
-    when the two agree within max(abs_tol, rel_tol |yhat|) of problem.quad.
+    phi(., s) of a block of nodes on both grids together is reduced at once
+    to the dot products with w Delta y; the 1.5x value is kept when the two
+    agree within max(abs_tol, rel_tol |yhat|) of problem.quad.
     A node that fails this check, such as one whose y kinks inside a piece,
     is recomputed by the adaptive rule (_hat_at), which raises
     QuadratureError if it cannot converge; the source norm falls back to
@@ -196,13 +202,13 @@ def fourier_transform(
             return complex(fine)
         return complex(adaptive())
 
-    hats = []
-    for s in nodes:
-        row = _phi_values(problem, s, t_all)
-        hats.append(
-            checked(row[: t1.size] @ c1, row[t1.size :] @ c2,
-                    lambda s=s: _hat_at(problem, yv, s))
-        )
+    coarse, fine = np.empty((2, nodes.size), complex)
+    for blk, rows in _phi_blocks(problem, nodes, t_all):
+        coarse[blk], fine[blk] = rows[:, : t1.size] @ c1, rows[:, t1.size :] @ c2
+    hats = [
+        checked(c, f, lambda s=s: _hat_at(problem, yv, s))
+        for s, c, f in zip(nodes, coarse, fine)
+    ]
     y_sq = np.abs(y_all) ** 2
     norm_sq = checked(
         w1 @ y_sq[: t1.size], w2 @ y_sq[t1.size :], lambda: delta_inner(problem, yv, yv)
@@ -259,9 +265,11 @@ def _inverse_on_grid(
     and c = w * yhat; returns (values, pointwise bound |c| @ |Phi|)."""
     nodes, weights, values = _terms(sigma, yhat, truncation)
     c = weights * values
-    phi = np.array([_phi_values(problem, s, t_arr) for s in nodes])
-    phi = phi.reshape(nodes.size, t_arr.size)  # keeps the shape when no term is left
-    return c @ phi, np.abs(c) @ np.abs(phi)
+    total, bound = np.zeros(t_arr.size, complex), np.zeros(t_arr.size)
+    for blk, rows in _phi_blocks(problem, nodes, t_arr):
+        total += c[blk] @ rows
+        bound += np.abs(c[blk]) @ np.abs(rows)
+    return total, bound
 
 
 def inverse_transform(

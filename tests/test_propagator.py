@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from slspectra import (
     constant,
     constant_coefficient_problem,
     find_eigenvalues,
+    load_problem,
     loads_problem,
     m_function,
     phi_at,
@@ -28,6 +30,8 @@ from slspectra import (
     wronskian,
 )
 from slspectra import propagator
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 LINEAR_P_INI = """
 [interval]
@@ -402,6 +406,58 @@ class TestEndpointStates:
             warnings.simplefilter("error")
             with pytest.raises(PropagationError):
                 propagator.endpoint_states(free, [1.0, -1e6 + 1j])
+
+
+def _per_lambda_rows(problem, lams, t):
+    """phi(t_j, lambda_k), one cached trajectory per lambda."""
+    rows = [propagator.fundamental_trajectory(problem, lam, "phi").eval(t)[0] for lam in lams]
+    return np.array(rows).reshape(len(lams), len(t))
+
+
+class TestPhiRows:
+    """The lambda-blocked phi rows against per-lambda trajectories."""
+
+    LAMBDAS = [-1e4, -300.0, -1e-3, 0.0, 2e-6, 37.0, 1e4]  # q - lambda Delta of both signs
+
+    @pytest.fixture(scope="class")
+    def middle_third(self):
+        return load_problem(CONFIGS / "middle_third.ini")
+
+    def _assert_matches(self, problem, lams, t):
+        got = propagator.phi_rows(problem, lams, t)
+        want = _per_lambda_rows(problem, lams, t)
+        assert got.shape == (len(lams), len(t)) and not np.iscomplexobj(got)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("name", ["free", "middle_third"])
+    def test_matches_fundamental_trajectory(self, request, name):
+        prob = request.getfixturevalue(name)
+        if name == "middle_third":  # a Delta = 0 piece, walked in closed form
+            deltas = [rules[2].value for _, _, rules, _ in propagator._pieces(prob)]
+            assert deltas == [1.0, 0.0, 1.0]
+        rng = np.random.default_rng(5)
+        t = np.concatenate([prob.breakpoints, rng.uniform(prob.a, prob.b, 40)])  # a, 1/3, 2/3, b
+        self._assert_matches(prob, self.LAMBDAS, t)
+
+    def test_blocks_of_uneven_size(self, middle_third, monkeypatch):
+        t = np.linspace(0.0, 1.0, 11)
+        monkeypatch.setattr(propagator, "_ROW_BATCH", 3 * t.size)  # blocks of 3, 3 and 1
+        self._assert_matches(middle_third, self.LAMBDAS, t)
+
+    def test_empty_axes_keep_their_shape(self, free):
+        assert propagator.phi_rows(free, [], np.linspace(0.0, 1.0, 4)).shape == (0, 4)
+        assert propagator.phi_rows(free, [1.0, 2.0, 3.0], []).shape == (3, 0)
+
+    @pytest.mark.parametrize("name", ["poly", "rk"])
+    def test_other_problems_take_the_per_lambda_rows(self, request, free, name):
+        prob = rk_variant(free) if name == "rk" else request.getfixturevalue(name)
+        t = np.linspace(0.0, 1.0, 9)
+        got = propagator.phi_rows(prob, [-300.0, 37.0], t)
+        np.testing.assert_array_equal(got, _per_lambda_rows(prob, [-300.0, 37.0], t).real)
+
+    def test_point_outside_interval_rejected(self, free):
+        with pytest.raises(PropagationError):
+            propagator.phi_rows(free, [1.0], [0.5, 1.1])
 
 
 def _magnus_transfer_per_lambda(rules, t0, t1, lam, tol):

@@ -564,3 +564,20 @@ class TestBracketRefinement:
         )
         with pytest.raises(PoleProximityError):
             find_eigenvalues(free, C0, (0.0, 100.0))
+
+
+class TestTauArray:
+    """_tau_array against the per-lambda _tau_value it batches."""
+
+    REAL = np.array([-40.0, -1.0, 0.0, 0.5, 2.0, 900.0])
+    COMPLEX = np.array([-40.0 + 1e-3j, 0.5 - 2.0j, 3.0 + 0.0j, 1e4j])
+    TAUS = [constant(2.5), C0, BoundaryParam(kind="infinity"), SQRT, mobius(1.0, 0.0, -1.0, 2.0)]
+
+    @pytest.mark.parametrize("tau", TAUS, ids=["constant", "zero", "infinity", "sqrt", "mobius"])
+    def test_matches_per_lambda_values(self, tau):
+        for lams in (self.REAL, self.COMPLEX, self.REAL[:0]):
+            tv, inf = spectral._tau_array(tau, lams)
+            want = [spectral._tau_value(tau, complex(lam)) for lam in lams]
+            np.testing.assert_array_equal(inf, [w is INF_FLAG for w in want])
+            np.testing.assert_array_equal(tv, [0.0 if w is INF_FLAG else w for w in want])
+            assert tv.dtype == complex and inf.dtype == bool and tv.shape == lams.shape

@@ -1,6 +1,7 @@
 """Generalized Fourier transform, truncated inverse, Parseval, class F."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from slspectra import (
     ConfigError,
     CrossCheckError,
     GridMismatchError,
+    PropagationError,
     WindowError,
     Truncation,
     TransformedFn,
@@ -211,6 +213,29 @@ class TestSharedGrid:
         yhat = fourier_transform(free, y, sigma_pp)
         assert len(hat_calls) > 0
         assert_matches_adaptive(free, y, sigma_pp, yhat)
+
+    @pytest.mark.parametrize("lam", [-1e6, -5e5, -3e5])
+    def test_overflow_refused_as_on_the_per_lambda_path(self, free, lam):
+        # at -5e5 phi(b) is still finite, but phi^[1](b) overflows
+        sig = pure_point_spectral([(lam, 1.0)], (lam - 1.0, 1.0))
+        yhat = TransformedFn(np.array([]), np.array([], complex), ((lam, 1.0),), 1.0)
+        t = np.linspace(0.0, 1.0, 5)
+        inverse = lambda: _inverse_on_grid(free, sig, yhat, t, Truncation(1, (0.0, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if lam <= -5e5:
+                for call in (lambda: fundamental_trajectory(free, lam, "phi"),
+                             lambda: fourier_transform(free, quartic, sig), inverse):
+                    with pytest.raises(PropagationError):
+                        call()
+                return
+            hat = fourier_transform(free, quartic, sig).mass_values[0][1]
+            assert hat == pytest.approx(_hat_at(free, quartic, lam), rel=1e-10)
+            values, bound = inverse()
+            phi = fundamental_trajectory(free, lam, "phi").eval(t)[0]
+        assert np.all(np.isfinite(values)) and np.max(np.abs(values)) > 1e200
+        np.testing.assert_allclose(values, phi, rtol=1e-13)
+        np.testing.assert_allclose(bound, np.abs(phi), rtol=1e-13)
 
 
 class TestInverseTransform:
