@@ -43,6 +43,13 @@ class BoundaryParam:
     carry an evaluation closure for non-real arguments and, when known, a
     boundary-value closure u -> tau(u + i0) used by density evaluation and
     real-axis pole search.
+
+    Both closures work elementwise on numpy arrays: called with an array of
+    lambda (complex for fn, real for boundary_fn) they return an array of
+    the same shape, and called with a scalar they return a scalar.  The
+    spectral routines call each closure once per batch of lambda, and a
+    closure that cannot take an array makes them raise ConfigError.  A
+    non-finite value stands for the point at infinity.
     """
 
     kind: str
@@ -94,13 +101,16 @@ def infinity() -> BoundaryParam:
 def sqrt_param() -> BoundaryParam:
     """tau(lambda) = principal sqrt(lambda), Im sqrt >= 0 on the upper half-plane."""
 
-    def fn(lam: complex) -> complex:
-        return cmath.sqrt(lam)
+    def fn(lam):
+        return np.sqrt(np.asarray(lam, dtype=complex))  # the bits of cmath.sqrt
 
-    def boundary(u: float) -> complex:
-        if u >= 0.0:
-            return complex(math.sqrt(u))
-        return 1j * math.sqrt(-u)
+    def boundary(u):
+        u = np.asarray(u, dtype=float)
+        pos = u >= 0.0
+        root = np.sqrt(np.where(pos, u, -u))
+        out = np.empty(u.shape, complex)
+        out.real, out.imag = np.where(pos, root, 0.0), np.where(pos, 0.0, root)
+        return out[()]
 
     return BoundaryParam(kind="analytic", fn=fn, boundary_fn=boundary, name="sqrt")
 
@@ -116,18 +126,36 @@ def mobius(a: float, b: float, c: float, d: float) -> BoundaryParam:
             f"mobius({a},{b},{c},{d}) has ad-bc = {det:g} <= 0; not a Nevanlinna parameter"
         )
 
-    def fn(lam: complex) -> complex:
-        return (a * lam + b) / (c * lam + d)
+    def fn(lam):
+        lam = np.asarray(lam, dtype=complex)
+        return _cdiv(a * lam + b, c * lam + d)
 
-    def boundary(u: float) -> complex:
+    def boundary(u):
+        u = np.asarray(u, dtype=float)
         den = c * u + d
-        if den == 0.0:
-            return complex(INF_FLAG)
-        return complex((a * u + b) / den)
+        with np.errstate(divide="ignore"):
+            return np.where(den == 0.0, INF_FLAG, (a * u + b) / den).astype(complex)[()]
 
     return BoundaryParam(
         kind="analytic", fn=fn, boundary_fn=boundary, name=f"mobius:{a:g},{b:g},{c:g},{d:g}"
     )
+
+
+def _cdiv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x / y elementwise by Smith's method in the order of Python's complex
+    division, so an array of quotients has the bits of the scalar ones
+    (numpy's own complex division multiplies by a reciprocal).  No y is 0:
+    callers divide by c lambda + d off the real axis, and ad - bc > 0."""
+    yr, yi = y.real, y.imag
+    by_re = np.abs(yr) >= np.abs(yi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+        ratio = np.where(by_re, yi / yr, yr / yi)
+        denom = np.where(by_re, yr + yi * ratio, yr * ratio + yi)
+        re = np.where(by_re, x.real + x.imag * ratio, x.real * ratio + x.imag) / denom
+        im = np.where(by_re, x.imag - x.real * ratio, x.imag * ratio - x.real) / denom
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out[()]
 
 
 def parse_tau(spec: str) -> BoundaryParam:
@@ -174,6 +202,68 @@ def eval_param(tau: BoundaryParam, lam: complex) -> complex:
     if lam.imag == 0.0:
         raise ConfigError("analytic boundary parameter evaluated on the real axis")
     return complex(tau.fn(lam))
+
+
+def _no_boundary_values(tau: BoundaryParam) -> ConfigError:
+    return ConfigError(
+        "real-axis evaluation needs boundary values tau+(u); "
+        f"parameter {tau.label()} does not provide them"
+    )
+
+
+def _tau_value(tau: BoundaryParam, lam: complex):
+    """tau(lam) for complex lam, or the boundary value tau+(u) for real lam.
+
+    Non-finite values (the point at infinity) are normalized to INF_FLAG.
+    """
+    if tau.kind == "infinity":
+        return INF_FLAG
+    if tau.kind == "constant":
+        return complex(tau.theta)
+    if lam.imag != 0.0:
+        v = eval_param(tau, lam)
+    else:
+        if not tau.has_boundary_values:
+            raise _no_boundary_values(tau)
+        v = tau.boundary_value(lam.real)
+    v = complex(v)
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        return INF_FLAG
+    return v
+
+
+def _apply(tau: BoundaryParam, closure, x: np.ndarray) -> np.ndarray:
+    """One of tau's closures on the whole array x (see BoundaryParam)."""
+    try:
+        out = np.asarray(closure(x), dtype=complex)
+        if out.shape == x.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"parameter {tau.label()} does not evaluate arrays of lambda elementwise")
+
+
+def _tau_array(tau: BoundaryParam, lams):
+    """tau at every lam as a complex array (0 where tau is infinite or not
+    finite), and the mask of those values.  A constant or infinite tau needs
+    no call; an analytic one takes one call of fn on the non-real lam and
+    one of boundary_fn on the real ones."""
+    lams = np.asarray(lams)
+    if tau.kind == "constant":
+        return np.full(lams.shape, complex(tau.theta)), np.zeros(lams.shape, bool)
+    if tau.kind == "infinity":
+        return np.zeros(lams.shape, complex), np.ones(lams.shape, bool)
+    real = np.imag(lams) == 0.0
+    tv = np.empty(lams.shape, complex)
+    if not np.all(real):
+        tv[~real] = _apply(tau, tau.fn, lams[~real].astype(complex))
+    if np.any(real):
+        if not tau.has_boundary_values:
+            raise _no_boundary_values(tau)
+        tv[real] = _apply(tau, tau.boundary_fn, np.real(lams[real]).astype(float))
+    inf = ~np.isfinite(tv)
+    tv[inf] = 0.0
+    return tv, inf
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,18 @@ real coefficient problems where phi(b,u) is real.  The extrapolation route
 samples Im m(u + i eps) along a decreasing eps schedule and extrapolates
 polynomially to eps = 0.  Point masses are similarly computed by residue
 and by the eps-limit of eps * Im m, and the two must agree.
+
+Everything takes lambda in batches, with one call of endpoint_states and one
+of each tau closure per batch.  Outside the eigenvalue scan,
+build_spectral_function makes one such call for the pole probes of all
+roots, two for all point masses (_point_masses) and one for the density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +44,8 @@ from .errors import (
     PoleProximityError,
     WindowError,
 )
-from .nevanlinna import INF_FLAG, BoundaryParam, eval_param
+from .nevanlinna import BoundaryParam, _tau_array
+from .nevanlinna import _tau_value  # noqa: F401  (the scalar oracle of _tau_array)
 from .problem import SLProblem
 from .propagator import endpoint_states
 from .quadrature import piecewise_integrate
@@ -50,6 +57,7 @@ _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
 _ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets in s: width <= 2e-12 + 4e-14 |s|
 _ROOT_LTOL = 1e-15  # ... or width in lambda <= 1e-15 (1 + |lambda|)
+_PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b (see _endpoints)
 
 
 def default_eps_schedule() -> tuple[float, ...]:
@@ -69,56 +77,38 @@ def _check_schedule(eps_schedule) -> np.ndarray:
     return eps
 
 
-def _tau_value(tau: BoundaryParam, lam: complex):
-    """tau(lam) for complex lam, or the boundary value tau+(u) for real lam.
-
-    Non-finite values (the point at infinity) are normalized to INF_FLAG.
-    """
-    if tau.kind == "infinity":
-        return INF_FLAG
-    if tau.kind == "constant":
-        return complex(tau.theta)
-    if lam.imag != 0.0:
-        v = eval_param(tau, lam)
-    else:
-        if not tau.has_boundary_values:
-            raise ConfigError(
-                "real-axis evaluation needs boundary values tau+(u); "
-                f"parameter {tau.label()} does not provide them"
-            )
-        v = tau.boundary_value(lam.real)
-    v = complex(v)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        return INF_FLAG
-    return v
-
-
-def _tau_array(tau: BoundaryParam, lams):
-    """tau at every lam as a complex array (0 where tau is infinite), and the
-    mask of the infinite values; a constant or infinite tau needs no per-lam
-    call."""
-    shape = np.shape(lams)
-    if tau.kind == "constant":
-        return np.full(shape, complex(tau.theta)), np.zeros(shape, bool)
-    if tau.kind == "infinity":
-        return np.zeros(shape, complex), np.ones(shape, bool)
-    tvs = [_tau_value(tau, complex(lam)) for lam in lams]
-    inf = np.array([tv is INF_FLAG for tv in tvs], dtype=bool)
-    return np.array([0.0 if tv is INF_FLAG else tv for tv in tvs], dtype=complex), inf
+def _endpoints(problem: SLProblem, lams) -> np.ndarray:
+    """endpoint_states at every lam, refusing lam whose phase at b, about
+    sqrt|lam| ell, has a rounding error sqrt|lam| ell 2^-52 above
+    _PHASE_ERR_CAP.  With ell = 1 that allows |lam| up to about 2e19; the
+    scan's node cap keeps it below sqrt|lam| ell = 1e5."""
+    top = float(np.max(np.abs(lams), initial=0.0))
+    if math.sqrt(top) * _ell(problem) * 2.0**-52 > _PHASE_ERR_CAP:
+        raise ConfigError(
+            f"|lambda| = {top:.3g} is too large: the phase at b would carry a rounding "
+            f"error above {_PHASE_ERR_CAP:g} rad"
+        )
+    return endpoint_states(problem, lams)
 
 
 def _quotient(problem: SLProblem, lams, tv, inf):
     """N = psi tau - psi^[1] and D = phi tau - phi^[1] at b for every lam, from
     tau values tv; N = psi and D = phi where inf marks tau = infinity."""
-    (ph, ps), (ph1, ps1) = endpoint_states(problem, lams).transpose(1, 2, 0)
+    (ph, ps), (ph1, ps1) = _endpoints(problem, lams).transpose(1, 2, 0)
     return np.where(inf, ps, ps * tv - ps1), np.where(inf, ph, ph * tv - ph1)
+
+
+def _m_parts(problem: SLProblem, tau: BoundaryParam, lams):
+    """N and D of m = N/D at every lam, and the mask of lam at a pole."""
+    lams = np.asarray(lams, dtype=complex)
+    num, den = _quotient(problem, lams, *_tau_array(tau, lams))
+    return num, den, np.abs(den) <= _POLE_GUARD * np.abs(num)
 
 
 def _m_values(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     """m_tau at every lam in lams; raises PoleProximityError if one is at a pole."""
     lams = np.asarray(lams, dtype=complex)
-    num, den = _quotient(problem, lams, *_tau_array(tau, lams))
-    at_pole = np.abs(den) <= _POLE_GUARD * np.abs(num)
+    num, den, at_pole = _m_parts(problem, tau, lams)
     if np.any(at_pole):
         i = int(np.argmax(at_pole))
         raise PoleProximityError(
@@ -141,7 +131,7 @@ def _density_boundary(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
     """(1/pi) Im m(u+i0) at every u from tau's boundary values; exact in eps."""
     us = np.asarray(us, dtype=float)
     tv, inf = _tau_array(tau, us)
-    (ph, _), (ph1, _) = endpoint_states(problem, us).transpose(1, 2, 0)
+    (ph, _), (ph1, _) = _endpoints(problem, us).transpose(1, 2, 0)
     den = np.where(inf, ph, ph * tv - ph1)
     scale = np.where(
         inf, np.abs(ph) + np.abs(ph1), np.maximum(np.maximum(np.abs(ph * tv), np.abs(ph1)), 1e-300)
@@ -154,29 +144,39 @@ def _density_boundary(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
     return np.where(tv.imag == 0.0, 0.0, tv.imag / (math.pi * np.abs(den) ** 2))
 
 
-def _density_extrapolation(
-    problem: SLProblem, tau: BoundaryParam, u: float, eps: np.ndarray
-) -> float:
-    vals = _m_values(problem, tau, u + 1j * eps).imag
-    k = min(6, eps.size)
-    fit = np.polynomial.Polynomial.fit(eps[-k:], vals[-k:], deg=2)
+def _quadratic_fits(x: np.ndarray, ys: np.ndarray):
+    """Polynomial.fit(x, y, 2) of every row y of ys in one least-squares solve
+    (shared x, so one map of [min x, max x] onto [-1, 1]): values at x and 0."""
+    P = np.polynomial
+    off, scl = P.polyutils.mapparms((x.min(), x.max()), (-1.0, 1.0))
+    coef = P.polynomial.polyfit(off + scl * x, ys.T, 2)
+    return P.polynomial.polyval(off + scl * x, coef), P.polynomial.polyval(off, coef)
+
+
+def _extrapolated_densities(
+    problem: SLProblem, tau: BoundaryParam, us, eps: np.ndarray
+) -> np.ndarray:
+    """(1/pi) lim Im m(u + i eps) at every u, by a quadratic in eps through
+    the min(6, len(eps)) smallest eps, from one m evaluation of every u +
+    i eps.  The first failing u raises the error of its own fit."""
+    us = np.asarray(us, dtype=float)
+    eps = eps[-min(6, eps.size) :]
+    vals = _m_values(problem, tau, (us[:, None] + 1j * eps).ravel()).imag.reshape(-1, eps.size)
+    fits, at_zero = _quadratic_fits(eps, vals)
     # Im m is analytic in eps off the poles, so the quadratic tracks the tail
     # samples to ~1e-11 relative; a nearby pole's Lorentzian bump (or its
     # 1/eps growth) leaves residuals many orders larger.
-    res = max(abs(float(fit(e)) - v) for e, v in zip(eps[-k:], vals[-k:]))
-    if res > 1e-8 * (1.0 + float(np.max(np.abs(vals[-k:])))):
+    diverged = np.max(np.abs(fits - vals), axis=1) > 1e-8 * (1.0 + np.max(np.abs(vals), axis=1))
+    out = at_zero / math.pi
+    bad = np.flatnonzero(diverged | (out <= -1e-8))
+    if bad.size:
+        i, u = bad[0], float(us[bad[0]])
         raise PoleContaminatedError(
-            f"eps-extrapolation of Im m does not converge at u={u}: "
-            "point mass nearby"
+            f"eps-extrapolation of Im m does not converge at u={u}: point mass nearby"
+            if diverged[i]
+            else f"negative density extrapolant {out[i]:.3e} at u={u}; limit contaminated"
         )
-    out = float(fit(0.0)) / math.pi
-    if out < 0.0:
-        if out > -1e-8:
-            return 0.0
-        raise PoleContaminatedError(
-            f"negative density extrapolant {out:.3e} at u={u}; limit contaminated"
-        )
-    return out
+    return np.maximum(out, 0.0)
 
 
 def spectral_density(
@@ -199,7 +199,7 @@ def spectral_density(
     if method == "boundary":
         return float(_density_boundary(problem, tau, [u])[0])
     if method == "extrapolation":
-        return _density_extrapolation(problem, tau, u, eps)
+        return float(_extrapolated_densities(problem, tau, [u], eps)[0])
     raise ConfigError(f"unknown density method {method!r}")
 
 
@@ -207,6 +207,7 @@ def spectral_density(
 # eigenvalues (real poles of m)
 
 
+@lru_cache(maxsize=32)
 def _ell(problem: SLProblem) -> float:
     """int sqrt(Delta/p): sets the asymptotic eigenvalue spacing pi/ell in
     sqrt(lambda)."""
@@ -258,40 +259,35 @@ def _u_of(s: float) -> float:
     return s * abs(s)
 
 
-def _is_pole(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
-    """Probe whether a zero of the denominator is a pole of m or a branch
+def _pole_probes(problem: SLProblem, tau: BoundaryParam, roots) -> list[bool]:
+    """Probe whether each zero of the denominator is a pole of m or a branch
     point: eps * Im m(lam0 + i eps) is eps-independent at a simple pole and
-    ~ sqrt(eps) at a square-root branch point."""
+    ~ sqrt(eps) at a square-root branch point.  One m evaluation for all
+    roots; _winding_confirms settles a ratio in between."""
     eps = np.array([1e-6, 4e-6])
-    w1, w2 = eps * _m_values(problem, tau, lam0 + 1j * eps).imag
-    if w1 <= 0.0:
-        return False
-    ratio = w2 / w1
-    if abs(ratio - 1.0) <= 0.25:
-        return True
-    if ratio >= 1.6:
-        return False
-    return _winding_confirms(problem, tau, lam0)
+    lams = np.asarray(roots, dtype=float)[:, None] + 1j * eps
+    w = eps * _m_values(problem, tau, lams.ravel()).imag.reshape(lams.shape)
+    out = []
+    for lam0, (w1, w2) in zip(roots, w):
+        if w1 <= 0.0 or w2 / w1 >= 1.6:
+            out.append(False)
+        else:
+            out.append(abs(w2 / w1 - 1.0) <= 0.25 or _winding_confirms(problem, tau, lam0))
+    return out
+
+
+def _is_pole(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
+    """_pole_probes for one root."""
+    return _pole_probes(problem, tau, [lam0])[0]
 
 
 def _winding_confirms(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
     """Fallback pole confirmation: winding number of D(lambda) on a small
     rectangle around lam0 (argument principle; assumes D analytic there,
     i.e. the rectangle must avoid tau's branch cut)."""
-    h = 1e-2 * (1.0 + abs(lam0))
-    v = 1e-2
-    corners = [
-        complex(lam0 - h, -v),
-        complex(lam0 + h, -v),
-        complex(lam0 + h, v),
-        complex(lam0 - h, v),
-        complex(lam0 - h, -v),
-    ]
-    z = np.array([
-        z0 + (z1 - z0) * frac
-        for z0, z1 in zip(corners[:-1], corners[1:])
-        for frac in np.linspace(0.0, 1.0, 50, endpoint=False)
-    ])
+    h, v = 1e-2 * (1.0 + abs(lam0)), 1e-2
+    c = np.array([complex(lam0 + x, y) for x, y in ((-h, -v), (h, -v), (h, v), (-h, v), (-h, -v))])
+    z = (c[:-1, None] + (c[1:] - c[:-1])[:, None] * np.linspace(0.0, 1.0, 50, endpoint=False)).ravel()
     _, samples = _quotient(problem, z, *_tau_array(tau, z))
     q = np.roll(samples, -1) / samples
     total = float(np.sum(np.arctan2(q.imag, q.real)))
@@ -411,8 +407,8 @@ def find_eigenvalues(
         )
         roots += _u_of(s_roots).tolist()
 
-    if tau.kind == "analytic":
-        roots = [r for r in roots if _is_pole(problem, tau, r)]
+    if tau.kind == "analytic" and roots:
+        roots = [r for r, pole in zip(roots, _pole_probes(problem, tau, roots)) if pole]
     roots = [
         r
         for r in roots
@@ -443,6 +439,49 @@ def _num_den(problem: SLProblem, tau: BoundaryParam, us):
     return _quotient(problem, us, tv.real, inf)
 
 
+def _point_masses(
+    problem: SLProblem, tau: BoundaryParam, lams, eps_schedule=None
+) -> np.ndarray:
+    """point_mass at every lambda_k in lams: one _num_den call for all
+    lambda_k, lambda_k +- h and one m evaluation for all lambda_k + i eps.
+    The first failing lambda_k raises what point_mass raises for it alone
+    (a tau+ that is not real raises ConfigError for the whole batch)."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if lams.size == 0:
+        return np.zeros(0)
+    eps = _check_schedule(eps_schedule)
+    eps = eps[-min(6, eps.size) :]
+    h = 1e-5 * (1.0 + np.abs(lams))
+    num, den = _num_den(problem, tau, np.stack([lams, lams + h, lams - h], axis=1).ravel())
+    num, den = num[::3], den.reshape(-1, 3)
+    z = lams[:, None] + 1j * eps
+    m_num, m_den, at_pole = _m_parts(problem, tau, z.ravel())
+    with np.errstate(divide="ignore", invalid="ignore"):  # D' = 0 is reported below
+        d_prime = (den[:, 1] - den[:, 2]) / (2.0 * h)
+        jump_res = -num / d_prime
+        m = np.divide(m_num, m_den, out=np.zeros_like(m_num), where=~at_pole)
+        # eps * Im m = sigma_k + c1 eps^2 + c2 eps^4 near a simple pole in a gap
+        _, jump_lim = _quadratic_fits(eps**2, eps * m.imag.reshape(z.shape))
+        at_pole = at_pole.reshape(z.shape).any(axis=1)
+        crossed = np.abs(jump_res - jump_lim) > 1e-3 * np.abs(jump_res)
+    bad = np.flatnonzero((d_prime == 0.0) | at_pole | (jump_res <= 0.0) | crossed)
+    if bad.size:
+        i, lam_k = bad[0], float(lams[bad[0]])
+        if d_prime[i] == 0.0:
+            raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
+        if at_pole[i]:
+            _m_values(problem, tau, z[i])  # raises lambda_k's PoleProximityError
+        if jump_res[i] <= 0.0:
+            raise CrossCheckError(
+                f"residue jump {jump_res[i]:.6g} at lambda={lam_k} is not positive"
+            )
+        raise CrossCheckError(
+            f"jump cross-check failed at lambda={lam_k}: "
+            f"residue {jump_res[i]:.10g} vs eps-limit {jump_lim[i]:.10g}"
+        )
+    return jump_res
+
+
 def point_mass(
     problem: SLProblem,
     tau: BoundaryParam,
@@ -453,35 +492,12 @@ def point_mass(
 
     Computed two independent ways and cross-checked to rel. 1e-3:
     (a) residue -N(lambda_k)/D'(lambda_k), D' by central difference;
-    (b) limit of eps * Im m(lambda_k + i eps), extrapolated in eps^2.
-    Returns (a).
+    (b) limit of eps * Im m(lambda_k + i eps), a quadratic in eps^2 through
+        the min(6, len(eps)) smallest eps.
+    Returns (a).  Checks run in the order D' = 0, pole proximity, residue
+    <= 0, cross-check.  The one-pole call of _point_masses.
     """
-    lam_k = float(lambda_k)
-    eps = _check_schedule(eps_schedule)
-
-    h = 1e-5 * (1.0 + abs(lam_k))
-    num, den = _num_den(problem, tau, [lam_k, lam_k + h, lam_k - h])
-    d_prime = float(den[1] - den[2]) / (2.0 * h)
-    if d_prime == 0.0:
-        raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
-    jump_res = -float(num[0]) / d_prime
-
-    w = eps * _m_values(problem, tau, lam_k + 1j * eps).imag
-    k = min(6, eps.size)
-    # eps * Im m = sigma_k + c1 eps^2 + c2 eps^4 near a simple pole in a gap
-    fit = np.polynomial.Polynomial.fit(eps[-k:] ** 2, w[-k:], deg=2)
-    jump_lim = float(fit(0.0))
-
-    if jump_res <= 0.0:
-        raise CrossCheckError(
-            f"residue jump {jump_res:.6g} at lambda={lam_k} is not positive"
-        )
-    if abs(jump_res - jump_lim) > 1e-3 * abs(jump_res):
-        raise CrossCheckError(
-            f"jump cross-check failed at lambda={lam_k}: "
-            f"residue {jump_res:.10g} vs eps-limit {jump_lim:.10g}"
-        )
-    return jump_res
+    return float(_point_masses(problem, tau, [lambda_k], eps_schedule)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +609,11 @@ def build_spectral_function(
     if ac_nodes < 16:
         raise ConfigError("ac_nodes must be >= 16")
     eigs = find_eigenvalues(problem, tau, (s_min, s_max))
-    masses = tuple(
-        (lam_k, point_mass(problem, tau, lam_k, eps_schedule)) for lam_k in eigs
-    )
+    masses = tuple(zip(eigs, _point_masses(problem, tau, eigs, eps_schedule).tolist()))
 
     edges = _xi_edges(s_min, s_max, ac_nodes)
-    xi_mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = np.array([_u_of(float(x)) for x in xi_mid])
-    lo = np.array([_u_of(float(x)) for x in edges[:-1]])
-    hi = np.array([_u_of(float(x)) for x in edges[1:]])
+    nodes = _u_of(0.5 * (edges[:-1] + edges[1:]))
+    lo, hi = _u_of(edges[:-1]), _u_of(edges[1:])
     keep = np.ones(nodes.size, dtype=bool)
     for s_k, _ in masses:
         keep &= np.abs(nodes - s_k) >= _EXCLUSION * (1.0 + abs(s_k))
@@ -618,8 +630,7 @@ def build_spectral_function(
             _check_schedule(eps_schedule)
             dens[need] = _density_boundary(problem, tau, nodes[need])
     elif not orthogonal:
-        for i, u in enumerate(nodes):
-            dens[i] = spectral_density(problem, tau, float(u), eps_schedule)
+        dens = _extrapolated_densities(problem, tau, nodes, _check_schedule(eps_schedule))
     return SpectralFunction(
         ac_grid=nodes,
         ac_density=dens,

@@ -47,8 +47,8 @@ from .quadrature import _w_high, _x_high
 from .spectral import (
     SpectralFunction,
     _ell,
+    _point_masses,
     find_eigenvalues,
-    point_mass,
     pure_point_spectral,
 )
 
@@ -472,9 +472,7 @@ def eigen_expansion(
         recon = recon + mode.coefficient * mode.values
 
     window = (min(lo, eigs[0] - 1.0), max(hi, eigs[-1] + 1.0))
-    sigma_pp = pure_point_spectral(
-        [(lam_k, point_mass(problem, tau, lam_k)) for lam_k in eigs], window
-    )
+    sigma_pp = pure_point_spectral(zip(eigs, _point_masses(problem, tau, eigs).tolist()), window)
     yhat = fourier_transform(problem, yv, sigma_pp)
     alt, _ = _inverse_on_grid(
         problem, sigma_pp, yhat, t_arr, Truncation(k_max=K, ac_window=(0.0, 0.0))

@@ -37,10 +37,10 @@ from .problem import (
 )
 from .propagator import wronskian
 from .spectral import (
+    _point_masses,
     build_spectral_function,
     find_eigenvalues,
     m_function,
-    point_mass,
     pure_point_spectral,
     spectral_density,
     stieltjes_cdf,
@@ -176,10 +176,7 @@ def criterion_eigenvalues(free: SLProblem) -> CriterionResult:
 
 def criterion_point_masses(free: SLProblem) -> CriterionResult:
     """Jumps at the first three poles equal 2 (dual-route cross-checked)."""
-    worst = 0.0
-    for lam_k in _sqrt_poles(3):
-        j = point_mass(free, sqrt_param(), lam_k)
-        worst = max(worst, abs(j - 2.0))
+    worst = float(np.max(np.abs(_point_masses(free, sqrt_param(), _sqrt_poles(3)) - 2.0)))
     return CriterionResult(
         "point-masses",
         worst <= 1e-4,
@@ -248,7 +245,7 @@ def criterion_orthogonal_expansion(free: SLProblem) -> CriterionResult:
         return CriterionResult(
             "orthogonal-expansion", False, f"only {len(eigs)} eigenvalues located"
         )
-    masses = [(lam_k, point_mass(free, tau, lam_k)) for lam_k in eigs]
+    masses = zip(eigs, _point_masses(free, tau, eigs).tolist())
     sigma = pure_point_spectral(masses, (-1.0, 2.6e4))
     t_grid = np.linspace(0.0, 1.0, 33)
 
@@ -296,7 +293,7 @@ def criterion_degenerate_weight(mid: SLProblem) -> CriterionResult:
         inside = (t > 1 / 3) & (t < 2 / 3)
         return np.where(inside, np.sin(3 * math.pi * (t - 1 / 3)) ** 2, 0.0)
 
-    masses = [(lam_k, point_mass(mid, tau, lam_k)) for lam_k in eigs]
+    masses = zip(eigs, _point_masses(mid, tau, eigs).tolist())
     sigma = pure_point_spectral(masses, (-1.0, 150.0))
     dhat = fourier_transform(mid, dead, sigma)
     worst_c = max((abs(v) for _, v in dhat.mass_values), default=math.inf)

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,3 +177,33 @@ class TestArgumentErrorsAreConfigErrors:
     def test_raises_config_error(self, call):
         with pytest.raises(ConfigError):
             call()
+
+
+class TestArrayClosures:
+    """The built-in closures on arrays give the bits of the scalar formulas
+    they replaced, so batched and per-lambda evaluation agree exactly."""
+
+    rng = np.random.default_rng(7)
+    LAMS = (rng.standard_normal(4000) * 10.0 ** rng.integers(-6, 7, 4000)
+            + 1j * rng.standard_normal(4000) * 10.0 ** rng.integers(-6, 7, 4000))
+    US = np.concatenate([rng.standard_normal(500) * 1e3, [0.0, -0.0, 2.0, -1.0 / 6.0]])
+
+    def test_sqrt(self):
+        tau = sqrt_param()
+        assert np.array_equal(tau.fn(self.LAMS), [cmath.sqrt(z) for z in map(complex, self.LAMS)])
+        want = [complex(math.sqrt(u)) if u >= 0.0 else 1j * math.sqrt(-u) for u in self.US]
+        got = tau.boundary_fn(self.US)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got.real),
+                                                            np.signbit(np.real(want)))
+
+    @pytest.mark.parametrize("coef", [(1.0, 2.0, 0.0, 1.0), (1.0, 0.0, -1.0, 2.0),
+                                      (2.0, -1.0, 3.0, 0.5), (0.3, -7.0, 1e-3, 5.0)])
+    def test_mobius(self, coef):
+        a, b, c, d = coef
+        tau = mobius(*coef)
+        want = [(a * z + b) / (c * z + d) for z in map(complex, self.LAMS)]  # Python's division
+        assert np.array_equal(tau.fn(self.LAMS), want)
+        want = [complex(math.inf) if c * u + d == 0.0 else complex((a * u + b) / (c * u + d))
+                for u in self.US]
+        assert np.array_equal(tau.boundary_fn(self.US), want)
+        assert complex(tau.fn(complex(self.LAMS[0]))) == complex(tau.fn(self.LAMS[:1])[0])

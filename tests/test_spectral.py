@@ -1,6 +1,8 @@
 """Weyl m-function, density routes, eigenvalue scan, and spectral assembly."""
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -581,3 +583,265 @@ class TestTauArray:
             np.testing.assert_array_equal(inf, [w is INF_FLAG for w in want])
             np.testing.assert_array_equal(tv, [0.0 if w is INF_FLAG else w for w in want])
             assert tv.dtype == complex and inf.dtype == bool and tv.shape == lams.shape
+
+
+# Per-lambda oracles of the batched spectral assembly: point_mass and
+# _is_pole as they were before the masses and probes of a window became one
+# batch, and the per-node extrapolated density.
+
+
+def _point_mass_per_lambda(problem, tau, lam_k, eps_schedule=None):
+    lam_k = float(lam_k)
+    eps = spectral._check_schedule(eps_schedule)
+    h = 1e-5 * (1.0 + abs(lam_k))
+    num, den = spectral._num_den(problem, tau, [lam_k, lam_k + h, lam_k - h])
+    d_prime = float(den[1] - den[2]) / (2.0 * h)
+    if d_prime == 0.0:
+        raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
+    jump_res = -float(num[0]) / d_prime
+    w = eps * spectral._m_values(problem, tau, lam_k + 1j * eps).imag
+    k = min(6, eps.size)
+    jump_lim = float(np.polynomial.Polynomial.fit(eps[-k:] ** 2, w[-k:], deg=2)(0.0))
+    if jump_res <= 0.0:
+        raise CrossCheckError(f"residue jump {jump_res:.6g} at lambda={lam_k} is not positive")
+    if abs(jump_res - jump_lim) > 1e-3 * abs(jump_res):
+        raise CrossCheckError(
+            f"jump cross-check failed at lambda={lam_k}: "
+            f"residue {jump_res:.10g} vs eps-limit {jump_lim:.10g}"
+        )
+    return jump_res
+
+
+def _is_pole_per_root(problem, tau, lam0):
+    eps = np.array([1e-6, 4e-6])
+    w1, w2 = eps * spectral._m_values(problem, tau, lam0 + 1j * eps).imag
+    if w1 <= 0.0:
+        return False
+    ratio = w2 / w1
+    if abs(ratio - 1.0) <= 0.25:
+        return True
+    if ratio >= 1.6:
+        return False
+    return spectral._winding_confirms(problem, tau, lam0)
+
+
+def _density_extrapolation_per_node(problem, tau, u, eps):
+    vals = spectral._m_values(problem, tau, u + 1j * eps).imag
+    k = min(6, eps.size)
+    fit = np.polynomial.Polynomial.fit(eps[-k:], vals[-k:], deg=2)
+    res = max(abs(float(fit(e)) - v) for e, v in zip(eps[-k:], vals[-k:]))
+    if res > 1e-8 * (1.0 + float(np.max(np.abs(vals[-k:])))):
+        raise PoleContaminatedError(f"no convergence at u={u}")
+    out = float(fit(0.0)) / math.pi
+    if out < 0.0:
+        if out > -1e-8:
+            return 0.0
+        raise PoleContaminatedError(f"negative extrapolant at u={u}")
+    return out
+
+
+SQRT_FN_ONLY = BoundaryParam(kind="analytic", fn=SQRT.fn, name="sqrt-fn-only")
+
+
+class TestBatchedAssembly:
+    """_point_masses, _pole_probes and the batched extrapolated density
+    against the per-lambda oracles above."""
+
+    CASES = [("free", "sqrt", (0.0, 1000.0)), ("mid", "c0", (-1.0, 3000.0)),
+             ("mid", "sqrt", (-50.0, 2000.0)), ("varcoef", "c0", (-20.0, 1100.0))]
+
+    @pytest.mark.parametrize("name,tau,interval", CASES)
+    def test_jumps_equal_per_lambda(self, request, name, tau, interval):
+        prob, tau = request.getfixturevalue(name), {"sqrt": SQRT, "c0": C0}[tau]
+        eigs = find_eigenvalues(prob, tau, interval)
+        assert len(eigs) > 3
+        want = [_point_mass_per_lambda(prob, tau, lam) for lam in eigs]
+        np.testing.assert_array_equal(spectral._point_masses(prob, tau, eigs), want)
+        np.testing.assert_array_equal([point_mass(prob, tau, lam) for lam in eigs], want)
+
+    def test_eps_limit_matches_polynomial_fit(self, free, mid):
+        eps = spectral._check_schedule(None)[-6:]
+        rows = []
+        for prob, tau, lams in ((free, SQRT, oracles.sqrt_poles_free(4)),
+                                (mid, C0, find_eigenvalues(mid, C0, (-1.0, 500.0)))):
+            for lam in lams:
+                rows.append(eps * spectral._m_values(prob, tau, lam + 1j * eps).imag)
+        rows.append(np.array([1.0, -2.0, 0.5, 3.0, 1e-3, 7.0]))  # no quadratic at all
+        rows = np.array(rows)
+        fits, at_zero = spectral._quadratic_fits(eps**2, rows)
+        for row, fit, zero in zip(rows, fits, at_zero):
+            want = np.polynomial.Polynomial.fit(eps**2, row, deg=2)
+            scale = np.max(np.abs(row))
+            assert abs(zero - want(0.0)) <= 1e-12 * scale
+            assert np.max(np.abs(fit - want(eps**2))) <= 1e-12 * scale
+
+    def test_empty_batch(self, free):
+        assert spectral._point_masses(free, SQRT, []).shape == (0,)
+
+    @pytest.mark.parametrize("lam", [-1.0, 1.0, 0.5])
+    def test_one_lambda_failures_unchanged(self, free, lam):
+        with pytest.raises((ConfigError, CrossCheckError)) as want:
+            _point_mass_per_lambda(free, SQRT, lam)
+        with pytest.raises(want.type, match="^" + re.escape(str(want.value)) + "$"):
+            point_mass(free, SQRT, lam)
+
+    @staticmethod
+    def _patch(monkeypatch, name, edit):
+        """Route spectral.<name> through edit(lams, result)."""
+        orig = getattr(spectral, name)
+        monkeypatch.setattr(
+            spectral, name, lambda prob, tau, lams: edit(np.asarray(lams), orig(prob, tau, lams))
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_typed_failures_from_the_batch(self, free, monkeypatch):
+        eigs = oracles.neumann_eigs_free(5)[1:]  # pi^2, (2 pi)^2, ...
+        with pytest.raises(ConfigError, match="not real"):
+            spectral._point_masses(free, SQRT, oracles.sqrt_poles_free(2) + [-1.0])
+
+        def flat_den(us, nd):  # D(lambda_2 + h) = D(lambda_2 - h)
+            num, den = nd
+            den = den.copy()
+            den[np.abs(us - eigs[2]) < 1.0] = 1.0
+            return num, den
+
+        self._patch(monkeypatch, "_num_den", flat_den)
+        with pytest.raises(CrossCheckError, match=re.escape(f"D'({eigs[2]}) = 0")):
+            spectral._point_masses(free, C0, eigs)
+        monkeypatch.undo()
+
+        def flip_residue(us, nd):  # residue of lambda_1 negative
+            num, den = nd
+            return np.where(np.abs(us - eigs[1]) < 1.0, -num, num), den
+
+        self._patch(monkeypatch, "_num_den", flip_residue)
+        with pytest.raises(CrossCheckError, match="is not positive"):
+            spectral._point_masses(free, C0, eigs)
+        # the lowest failing lambda wins: lambda_1 fails before lambda_2 does
+        self._patch(monkeypatch, "_num_den", flat_den)
+        with pytest.raises(CrossCheckError, match=f"residue jump .* at lambda={eigs[1]} "):
+            spectral._point_masses(free, C0, eigs)
+        monkeypatch.undo()
+
+        def at_pole(lams, parts):  # D = 0 at lambda_3 + i eps
+            num, den, pole = parts
+            hit = np.abs(lams.real - eigs[3]) < 1.0
+            return num, np.where(hit, 0.0, den), pole | hit
+
+        self._patch(monkeypatch, "_m_parts", at_pole)
+        with pytest.raises(PoleProximityError, match=f"lambda=\\({eigs[3]}\\+"):
+            spectral._point_masses(free, C0, eigs)
+        monkeypatch.undo()
+
+        def skew(lams, parts):  # eps * Im m of lambda_0 off by 1 %
+            num, den, pole = parts
+            return np.where(np.abs(lams.real - eigs[0]) < 1.0, 1.01 * num, num), den, pole
+
+        self._patch(monkeypatch, "_m_parts", skew)
+        with pytest.raises(CrossCheckError, match=f"cross-check failed at lambda={eigs[0]}"):
+            spectral._point_masses(free, C0, eigs)
+
+    def test_pole_probes_equal_per_root(self, mid, monkeypatch):
+        probes = []
+        pole_probes = spectral._pole_probes
+        monkeypatch.setattr(
+            spectral, "_pole_probes",
+            lambda p, t, roots: probes.append(list(roots)) or pole_probes(p, t, roots),
+        )
+        find_eigenvalues(mid, SQRT, (-50.0, 2000.0))
+        (roots,) = probes
+        roots += [0.0, 1e-3, 7.5]  # the branch point of sqrt and two non-roots
+        got = pole_probes(mid, SQRT, roots)
+        assert got == [_is_pole_per_root(mid, SQRT, r) for r in roots]
+        assert got == [spectral._is_pole(mid, SQRT, r) for r in roots]
+        assert sum(got) >= 5 and not all(got)
+
+    def test_assembly_endpoint_calls_fixed(self, free, monkeypatch):
+        """Outside the scan, build_spectral_function makes one endpoint_states
+        call for the pole probes, two for the point masses and one for the
+        density, however many poles the window holds.  Before the batches
+        it made 3 per pole plus 1: 10 on the README window (3 poles) and 31
+        on [-50, 1000] (10 poles)."""
+        calls, scanning = [], []
+        endpoint_states, scan_values = spectral.endpoint_states, spectral._scan_values
+
+        def scan(*args):
+            scanning.append(1)
+            try:
+                return scan_values(*args)
+            finally:
+                scanning.pop()
+
+        def count(*args):
+            if not scanning:
+                calls.append(1)
+            return endpoint_states(*args)
+
+        monkeypatch.setattr(spectral, "_scan_values", scan)
+        monkeypatch.setattr(spectral, "endpoint_states", count)
+        for window, poles in (((-50.0, 100.0), 3), ((-50.0, 1000.0), 10)):
+            calls.clear()
+            sigma = build_spectral_function(free, SQRT, window, ac_nodes=600)
+            assert len(sigma.point_masses) == poles
+            assert len(calls) == 4
+
+    def test_extrapolated_densities_match_per_node(self, free, mid):
+        eps = spectral._check_schedule(None)
+        for prob, us in ((free, np.linspace(-60.0, -0.5, 23)), (mid, np.linspace(-40.0, -1.0, 9))):
+            got = spectral._extrapolated_densities(prob, SQRT_FN_ONLY, us, eps)
+            want = np.array([_density_extrapolation_per_node(prob, SQRT_FN_ONLY, u, eps)
+                             for u in us])
+            assert np.all(want > 0.0)
+            assert float(np.max(np.abs(got / want - 1.0))) <= 1e-12
+            assert [spectral_density(prob, SQRT_FN_ONLY, u) for u in us[:3]] == pytest.approx(
+                want[:3], rel=1e-12
+            )
+
+    def test_extrapolated_density_near_a_pole_raises(self, free):
+        eps = spectral._check_schedule(None)
+        a1 = oracles.sqrt_poles_free(1)[0]
+        with pytest.raises(PoleContaminatedError, match=f"u={a1 + 1e-4}"):
+            spectral._extrapolated_densities(free, SQRT_FN_ONLY, [-1.0, a1 + 1e-4, a1], eps)
+
+
+class TestTauArrayClosures:
+    """One closure call per batch: the array contract of BoundaryParam."""
+
+    def test_mobius_pole_mixed_batch(self):
+        tau = mobius(1.0, 0.0, -1.0, 2.0)  # c u + d = 0 at u = 2
+        lams = np.array([[2.0, 2.0 + 1e-3j, -40.0], [1e4j, 2.0 - 5.0j, 0.5]])
+        tv, inf = spectral._tau_array(tau, lams)
+        want = [spectral._tau_value(tau, complex(lam)) for lam in lams.ravel()]
+        np.testing.assert_array_equal(inf.ravel(), [w is INF_FLAG for w in want])
+        np.testing.assert_array_equal(tv.ravel(), [0.0 if w is INF_FLAG else w for w in want])
+        assert inf[0, 0] and inf.sum() == 1
+
+    def test_scalar_only_closure_refused(self, free):
+        tau = BoundaryParam(kind="analytic", fn=lambda lam: cmath.sqrt(lam), name="scalar")
+        for lams in ([1j], [1j, 2.0 + 1j]):
+            with pytest.raises(ConfigError, match="elementwise"):
+                spectral._tau_array(tau, np.array(lams))
+        with pytest.raises(ConfigError):
+            m_function(free, tau, 1j)
+        constant_one = BoundaryParam(kind="analytic", fn=lambda lam: 1j, name="one")
+        with pytest.raises(ConfigError, match="elementwise"):
+            spectral._tau_array(constant_one, np.array([1j, 2j]))
+
+
+class TestPhaseGuard:
+    """m is refused where the phase sqrt|lambda| ell at b has no accurate digit."""
+
+    @pytest.mark.parametrize("lam", [1e300, -1e300, 1e300j, 3e19 + 1j])
+    def test_refused(self, free, lam):
+        with pytest.raises(ConfigError, match="phase at b would carry a rounding error"):
+            m_function(free, SQRT, lam)
+
+    def test_below_cap_allowed(self, free):
+        assert np.isfinite(m_function(free, C0, 1e18 + 1j))
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        from slspectra import cli
+
+        code = cli.main(["--out", str(tmp_path), "mfun", "--tau", "sqrt", "--lambda", "1e300"])
+        assert code == 2
+        assert "phase at b" in capsys.readouterr().err
