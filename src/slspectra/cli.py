@@ -109,15 +109,9 @@ def _load_problem(args) -> tuple[SLProblem, str]:
     else:
         text = ""
         problem = constant_coefficient_problem()
-    overrides: dict = {}
-    if args.ode_tol is not None:
-        overrides["ode_tol"] = float(args.ode_tol)
-        overrides["closed_form_pieces"] = False
-    if args.quad_tol is not None:
-        overrides["abs_tol"] = float(args.quad_tol)
-        overrides["rel_tol"] = float(args.quad_tol)
-    if overrides:
-        problem = replace(problem, quad=replace(problem.quad, **overrides))
+    quad = problem.quad.with_tolerances(args.ode_tol, args.quad_tol)
+    if quad is not problem.quad:
+        problem = replace(problem, quad=quad)
     return problem, text
 
 

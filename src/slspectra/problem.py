@@ -18,7 +18,7 @@ import ast
 import configparser
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -182,6 +182,17 @@ class QuadConfig:
             raise ConfigError("quadrature and ODE tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ConfigError("max_subdivisions must be at least 8")
+
+    def with_tolerances(self, ode_tol: float | None, quad_tol: float | None) -> QuadConfig:
+        """This config under the --ode-tol and --quad-tol flags: ode_tol also
+        selects the reference engine (closed_form_pieces = False), and
+        quad_tol sets both abs_tol and rel_tol.  None leaves a field as is."""
+        kwargs: dict = {}
+        if ode_tol is not None:
+            kwargs.update(ode_tol=float(ode_tol), closed_form_pieces=False)
+        if quad_tol is not None:
+            kwargs.update(abs_tol=float(quad_tol), rel_tol=float(quad_tol))
+        return replace(self, **kwargs) if kwargs else self
 
 
 @dataclass(frozen=True)

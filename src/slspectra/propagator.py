@@ -38,16 +38,19 @@ Three engines cover the pieces:
 Complex spectral parameters propagate a complex state; real parameters stay
 in real arithmetic.
 
-endpoint_states gives phi, psi and their quasi-derivatives at b for an array
-of lambda: the closed-form transfers of all lambda in one elementwise pass,
-one Magnus batch per variable piece, multiplied over the pieces and applied
-to both initial vectors.  slspectra.spectral reads only these.  phi_rows
-gives phi on a t grid for an array of real lambda by the same closed-form
-steps, for the transform and its inverse.  The cached dense Trajectory of
+One walk, _walk, carries the initial columns (phi, or phi and psi) from a to
+b for a whole batch of lambda: the closed-form steps to the ends of all
+constant pieces in one elementwise pass, one Magnus batch per variable
+piece, and y at any points t in constant pieces by one partial step from
+the state at the piece's start.  endpoint_states reads phi, psi and their
+quasi-derivatives at b off it, which is all slspectra.spectral needs;
+phi_rows reads phi at the points t, for the transform and its inverse.  The
+walk takes the batch it is given: slspectra.transform splits the nodes of a
+transform into blocks.  The cached dense Trajectory of
 fundamental_trajectory serves the other callers that need solutions inside
-[a, b] (eigen_expansion, mfun --trace, phi_at/psi_at), and is the fallback
-of both kernels: on the reference engine, past the Magnus step budget and,
-for phi_rows, on variable pieces.
+[a, b] (eigen_expansion, mfun --trace, phi_at/psi_at), and is the walk's
+per-lambda fallback: on the reference engine, for points t in a variable
+piece, and past the Magnus step budget.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -121,7 +124,6 @@ _MAGNUS_MAX_STEPS = 1 << 16  # beyond this the piece falls back to DOP853
 _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
 _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
 _MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
-_ROW_BATCH = 1 << 15  # most lambda x t entries in one block of phi_rows
 
 
 def _magnus_parts(rules, left: np.ndarray, h):
@@ -355,24 +357,16 @@ def _locate(problem: SLProblem, ends: np.ndarray, t) -> tuple[np.ndarray, np.nda
 class Trajectory:
     """Dense solution of one propagation over [a, b].
 
-    Holds one segment per coefficient piece plus the accepted step nodes;
-    evaluation dispatches query points to the owning segment.
+    Holds one segment per coefficient piece; evaluation dispatches query
+    points to the owning segment, and the step nodes and the endpoint are
+    read off the segments' .t and .y when asked for.
     """
 
-    def __init__(
-        self,
-        problem: SLProblem,
-        lam: complex,
-        segments: list,
-        seg_bounds: list[tuple[float, float]],
-        nodes: list[tuple[float, StateVec]],
-    ):
+    def __init__(self, problem: SLProblem, lam: complex, segments: list):
         self.problem = problem
         self.lam = lam
         self._segments = segments
-        self._seg_bounds = seg_bounds
-        self._seg_ends = np.array([b for _, b in seg_bounds[:-1]])
-        self.nodes: tuple[tuple[float, StateVec], ...] = tuple(nodes)
+        self._seg_ends = np.array([seg.t[-1] for seg in segments[:-1]])
 
     def eval(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Values (y, y^[1]) at the query points, as arrays."""
@@ -392,8 +386,17 @@ class Trajectory:
         return StateVec(complex(y[0]), complex(y1[0]))
 
     @property
+    def nodes(self) -> tuple[tuple[float, StateVec], ...]:
+        """(t, state) at a and at the step nodes of every segment, up to b."""
+        first = self._segments[0]
+        pts = [(first.t[0], first.y[:, 0])]
+        pts += [(seg.t[k], seg.y[:, k]) for seg in self._segments for k in range(1, seg.t.size)]
+        return tuple((float(t), StateVec(complex(y[0]), complex(y[1]))) for t, y in pts)
+
+    @property
     def endpoint(self) -> StateVec:
-        return self.nodes[-1][1]
+        y, y1 = self._segments[-1].y[:, -1]
+        return StateVec(complex(y), complex(y1))
 
 
 def _piece_rhs(p_rule, q_rule, d_rule, lam):
@@ -453,10 +456,6 @@ def propagate(
     use_exact = problem.quad.closed_form_pieces
 
     segments = []
-    seg_bounds = []
-    nodes: list[tuple[float, StateVec]] = [
-        (problem.a, StateVec(complex(state[0]), complex(state[1])))
-    ]
     # overflow at large |lambda| leaves a non-finite state, which the check
     # below turns into a PropagationError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -488,24 +487,18 @@ def propagate(
                     f"non-finite state at t={t1:.6g}, lambda={lam}; solution overflow"
                 )
             segments.append(seg)
-            seg_bounds.append((t0, t1))
-            for k in range(1, seg.t.size):
-                nodes.append(
-                    (float(seg.t[k]), StateVec(complex(seg.y[0, k]), complex(seg.y[1, k])))
-                )
             state = seg.y[:, -1]
-    return Trajectory(problem, lam, segments, seg_bounds, nodes)
+    return Trajectory(problem, lam, segments)
 
 
 # ---------------------------------------------------------------------------
 # fundamental solutions, cached
 
 
-def _phi_init(alpha: float) -> tuple[float, float]:
-    return (-math.sin(alpha), math.cos(alpha))
-
-
-def _psi_init(alpha: float) -> tuple[float, float]:
+def _init(alpha: float, which: str) -> tuple[float, float]:
+    """(y(a), y^[1](a)) of phi or psi."""
+    if which == "phi":
+        return (-math.sin(alpha), math.cos(alpha))
     return (-math.cos(alpha), -math.sin(alpha))
 
 
@@ -553,10 +546,67 @@ def fundamental_trajectory(problem: SLProblem, lam: complex, which: str) -> Traj
     key = (problem, lam.real, lam.imag, which)
     traj = _cache.get(key)
     if traj is None:
-        init = _phi_init(problem.alpha) if which == "phi" else _psi_init(problem.alpha)
-        traj = propagate(problem, lam, init)
+        traj = propagate(problem, lam, _init(problem.alpha, which))
         _cache.put(key, traj)
     return traj
+
+
+def _walk(problem: SLProblem, lams: np.ndarray, which: tuple[str, ...], t=None):
+    """States (y, y^[1]) at b, shape (2, len(which), len(lams)), and y at the
+    points t, shape (len(which), len(lams), len(t)), of the fundamental
+    solutions named in which ("phi", "psi") for every lambda in lams, by the
+    one walk of the module docstring.  Its steps are the expressions of
+    _ExactSegment, so the values match the per-lambda trajectories to
+    rounding.  A non-finite state stays non-finite on every later piece, so
+    one check at b raises PropagationError for exactly the lambda propagate
+    refuses.
+    """
+    pieces = _pieces(problem)
+    if t is None:
+        t, idx = np.empty(0), np.empty(0, int)
+    else:
+        t, idx = _locate(problem, np.array([t1 for _, t1, _, _ in pieces[:-1]]), t)
+    hit = set(idx.tolist())  # the pieces that hold points t
+    batched = problem.quad.closed_form_pieces and all(pieces[k][3] for k in hit)
+    fallback = np.full(lams.shape, not batched)
+    rtol = max(problem.quad.ode_tol, _MIN_RTOL)
+    inits = np.array([_init(problem.alpha, w) for w in which])
+    y, y1 = inits.T[..., None] * np.ones_like(lams)
+    rows = np.empty((len(which), lams.size, t.size), lams.dtype)
+    with np.errstate(all="ignore"):  # overflow is caught at b
+        const = [(t1 - t0, *(r.value for r in rules)) for t0, t1, rules, c in pieces if c]
+        h, p, q, d = np.array(const).reshape(-1, 4, 1).transpose(1, 0, 2)
+        coef = q - lams * d
+        closed = zip(p, coef, *_closed_form(coef / p, h))
+        for k, (t0, t1, rules, constant) in enumerate(pieces if batched else ()):
+            if constant:
+                p, coef, C, S = next(closed)
+                if k in hit:
+                    sel = idx == k
+                    Ct, St = _closed_form(coef[:, None] / p, t[sel] - t0)
+                    rows[..., sel] = y[..., None] * Ct + (y1[..., None] / p) * St
+                y, y1 = y * C + (y1 / p) * S, y * coef * S + y1 * C
+            else:  # lambda already falling back keep a stale state until the loop below
+                run = np.flatnonzero(~fallback)
+                _, T, spent = _magnus_transfers(rules, t0, t1, lams[run], rtol)
+                fallback[run[spent]] = True  # the step budget ran out
+                (t00, t01), (t10, t11) = T.transpose(1, 2, 0)
+                u, v = y[:, run], y1[:, run]
+                y[:, run], y1[:, run] = t00 * u + t01 * v, t10 * u + t11 * v
+    ends = np.array([y, y1])
+    real = np.real if ends.dtype == float else np.asarray
+    for i in np.flatnonzero(fallback):
+        for j, w in enumerate(which):
+            traj = fundamental_trajectory(problem, lams[i], w)
+            end = traj.endpoint
+            ends[:, j, i] = real([end.y, end.y1])
+            rows[j, i] = real(traj.eval(t)[0])
+    if not np.isfinite(ends).all():
+        bad = ~np.isfinite(ends).all(axis=(0, 1))
+        raise PropagationError(
+            f"non-finite state at t={problem.b:.6g}, lambda={lams[bad][0]}; solution overflow"
+        )
+    return ends, rows
 
 
 def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
@@ -567,80 +617,14 @@ def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
     if np.iscomplexobj(lams) and np.all(lams.imag == 0.0):
         lams = lams.real
     lams = lams.astype(complex if np.iscomplexobj(lams) else float)
-    one, zero = np.ones_like(lams), np.zeros_like(lams)
-    T = (one, zero, zero, one)
-    fallback = np.full(lams.shape, not problem.quad.closed_form_pieces)
-    rtol = max(problem.quad.ode_tol, _MIN_RTOL)
-    pieces = _pieces(problem) if problem.quad.closed_form_pieces else ()
-    # overflow leaves non-finite states, which the check below turns into a
-    # PropagationError
-    with np.errstate(all="ignore"):
-        # exp(hA) of every constant piece for every lambda in one pass
-        const = [(t1 - t0, *(r.value for r in rules)) for t0, t1, rules, c in pieces if c]
-        h, p, q, d = np.array(const).reshape(-1, 4, 1).transpose(1, 0, 2)
-        coef = q - d * lams
-        C, S = _cosh_sinhc(h * h * coef / p)
-        closed = zip(C, S * (h / p), S * (h * coef), C)
-        for t0, t1, rules, constant in pieces:
-            if constant:
-                E = next(closed)
-            else:
-                E = np.zeros((4, lams.size), lams.dtype)
-                run = np.flatnonzero(~fallback)
-                _, T_run, spent = _magnus_transfers(rules, t0, t1, lams[run], rtol)
-                E[:, run] = T_run.reshape(-1, 4).T
-                fallback[run[spent]] = True  # the step budget ran out
-            T = _mul(E, T)
-        inits = np.array([_phi_init(problem.alpha), _psi_init(problem.alpha)]).T
-        out = np.stack(T, axis=-1).reshape(-1, 2, 2) @ inits
-    for i in np.flatnonzero(fallback):
-        ph, ps = (fundamental_trajectory(problem, lams[i], w).endpoint for w in ("phi", "psi"))
-        states = np.array([[ph.y, ps.y], [ph.y1, ps.y1]])
-        out[i] = states if np.iscomplexobj(out) else states.real
-    bad = ~np.isfinite(out).all(axis=(1, 2))
-    if np.any(bad):
-        raise PropagationError(
-            f"non-finite state at t={problem.b:.6g}, lambda={lams[bad][0]}; solution overflow"
-        )
-    return out
+    return _walk(problem, lams, ("phi", "psi"))[0].transpose(2, 0, 1)
 
 
 def phi_rows(problem: SLProblem, lams, t) -> np.ndarray:
-    """phi(t_j, lambda_k) for real lambda, as a (len(lams), len(t)) array.
-
-    On an all-constant problem with closed-form pieces, each block of at
-    most _ROW_BATCH lambda x t entries walks the pieces once: one partial
-    step from the piece's start state to its t points, and one to its end,
-    which carries the state on.  The expressions are those of _ExactSegment,
-    so the rows match the per-lambda trajectories to rounding, and overflow
-    of phi or phi^[1] at a piece end raises PropagationError, as in
-    propagate.  Other problems take fundamental_trajectory's rows.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    pieces = _pieces(problem)
-    t, idx = _locate(problem, np.array([t1 for _, t1, _, _ in pieces[:-1]]), t)
-    if not (problem.quad.closed_form_pieces and all(c for *_, c in pieces)):
-        rows = [fundamental_trajectory(problem, lam, "phi").eval(t)[0].real for lam in lams]
-        return np.array(rows).reshape(lams.size, t.size)
-    out = np.empty((lams.size, t.size))
-    n = max(1, _ROW_BATCH // max(1, t.size))
-    with np.errstate(all="ignore"):  # overflow is checked at every piece end
-        for i in range(0, lams.size, n):
-            lam = lams[i : i + n, None]
-            y, y1 = (np.full(lam.shape, v) for v in _phi_init(problem.alpha))
-            for k, (t0, t1, rules, _) in enumerate(pieces):
-                p, q, d = (r.value for r in rules)
-                coef, sel = q - lam * d, idx == k
-                C, S = _closed_form(coef / p, t[sel] - t0)
-                out[i : i + n, sel] = y * C + (y1 / p) * S
-                C, S = _closed_form(coef / p, t1 - t0)
-                y, y1 = y * C + (y1 / p) * S, y * coef * S + y1 * C
-                bad = ~(np.isfinite(y) & np.isfinite(y1))
-                if np.any(bad):
-                    raise PropagationError(
-                        f"non-finite state at t={t1:.6g}, lambda={lam[bad][0]}; solution overflow"
-                    )
-    return out
+    """phi(t_j, lambda_k) for real lambda, as a (len(lams), len(t)) array,
+    read off _walk at the points t; points t in a variable piece take
+    fundamental_trajectory's rows.  Overflow raises PropagationError."""
+    return _walk(problem, np.atleast_1d(np.asarray(lams, dtype=float)), ("phi",), t)[1][0]
 
 
 def phi_at(problem: SLProblem, lam: complex, t: float) -> StateVec:

@@ -23,7 +23,9 @@ polynomially to eps = 0.  Point masses are similarly computed by residue
 and by the eps-limit of eps * Im m, and the two must agree.
 
 Everything takes lambda in batches, with one call of endpoint_states and one
-of each tau closure per batch.  Outside the eigenvalue scan,
+of each tau closure per batch; endpoint_states reads phi and psi at b off
+the one lambda-batched walk of the pieces in slspectra.propagator, which
+takes each batch whole.  Outside the eigenvalue scan,
 build_spectral_function makes one such call for the pole probes of all
 roots, two for all point masses (_point_masses) and one for the density.
 """
@@ -315,36 +317,30 @@ def _scan_segment(
     that survives the full depth at rounding level is a suspected double
     root and is an error, never merged.
     """
-    n = s_nodes.size
     vals, valid = _scan_values(problem, tau, s_nodes * np.abs(s_nodes))
-    for i in range(n - 1):
-        if not (valid[i] and valid[i + 1]):
-            continue
-        if vals[i] == 0.0:
-            roots.append(_u_of(float(s_nodes[i])))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            brackets.append((float(s_nodes[i]), float(s_nodes[i + 1]), vals[i], vals[i + 1]))
-    if valid[-1] and vals[-1] == 0.0:
-        roots.append(_u_of(float(s_nodes[-1])))
+    pair = valid[:-1] & valid[1:]
+    zero = np.append(pair, valid[-1]) & (vals == 0.0)
+    roots += _u_of(s_nodes[zero]).tolist()
+    k = np.flatnonzero(pair & (vals[:-1] * vals[1:] < 0.0))
+    brackets += zip(*(a.tolist() for a in (s_nodes[k], s_nodes[k + 1], vals[k], vals[k + 1])))
 
-    for i in range(1, n - 1):
-        if not (valid[i - 1] and valid[i] and valid[i + 1]):
-            continue
-        trip = vals[i - 1 : i + 2]
-        if np.any(trip == 0.0) or len(set(np.sign(trip))) != 1:
-            continue
-        if not (abs(vals[i]) <= abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1])):
-            continue
-        if depth == 0:
-            local = max(abs(vals[i - 1]), abs(vals[i + 1]))
-            if abs(vals[i]) < 1e-9 * local:
-                raise DoubleRootError(
-                    f"denominator nearly vanishes without sign change near "
-                    f"lambda={_u_of(float(s_nodes[i])):.8g}"
-                )
-            continue
-        sub = np.linspace(float(s_nodes[i - 1]), float(s_nodes[i + 1]), 17)
+    # interior same-sign triples whose middle |value| is the smallest
+    lo, mid, hi = vals[:-2], vals[1:-1], vals[2:]
+    sign = np.sign(mid)
+    dip = valid[:-2] & valid[1:-1] & valid[2:] & (mid != 0.0)
+    dip &= (np.sign(lo) == sign) & (np.sign(hi) == sign)
+    dip &= (np.abs(mid) <= np.abs(lo)) & (np.abs(mid) <= np.abs(hi))
+    if depth == 0:
+        double = dip & (np.abs(mid) < 1e-9 * np.maximum(np.abs(lo), np.abs(hi)))
+        if np.any(double):
+            i = int(np.argmax(double))
+            raise DoubleRootError(
+                f"denominator nearly vanishes without sign change near "
+                f"lambda={_u_of(float(s_nodes[i + 1])):.8g}"
+            )
+        return
+    for i in np.flatnonzero(dip).tolist():
+        sub = np.linspace(float(s_nodes[i]), float(s_nodes[i + 2]), 17)
         _scan_segment(problem, tau, sub, depth - 1, roots, brackets)
 
 
@@ -367,11 +363,6 @@ def find_eigenvalues(
         raise ConfigError(f"empty search interval [{lo}, {hi}]")
     if max_count < 1:
         raise ConfigError("max_count must be >= 1")
-    if tau.kind == "analytic" and not tau.has_boundary_values:
-        raise ConfigError(
-            "real pole search needs boundary values tau+(u); "
-            f"parameter {tau.label()} does not provide them"
-        )
     step = math.pi / (6.0 * max(_ell(problem), 0.1))
     # one extra step of margin so a dip sitting on an interval edge still
     # has both triple neighbours; margin finds are dropped below
@@ -620,8 +611,7 @@ def build_spectral_function(
     nodes, lo, hi = nodes[keep], lo[keep], hi[keep]
 
     dens = np.zeros(nodes.size)
-    orthogonal = tau.kind in ("constant", "infinity")
-    if not orthogonal and tau.has_boundary_values:
+    if tau.kind == "analytic":  # with boundary values, or find_eigenvalues had refused it
         tv, inf = _tau_array(tau, nodes)
         # real boundary value: Im m(u+i0) = 0 exactly off the poles, and pole
         # neighbourhoods are already excluded above
@@ -629,8 +619,6 @@ def build_spectral_function(
         if np.any(need):
             _check_schedule(eps_schedule)
             dens[need] = _density_boundary(problem, tau, nodes[need])
-    elif not orthogonal:
-        dens = _extrapolated_densities(problem, tau, nodes, _check_schedule(eps_schedule))
     return SpectralFunction(
         ac_grid=nodes,
         ac_density=dens,

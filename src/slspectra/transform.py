@@ -9,9 +9,10 @@ is kept when the two agree within the problem's quadrature tolerances, and
 a node that fails is recomputed by the adaptive rule of quadrature.py, which
 raises QuadratureError rather than return a degraded value.  The source norm
 ||y||^2_Delta comes from the same grids with the same check.  Both sides
-use one matrix Phi[k, j] = phi(t_j, s_k) from propagator.phi_rows, a block
-of nodes at a time.  The inverse, its bound and the Parseval norm all come
-from one truncated spectral sum
+use one matrix Phi[k, j] = phi(t_j, s_k) from propagator.phi_rows, one walk
+of the pieces per block of nodes; _phi_blocks is the one place that splits
+the nodes into blocks, of at most _ROW_BATCH entries of Phi.  The inverse,
+its bound and the Parseval norm all come from one truncated spectral sum
 
     y_N(t) = sum_k phi(t, s_k) w_k yhat(s_k)
 
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import ConfigError, CrossCheckError, GridMismatchError, WindowError
 from .nevanlinna import BoundaryParam, classify_bc
 from .problem import SLProblem, delta_inner, delta_norm
-from .propagator import _ROW_BATCH, fundamental_trajectory, phi_rows
+from .propagator import fundamental_trajectory, phi_rows
 from .quadrature import _w_high, _x_high
 from .spectral import (
     SpectralFunction,
@@ -54,6 +55,7 @@ from .spectral import (
 
 _ZERO_NORM = 1e-30  # below this, treat ||y||^2_Delta as zero
 _MAX_PANELS = 4096  # per subinterval; bounds the grid for extreme nodes
+_ROW_BATCH = 1 << 15  # most node x t entries of Phi held at once (_phi_blocks)
 
 
 @dataclass(frozen=True)

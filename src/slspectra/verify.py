@@ -63,17 +63,6 @@ class CriterionResult:
     detail: str
 
 
-def _quad(ode_tol: float | None, quad_tol: float | None) -> QuadConfig:
-    kwargs: dict = {}
-    if ode_tol is not None:
-        kwargs["ode_tol"] = float(ode_tol)
-        kwargs["closed_form_pieces"] = False
-    if quad_tol is not None:
-        kwargs["abs_tol"] = float(quad_tol)
-        kwargs["rel_tol"] = float(quad_tol)
-    return QuadConfig(**kwargs)
-
-
 def free_problem(quad: QuadConfig = QuadConfig()) -> SLProblem:
     """p = q-free unit-weight problem on [0,1], alpha = -pi/2."""
     return constant_coefficient_problem(quad=quad)
@@ -384,7 +373,7 @@ def run_all(
     k_max: int | None = None,
     quad_tol: float | None = None,
 ) -> list[CriterionResult]:
-    quad = _quad(ode_tol, quad_tol)
+    quad = QuadConfig().with_tolerances(ode_tol, quad_tol)
     free = free_problem(quad)
     mid = middle_third_problem(quad)
     checks = [

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from slspectra import cli, verify
 from slspectra.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -104,6 +105,25 @@ class TestMfun:
         re_s, im_s = line[4:].rstrip("i").split(" + ")
         want = oracles.m_sqrt_free(2j)
         assert complex(float(re_s), float(im_s)) == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("flags", [[], ["--ode-tol", "1e-9"], ["--quad-tol", "1e-8"],
+                                       ["--ode-tol", "1e-9", "--quad-tol", "1e-8"]])
+    def test_tolerance_flags_match_verify(self, monkeypatch, flags):
+        # the CLI and the verification suite map the flags onto one QuadConfig
+        args = cli.build_parser().parse_args([*flags, "eig", "--tau", "sqrt", "--range", "0,1"])
+        problem, _ = cli._load_problem(args)
+
+        class Built(Exception):
+            pass
+
+        def built(quad):
+            raise Built(quad)
+
+        monkeypatch.setattr(verify, "free_problem", built)
+        with pytest.raises(Built) as exc:
+            verify.run_all(ode_tol=args.ode_tol, quad_tol=args.quad_tol)
+        assert exc.value.args[0] == problem.quad
+        assert problem.quad.closed_form_pieces == ("--ode-tol" not in flags)
 
 
 class TestNonFiniteInputs:

@@ -29,7 +29,7 @@ from slspectra import (
     sqrt_param,
     wronskian,
 )
-from slspectra import propagator
+from slspectra import propagator, transform
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -440,9 +440,23 @@ class TestPhiRows:
         self._assert_matches(prob, self.LAMBDAS, t)
 
     def test_blocks_of_uneven_size(self, middle_third, monkeypatch):
+        # transform._phi_blocks is the one place that splits lambda into blocks
         t = np.linspace(0.0, 1.0, 11)
-        monkeypatch.setattr(propagator, "_ROW_BATCH", 3 * t.size)  # blocks of 3, 3 and 1
-        self._assert_matches(middle_third, self.LAMBDAS, t)
+        monkeypatch.setattr(transform, "_ROW_BATCH", 3 * t.size)
+        blocks = list(transform._phi_blocks(middle_third, np.array(self.LAMBDAS), t))
+        assert [(blk.start, rows.shape[0]) for blk, rows in blocks] == [(0, 3), (3, 3), (6, 1)]
+        got = np.concatenate([rows for _, rows in blocks])
+        want = _per_lambda_rows(middle_third, self.LAMBDAS, t)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("name", ["free", "middle_third"])
+    def test_row_at_b_is_the_endpoint_state(self, request, name):
+        # one walk: phi at b from the rows equals the endpoint kernel's phi(b)
+        prob = request.getfixturevalue(name)
+        rows = propagator.phi_rows(prob, self.LAMBDAS, [prob.b])
+        np.testing.assert_array_equal(
+            rows[:, 0], propagator.endpoint_states(prob, self.LAMBDAS)[:, 0, 0]
+        )
 
     def test_empty_axes_keep_their_shape(self, free):
         assert propagator.phi_rows(free, [], np.linspace(0.0, 1.0, 4)).shape == (0, 4)

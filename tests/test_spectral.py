@@ -17,6 +17,7 @@ from slspectra.propagator import fundamental_trajectory
 from slspectra import (
     ConfigError,
     CrossCheckError,
+    DoubleRootError,
     PoleContaminatedError,
     PoleProximityError,
     WindowError,
@@ -237,6 +238,11 @@ class TestBuildSpectralFunction:
             build_spectral_function(free, SQRT, (10.0, -10.0))
         with pytest.raises(ConfigError):
             build_spectral_function(free, SQRT, (0.0, math.inf))
+
+    def test_tau_without_boundary_values_refused(self, free):
+        # there is no extrapolation route: the pole search needs tau+(u)
+        with pytest.raises(ConfigError, match="needs boundary values"):
+            build_spectral_function(free, SQRT_FN_ONLY, (-50.0, 100.0), ac_nodes=32)
 
     def test_pure_point_constructor(self):
         sig = pure_point_spectral([(4.0, 0.5), (1.0, 2.0)], (0.0, 9.0))
@@ -566,6 +572,92 @@ class TestBracketRefinement:
         )
         with pytest.raises(PoleProximityError):
             find_eigenvalues(free, C0, (0.0, 100.0))
+
+
+def _scan_segment_loops(problem, tau, s_nodes, depth, roots, brackets):
+    """_scan_segment as it was, with a Python loop over the scan nodes for
+    the zeros and sign changes and one for the dip triples."""
+    n = s_nodes.size
+    vals, valid = spectral._scan_values(problem, tau, s_nodes * np.abs(s_nodes))
+    for i in range(n - 1):
+        if not (valid[i] and valid[i + 1]):
+            continue
+        if vals[i] == 0.0:
+            roots.append(spectral._u_of(float(s_nodes[i])))
+            continue
+        if vals[i] * vals[i + 1] < 0.0:
+            brackets.append((float(s_nodes[i]), float(s_nodes[i + 1]), vals[i], vals[i + 1]))
+    if valid[-1] and vals[-1] == 0.0:
+        roots.append(spectral._u_of(float(s_nodes[-1])))
+
+    for i in range(1, n - 1):
+        if not (valid[i - 1] and valid[i] and valid[i + 1]):
+            continue
+        trip = vals[i - 1 : i + 2]
+        if np.any(trip == 0.0) or len(set(np.sign(trip))) != 1:
+            continue
+        if not (abs(vals[i]) <= abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1])):
+            continue
+        if depth == 0:
+            local = max(abs(vals[i - 1]), abs(vals[i + 1]))
+            if abs(vals[i]) < 1e-9 * local:
+                raise DoubleRootError(
+                    f"denominator nearly vanishes without sign change near "
+                    f"lambda={spectral._u_of(float(s_nodes[i])):.8g}"
+                )
+            continue
+        sub = np.linspace(float(s_nodes[i - 1]), float(s_nodes[i + 1]), 17)
+        _scan_segment_loops(problem, tau, sub, depth - 1, roots, brackets)
+
+
+class TestScanSegment:
+    """The array masks of _scan_segment against the node loops they replace."""
+
+    CASES = [("free", SQRT, (0.0, 1000.0)), ("mid", C0, (-1.0, 3000.0)),
+             ("mid", C0, (6.0e4, 7.8e4)), ("varcoef", C0, (-20.0, 1100.0))]
+
+    @staticmethod
+    def _both(problem, tau, s_nodes, depth):
+        got, want = ([], []), ([], [])
+        spectral._scan_segment(problem, tau, s_nodes, depth, *got)
+        _scan_segment_loops(problem, tau, s_nodes, depth, *want)
+        return got, want
+
+    @pytest.mark.parametrize(
+        "name,tau,interval", CASES, ids=["free-sqrt", "mid-c0", "mid-close-pairs", "poly-c0"]
+    )
+    def test_roots_and_brackets_equal_the_loops(self, request, monkeypatch, name, tau, interval):
+        prob = request.getfixturevalue(name)
+        calls = []
+        scan = spectral._scan_segment
+        monkeypatch.setattr(
+            spectral, "_scan_segment", lambda *a: calls.append(a[2:4]) or scan(*a)
+        )
+        find_eigenvalues(prob, tau, interval)
+        monkeypatch.undo()
+        got, want = self._both(prob, tau, *calls[0])
+        assert got == want and len(got[1]) > 3
+
+    @pytest.mark.parametrize("floor", [0.1, 1e-30], ids=["shallow-dip", "double-root"])
+    def test_zeros_invalid_nodes_and_dips(self, free, monkeypatch, floor):
+        # f(s) = (s^2 - 1) ((s - 2.5)^2 + floor): zeros on the nodes s = -1
+        # and 1, a dip at s = 2.5, and invalid nodes below s = -3
+        def scan_values(problem, tau, us):
+            s = np.sign(us) * np.sqrt(np.abs(us))
+            return (s * s - 1.0) * ((s - 2.5) ** 2 + floor), s > -3.0
+
+        monkeypatch.setattr(spectral, "_scan_values", scan_values)
+        s_nodes = np.linspace(-4.0, 4.0, 17)
+        for depth in range(3):
+            if floor < 1e-9:
+                with pytest.raises(DoubleRootError) as want:
+                    _scan_segment_loops(free, C0, s_nodes, depth, [], [])
+                with pytest.raises(DoubleRootError, match="^" + re.escape(str(want.value)) + "$"):
+                    spectral._scan_segment(free, C0, s_nodes, depth, [], [])
+            else:
+                for nodes in (s_nodes, s_nodes[:11]):  # the second ends on the zero at s = 1
+                    got, want = self._both(free, C0, nodes, depth)
+                    assert got == want and got[0] == [-1.0, 1.0]
 
 
 class TestTauArray:
