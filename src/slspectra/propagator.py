@@ -48,9 +48,9 @@ phi_rows reads phi at the points t, for the transform and its inverse.  The
 walk takes the batch it is given: slspectra.transform splits the nodes of a
 transform into blocks.  The cached dense Trajectory of
 fundamental_trajectory serves the other callers that need solutions inside
-[a, b] (eigen_expansion, mfun --trace, phi_at/psi_at), and is the walk's
-per-lambda fallback: on the reference engine, for points t in a variable
-piece, and past the Magnus step budget.
+[a, b] (mfun --trace, phi_at/psi_at, the adaptive fallback of the
+transform), and is the walk's per-lambda fallback: on the reference engine,
+for points t in a variable piece, and past the Magnus step budget.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -87,9 +87,6 @@ class StateVec:
         for v in (self.y, self.y1):
             if not (np.isfinite(complex(v).real) and np.isfinite(complex(v).imag)):
                 raise PropagationError(f"non-finite state component {v!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.y, self.y1])
 
 
 class _ExactSegment:
@@ -348,7 +345,7 @@ def _locate(problem: SLProblem, ends: np.ndarray, t) -> tuple[np.ndarray, np.nda
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     a, b = problem.a, problem.b
     tol = 1e-9 * (1.0 + abs(b - a))
-    if np.any(t_arr < a - tol) or np.any(t_arr > b + tol):
+    if not np.all((t_arr >= a - tol) & (t_arr <= b + tol)):  # so is NaN
         raise PropagationError("evaluation point outside [a, b]")
     t_arr = np.clip(t_arr, a, b)
     return t_arr, np.searchsorted(ends, t_arr, side="right")

@@ -542,10 +542,6 @@ class SpectralFunction:
         object.__setattr__(self, "cell_lo", lo)
         object.__setattr__(self, "cell_hi", hi)
 
-    @property
-    def mass_locations(self) -> np.ndarray:
-        return np.array([s for s, _ in self.point_masses])
-
     def ac_measure(self, x1: float, x2: float) -> float:
         """Integral of the density over [x1, x2), cellwise with pro-rated
         partial cells."""

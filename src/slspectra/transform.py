@@ -8,7 +8,8 @@ nodes.  A second grid with 1.5x the panels checks each node; the finer value
 is kept when the two agree within the problem's quadrature tolerances, and
 a node that fails is recomputed by the adaptive rule of quadrature.py, which
 raises QuadratureError rather than return a degraded value.  The source norm
-||y||^2_Delta comes from the same grids with the same check.  Both sides
+||y||^2_Delta and the norms ||phi(., lambda_k)||^2_Delta of eigen_expansion
+come from the same grids with the same check (_checked).  Both sides
 use one matrix Phi[k, j] = phi(t_j, s_k) from propagator.phi_rows, one walk
 of the pieces per block of nodes; _phi_blocks is the one place that splits
 the nodes into blocks, of at most _ROW_BATCH entries of Phi.  The inverse,
@@ -139,6 +140,14 @@ def _hat_at(problem: SLProblem, y: Callable, s: float) -> complex:
     return delta_inner(problem, y, phi)
 
 
+def _checked(problem: SLProblem, coarse, fine, adaptive: Callable[[], complex]) -> complex:
+    """The check of the two shared grids: fine when it agrees with coarse
+    within max(abs_tol, rel_tol |fine|) of problem.quad, else adaptive()."""
+    if abs(coarse - fine) <= max(problem.quad.abs_tol, problem.quad.rel_tol * abs(fine)):
+        return complex(fine)
+    return complex(adaptive())
+
+
 def _shared_grids(
     problem: SLProblem, s_ext: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -175,6 +184,22 @@ def _shared_grids(
     )
 
 
+def _phi_norms_sq(problem: SLProblem, lams: np.ndarray) -> np.ndarray:
+    """||phi(., lam_k)||^2_Delta for real lam_k: the squared rows of phi on
+    the two shared grids, with fourier_transform's check; a node that fails
+    it is recomputed by delta_norm."""
+    (t1, w1), (t2, w2) = _shared_grids(problem, np.array([lams.min(), lams.max()]))
+    coarse, fine = np.empty((2, lams.size))
+    for blk, rows in _phi_blocks(problem, lams, np.concatenate([t1, t2])):
+        coarse[blk], fine[blk] = rows[:, : t1.size] ** 2 @ w1, rows[:, t1.size :] ** 2 @ w2
+
+    def adaptive(s: float) -> float:
+        return delta_norm(problem, lambda t: phi_rows(problem, [s], t)[0]) ** 2
+
+    return np.array([_checked(problem, c, f, lambda s=s: adaptive(s)).real
+                     for s, c, f in zip(lams, coarse, fine)])
+
+
 def fourier_transform(
     problem: SLProblem, y: Callable, sigma: SpectralFunction
 ) -> TransformedFn:
@@ -197,23 +222,16 @@ def fourier_transform(
     t_all = np.concatenate([t1, t2])
     y_all = np.asarray(yv(t_all))
     c1, c2 = w1 * y_all[: t1.size], w2 * y_all[t1.size :]
-    abs_tol, rel_tol = problem.quad.abs_tol, problem.quad.rel_tol
-
-    def checked(coarse, fine, adaptive: Callable[[], complex]) -> complex:
-        if abs(coarse - fine) <= max(abs_tol, rel_tol * abs(fine)):
-            return complex(fine)
-        return complex(adaptive())
-
     coarse, fine = np.empty((2, nodes.size), complex)
     for blk, rows in _phi_blocks(problem, nodes, t_all):
         coarse[blk], fine[blk] = rows[:, : t1.size] @ c1, rows[:, t1.size :] @ c2
     hats = [
-        checked(c, f, lambda s=s: _hat_at(problem, yv, s))
+        _checked(problem, c, f, lambda s=s: _hat_at(problem, yv, s))
         for s, c, f in zip(nodes, coarse, fine)
     ]
     y_sq = np.abs(y_all) ** 2
-    norm_sq = checked(
-        w1 @ y_sq[: t1.size], w2 @ y_sq[t1.size :], lambda: delta_inner(problem, yv, yv)
+    norm_sq = _checked(
+        problem, w1 @ y_sq[: t1.size], w2 @ y_sq[t1.size :], lambda: delta_inner(problem, yv, yv)
     )
     n_ac = sigma.ac_grid.size
     return TransformedFn(
@@ -420,10 +438,10 @@ def eigen_expansion(
 ) -> list[EigenMode]:
     """First K modes of the orthogonal (constant or infinite tau) expansion.
 
-    v_k = phi(., lambda_k)/||phi||_Delta; coefficients are (y, v_k)_Delta.
-    Internally cross-checked against inverse_transform with the pure-point
-    spectral function whose jumps come from the residue route: the two
-    agree iff sigma_k = 1/||phi(., lambda_k)||^2_Delta numerically.
+    v_k = phi(., lambda_k)/||phi||_Delta; coefficients are (y, v_k)_Delta,
+    read off one fourier_transform against the pure-point spectral function.
+    Cross-checked on the phi_rows of t_grid: sum_k yhat_k phi_k/||phi_k||^2
+    and sum_k sigma_k yhat_k phi_k (residue jumps) agree iff sigma_k = 1/||phi_k||^2.
     """
     if tau.kind not in ("constant", "infinity"):
         raise ConfigError(
@@ -456,34 +474,23 @@ def eigen_expansion(
     if len(eigs) < K:
         raise ConfigError(f"found only {len(eigs)} eigenvalues below {hi:g}, need {K}")
 
-    modes: list[EigenMode] = []
-    for lam_k in eigs:
-        traj = fundamental_trajectory(problem, lam_k, "phi")
-
-        def phi_fn(t: np.ndarray, _tr=traj) -> np.ndarray:
-            return _tr.eval(t)[0].real
-
-        nrm = delta_norm(problem, phi_fn)
-        if nrm <= 0:
-            raise CrossCheckError(f"eigenfunction at {lam_k} has zero Delta-norm")
-        coeff = delta_inner(problem, yv, phi_fn).real / nrm
-        modes.append(EigenMode(lam=lam_k, coefficient=coeff, values=phi_fn(t_arr) / nrm))
-
-    recon = np.zeros(t_arr.shape)
-    for mode in modes:
-        recon = recon + mode.coefficient * mode.values
-
+    norm_sq = _phi_norms_sq(problem, np.array(eigs))
+    if norm_sq.min() <= 0:
+        raise CrossCheckError(f"eigenfunction at {eigs[np.argmin(norm_sq)]} has zero Delta-norm")
     window = (min(lo, eigs[0] - 1.0), max(hi, eigs[-1] + 1.0))
-    sigma_pp = pure_point_spectral(zip(eigs, _point_masses(problem, tau, eigs).tolist()), window)
-    yhat = fourier_transform(problem, yv, sigma_pp)
-    alt, _ = _inverse_on_grid(
-        problem, sigma_pp, yhat, t_arr, Truncation(k_max=K, ac_window=(0.0, 0.0))
-    )
+    jumps = _point_masses(problem, tau, eigs)
+    sigma_pp = pure_point_spectral(zip(eigs, jumps.tolist()), window)
+    hats = np.array([v for _, v in fourier_transform(problem, yv, sigma_pp).mass_values]).real
+    rows = phi_rows(problem, eigs, t_arr)
+    recon = (hats / norm_sq) @ rows
     scale = 1.0 + float(np.max(np.abs(recon)))
-    diff = float(np.max(np.abs(alt.real - recon)))
+    diff = float(np.max(np.abs((jumps * hats) @ rows - recon)))
     if diff > 1e-6 * scale:
         raise CrossCheckError(
             f"eigen expansion disagrees with pure-point inverse transform: "
             f"sup diff {diff:.3e}"
         )
-    return modes
+    return [
+        EigenMode(lam=lam_k, coefficient=float(h / n), values=row / n)
+        for lam_k, h, n, row in zip(eigs, hats, np.sqrt(norm_sq), rows)
+    ]

@@ -19,8 +19,10 @@ from slspectra import (
     constant,
     constant_coefficient_problem,
     delta_inner,
+    delta_norm,
     eigen_expansion,
     fourier_transform,
+    infinity,
     inverse_transform,
     loads_problem,
     membership_in_F,
@@ -30,8 +32,8 @@ from slspectra import (
     uniform_convergence_profile,
 )
 from slspectra import transform
-from slspectra.propagator import fundamental_trajectory
-from slspectra.transform import _hat_at, _inverse_on_grid
+from slspectra.propagator import fundamental_trajectory, phi_rows
+from slspectra.transform import EigenMode, _hat_at, _inverse_on_grid
 
 C0 = constant(0.0)
 SQRT = sqrt_param()
@@ -402,6 +404,57 @@ class TestConvergenceProfile:
         assert rep.monotone_tail
 
 
+LINEAR_P_INI = """
+[interval]
+a = 0.0
+b = 1.0
+alpha = -pi/2
+
+[coefficients.p]
+pieces =
+    0.0, 1.0, poly:1.0,0.5
+
+[coefficients.q]
+pieces =
+    0.0, 1.0, constant:0.0
+
+[coefficients.delta]
+pieces =
+    0.0, 1.0, constant:1.0
+"""
+
+
+@pytest.fixture(scope="module")
+def linear_p():
+    """p = 1 + t/2, so phi_rows takes per-lambda rows."""
+    return loads_problem(LINEAR_P_INI)
+
+
+def ones(t):
+    return np.ones_like(np.asarray(t, dtype=float))
+
+
+def modes_by_quadrature(problem, eigs, y, t_arr):
+    """Oracle: the per-mode route, a dense trajectory and two adaptive
+    quadratures per eigenvalue."""
+    out = []
+    for lam in eigs:
+        traj = fundamental_trajectory(problem, lam, "phi")
+        phi = lambda t, tr=traj: tr.eval(t)[0].real
+        nrm = delta_norm(problem, phi)
+        out.append(EigenMode(lam, delta_inner(problem, y, phi).real / nrm, phi(t_arr) / nrm))
+    return out
+
+
+def assert_same_modes(got, want):
+    """Coefficients and values within 1e-12 relative to 1 + |value|."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.lam == w.lam
+        assert abs(g.coefficient - w.coefficient) <= 1e-12 * (1.0 + abs(w.coefficient))
+        assert np.all(np.abs(g.values - w.values) <= 1e-12 * (1.0 + np.abs(w.values)))
+
+
 class TestEigenExpansion:
     def test_single_mode_coefficients(self, free):
         modes = eigen_expansion(free, C0, lambda t: np.cos(2.0 * math.pi * t), 3)
@@ -463,3 +516,66 @@ class TestEigenExpansion:
         for mode in modes:
             nrm = np.trapezoid(np.where(live, mode.values**2, 0.0), ts)
             assert nrm == pytest.approx(1.0, abs=5e-3)
+
+    @pytest.mark.parametrize("name, tau, K", [
+        ("free", C0, 20), ("free", infinity(), 10), ("mid", C0, 50), ("linear_p", C0, 8),
+    ], ids=["free-0", "free-inf", "mid-0", "linear_p-0"])
+    def test_matches_per_mode_quadrature(self, request, name, tau, K):
+        problem = request.getfixturevalue(name)
+        y = lambda t: np.exp(-t) + t**2
+        t_arr = np.linspace(problem.a, problem.b, 33)
+        modes = eigen_expansion(problem, tau, y, K)
+        assert_same_modes(modes, modes_by_quadrature(problem, [m.lam for m in modes], y, t_arr))
+
+    def test_one_transform_and_one_row_call(self, mid, monkeypatch):
+        calls = []
+
+        def spy(name):
+            fn = getattr(transform, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(transform, name, wrapped)
+
+        for name in ("delta_inner", "delta_norm", "fundamental_trajectory",
+                     "fourier_transform", "phi_rows"):
+            spy(name)
+        eigen_expansion(mid, C0, ones, 50)
+        t_grid = np.linspace(0.0, 1.0, 33)
+        on_grid = [a for n, a in calls if n == "phi_rows" and np.array_equal(a[2], t_grid)]
+        assert len(on_grid) == 1
+        assert [n for n, _ in calls if n != "phi_rows"] == ["fourier_transform"]
+
+    def test_failed_grid_check_falls_back_to_adaptive(self, mid, monkeypatch, hat_calls):
+        want = eigen_expansion(mid, C0, ones, 50)
+        assert hat_calls == []
+        norm_calls = []
+        norm = transform.delta_norm
+        monkeypatch.setattr(
+            transform, "delta_norm", lambda *a: norm_calls.append(a) or norm(*a)
+        )
+        monkeypatch.setattr(transform, "_MAX_PANELS", 1)
+        got = eigen_expansion(mid, C0, ones, 50)
+        assert len(norm_calls) > 0 and len(hat_calls) > 0
+        assert_same_modes(got, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "route", ["Trajectory.eval", "phi_rows", "eigen_expansion", "uniform_convergence_profile"]
+)
+def test_non_finite_evaluation_point_refused(free, sigma_pp, route, bad):
+    t = [0.5, bad]
+    call = {
+        "Trajectory.eval": lambda: fundamental_trajectory(free, 4.0, "phi").eval(t),
+        "phi_rows": lambda: phi_rows(free, [4.0], t),
+        "eigen_expansion": lambda: eigen_expansion(free, C0, ones, 2, t_grid=t),
+        "uniform_convergence_profile": lambda: uniform_convergence_profile(
+            free, sigma_pp, fourier_transform(free, ones, sigma_pp), ones,
+            [Truncation(3, (-10.0, 50.0))], t,
+        ),
+    }[route]
+    with pytest.raises(PropagationError, match=r"outside \[a, b\]"):
+        call()
