@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import ConfigError, QuadratureError
 from .quadrature import piecewise_integrate
@@ -78,6 +77,8 @@ class TableRule:
             raise ConfigError("table needs at least order+1 samples")
         if any(b <= a for a, b in zip(self.points_t, self.points_t[1:])):
             raise ConfigError("table abscissae must be strictly increasing")
+        from scipy.interpolate import make_interp_spline  # only table rules need scipy
+
         spline = make_interp_spline(self.points_t, self.points_v, k=self.order)
         object.__setattr__(self, "_spline", spline)
 

@@ -18,14 +18,15 @@ Three engines cover the pieces:
   s^2 = h^2 (q - lambda Delta) / p, evaluated by _cosh_sinhc.  It is exact
   to rounding, has det = 1, so the Wronskian holds identically, and costs
   microseconds, which keeps dense spectral sweeps cheap.
-* Magnus.  Every other piece takes n uniform steps of the fourth-order,
-  two-point Gauss Magnus method (Iserles & Norsett 1999).  Each step is the
-  exponential of a traceless 2x2 matrix, by the same formula, so the
+* Magnus.  Every other piece takes n uniform steps of the sixth-order,
+  three-point Gauss Magnus method (Blanes, Casas & Ros 2000).  Each step is
+  the exponential of a traceless 2x2 matrix, by the same formula, so the
   transfer matrix has det = 1 and the Wronskian holds to rounding.  The
-  coefficient samples at the Gauss nodes do not depend on lambda and are
-  cached per (piece, n); n is doubled until the Richardson estimate
-  |T_2n - T_n| / 15 meets quad.ode_tol.  _magnus_transfers does this for
-  a whole batch of lambda: those with the same starting n share one
+  exponent's entries are polynomials in lambda whose coefficients, built
+  from the coefficient samples at the Gauss nodes, do not depend on lambda
+  and are cached per (piece, n); n is doubled until the Richardson estimate
+  |T_2n - T_n| / 63 meets quad.ode_tol.  _magnus_transfers does this for a
+  whole batch of lambda: those with the same starting n share one
   (rows, n) step array, reduced pairwise along the step axis, and only the
   rows not yet converged are doubled again.
 * DOP853, the reference engine: an adaptive embedded Runge-Kutta method of
@@ -33,7 +34,8 @@ Three engines cover the pieces:
   quad.closed_form_pieces = False (the CLI's --ode-tol sets that), and
   serves as the test oracle for the two fast engines.  It also takes over a
   variable piece whose Magnus step count would pass _MAGNUS_MAX_STEPS, which
-  for p = 1 + t/2 happens beyond |lambda| ~ 1e7.
+  for p = 1 + t/2, q = 2t, Delta = 1 + t at ode_tol = 1e-11 happens beyond
+  |lambda| ~ 2e8 (16384 steps at 1e7).  scipy is imported on its first use.
 
 Complex spectral parameters propagate a complex state; real parameters stay
 in real arithmetic.
@@ -68,12 +70,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, PropagationError
 from .problem import ConstantRule, SLProblem
 
 _MIN_RTOL = 2.5e-14  # DOP853 rejects tolerances at rounding level
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: only the
+    reference engine needs scipy."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -112,10 +121,9 @@ class _ExactSegment:
         return np.stack([y0 * C + (y10 / self._p) * S, y0 * self._coef * S + y10 * C])
 
 
-# Two-point Gauss Magnus step: nodes at h (1/2 -+ sqrt(3)/6), commutator
-# weight sqrt(3)/12 h^2.
-_GAUSS_OFF = math.sqrt(3.0) / 6.0
-_MAGNUS_COMM = math.sqrt(3.0) / 12.0
+# Three-point Gauss Magnus step (Blanes, Casas & Ros 2000): nodes at
+# h (1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10).
+_GAUSS_OFF = math.sqrt(15.0) / 10.0
 _MAGNUS_MIN_STEPS = 8
 _MAGNUS_MAX_STEPS = 1 << 16  # beyond this the piece falls back to DOP853
 _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
@@ -123,34 +131,78 @@ _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
 _MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
 
 
-def _magnus_parts(rules, left: np.ndarray, h):
-    """lambda-independent parts (A, B0, B1, D0, D1) of the Magnus exponents
-    Omega = [[D, A], [B, -D]] of the steps [left, left + h], where
-    B = B0 - lambda B1 and D = D0 - lambda D1."""
-    p_rule, q_rule, d_rule = rules
-    nodes = np.concatenate([left + h * (0.5 - _GAUSS_OFF), left + h * (0.5 + _GAUSS_OFF)])
-    m = left.size
-    a = 1.0 / p_rule(nodes)
-    q = q_rule(nodes)
-    d = d_rule(nodes)
-    a1, a2, q1, q2, d1, d2 = a[:m], a[m:], q[:m], q[m:], d[:m], d[m:]
-    c = _MAGNUS_COMM * h * h
+def _pmul(x, y):
+    """Product of two polynomials in lambda, as ascending coefficient lists."""
+    out = [0.0] * max(len(x) + len(y) - 1, 0)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] = out[i + j] + xi * yj
+    return out
+
+
+def _padd(x, y, c=1.0):
+    """x + c y of polynomials in lambda, as ascending coefficient lists."""
+    out = list(x) + [0.0] * (len(y) - len(x))
+    for i, yi in enumerate(y):
+        out[i] = out[i] + c * yi
+    return out
+
+
+def _lin(*terms):
+    """sum c X over the (c, X) in terms, X = (D, A, B) with polynomial entries."""
+    out = ([], [], [])
+    for c, X in terms:
+        out = tuple(_padd(o, x, c) for o, x in zip(out, X))
+    return out
+
+
+def _comm(X, Y):
+    """The commutator [X, Y] of traceless X = [[D, A], [B, -D]] given as
+    (D, A, B): (A1 B2 - A2 B1, 2 (D1 A2 - A1 D2), 2 (B1 D2 - D1 B2))."""
+    (D1, A1, B1), (D2, A2, B2) = X, Y
     return (
-        0.5 * h * (a1 + a2),
-        0.5 * h * (q1 + q2),
-        0.5 * h * (d1 + d2),
-        c * (a2 * q1 - a1 * q2),
-        c * (a2 * d1 - a1 * d2),
+        _padd(_pmul(A1, B2), _pmul(A2, B1), -1.0),
+        _padd(_pmul([2.0], _pmul(D1, A2)), _pmul(A1, D2), -2.0),
+        _padd(_pmul([2.0], _pmul(B1, D2)), _pmul(D1, B2), -2.0),
     )
 
 
-@lru_cache(maxsize=64)  # a 2^16-step level holds 2.6 MB
+def _magnus_parts(rules, left: np.ndarray, h):
+    """Coefficients of the Magnus exponents Omega = [[D, A], [B, -D]] of the
+    steps [left, left + h] as polynomials in lambda, (D, A, B) with D and A
+    quadratic and B cubic, each an ascending tuple of arrays.
+
+    The generator at the three nodes is X_i = [[0, 1/p], [q - lambda Delta, 0]],
+    and with a1 = h X_2, a2 = sqrt(15) h/3 (X_3 - X_1),
+    a3 = 10 h/3 (X_3 - 2 X_2 + X_1), C1 = [a1, a2] and
+    C2 = -[a1, 2 a3 + C1]/60 the exponent is
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.
+    """
+    p_rule, q_rule, d_rule = rules
+    nodes = np.concatenate([left + h * (0.5 - _GAUSS_OFF), left + 0.5 * h,
+                            left + h * (0.5 + _GAUSS_OFF)])
+    m = left.size
+    a = (1.0 / p_rule(nodes)).reshape(3, m)
+    q = q_rule(nodes).reshape(3, m)
+    d = d_rule(nodes).reshape(3, m)
+    X1, X2, X3 = (([], [a[i]], [q[i], -d[i]]) for i in range(3))
+    a1 = _lin((h, X2))
+    a2 = _lin((math.sqrt(15.0) / 3.0 * h, X3), (-math.sqrt(15.0) / 3.0 * h, X1))
+    a3 = _lin((10.0 / 3.0 * h, X3), (-20.0 / 3.0 * h, X2), (10.0 / 3.0 * h, X1))
+    C1 = _comm(a1, a2)
+    C2 = _lin((-1 / 60, _comm(a1, _lin((2, a3), (1, C1)))))
+    W = _comm(_lin((-20, a1), (-1, a3), (1, C1)), _lin((1, a2), (1, C2)))
+    return tuple(tuple(c) for c in _lin((1, a1), (1 / 12, a3), (1 / 240, W)))
+
+
+@lru_cache(maxsize=64)  # a 2^16-step level holds 5.2 MB
 def _magnus_samples(rules, t0: float, t1: float, n: int):
     """_magnus_parts on n uniform steps of [t0, t1], cached per (piece, n)."""
     h = (t1 - t0) / n
     parts = _magnus_parts(rules, t0 + h * np.arange(n), h)
-    for arr in parts:
-        arr.setflags(write=False)  # shared by every caller of the cache
+    for comp in parts:
+        for arr in comp:
+            arr.setflags(write=False)  # shared by every caller of the cache
     return parts
 
 
@@ -188,15 +240,21 @@ def _closed_form(c, tau):
     return C, S * tau
 
 
+def _horner(coeffs, lam):
+    """The polynomial with ascending coefficients coeffs at lam."""
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * lam + c
+    return out
+
+
 def _magnus_steps(parts, lam):
     """Step matrices exp(Omega) as component arrays (e00, e01, e10, e11).
 
     Omega is traceless, so exp(Omega) = cosh(s) I + sinh(s)/s Omega with
     s^2 = -det Omega = D^2 + A B.
     """
-    A, B0, B1, D0, D1 = parts
-    B = B0 - lam * B1
-    D = D0 - lam * D1
+    D, A, B = (_horner(c, lam) for c in parts)
     C, S = _cosh_sinhc(D * D + A * B)
     SD = S * D
     return C + SD, S * A, S * B, C - SD
@@ -214,7 +272,7 @@ def _products(parts, lams: np.ndarray) -> np.ndarray:
     components of shape (4, len(lams)), by pairwise reduction along the step
     axis; n is a power of two.  A step array holds at most _MAGNUS_BATCH
     entries, so lambda are taken in chunks of rows."""
-    rows = max(1, _MAGNUS_BATCH // parts[0].size)
+    rows = max(1, _MAGNUS_BATCH // parts[0][0].size)
     out = np.empty((4, lams.size), lams.dtype)
     for i in range(0, lams.size, rows):
         E = _magnus_steps(parts, lams[i : i + rows, None])
@@ -227,9 +285,10 @@ def _products(parts, lams: np.ndarray) -> np.ndarray:
 def _start_steps(rules, t0: float, t1: float, lams: np.ndarray) -> np.ndarray:
     """Per lambda, the smallest power of two above _MAGNUS_STEPS_PER_OSC
     times the piece's oscillation count int sqrt|lambda Delta - q| / p / pi,
-    read off the coarsest sample level, and at most _MAGNUS_MAX_STEPS."""
-    A, B0, B1, _, _ = _magnus_samples(rules, t0, t1, _MAGNUS_MIN_STEPS)
-    osc = np.sum(np.sqrt(np.abs(A * (B0 - lams[:, None] * B1))), axis=1) / math.pi
+    read off the lambda-free A and the linear part of B on the coarsest
+    sample level, and at most _MAGNUS_MAX_STEPS."""
+    _, (A, *_), (B0, B1, *_) = _magnus_samples(rules, t0, t1, _MAGNUS_MIN_STEPS)
+    osc = np.sum(np.sqrt(np.abs(A * (B0 + lams[:, None] * B1))), axis=1) / math.pi
     n = np.full(lams.shape, _MAGNUS_MIN_STEPS)
     while np.any(grow := (n < _MAGNUS_STEPS_PER_OSC * osc) & (n < _MAGNUS_MAX_STEPS)):
         n[grow] *= 2
@@ -239,7 +298,7 @@ def _start_steps(rules, t0: float, t1: float, lams: np.ndarray) -> np.ndarray:
 def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float):
     """(n, T, spent) for every lambda in lams: the transfer matrix T[i] over
     [t0, t1] on n[i] steps, with n[i] doubled until the Richardson estimate
-    |T_2n - T_n| / 15 <= tol max(1, |T_2n|).  spent marks the lambda for
+    |T_2n - T_n| / 63 <= tol max(1, |T_2n|).  spent marks the lambda for
     which that takes more than _MAGNUS_MAX_STEPS steps; their n is 0 and
     their T is zero.  Overflow raises PropagationError.
 
@@ -267,7 +326,7 @@ def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float)
                     break
                 n *= 2
                 T2 = _products(_magnus_samples(rules, t0, t1, n), lams[idx])
-                err = np.max(np.abs(T2 - T), axis=0) / 15.0
+                err = np.max(np.abs(T2 - T), axis=0) / 63.0  # 2^6 - 1, sixth order
                 done = err <= tol * np.maximum(1.0, np.max(np.abs(T2), axis=0))
                 n_out[idx[done]] = n
                 T_out[:, idx[done]] = T2[:, done]
@@ -291,7 +350,7 @@ def _magnus_transfer(rules, t0: float, t1: float, lam, tol: float):
 
 
 class _MagnusSegment:
-    """Fourth-order Magnus transfer across one variable-coefficient piece.
+    """Sixth-order Magnus transfer across one variable-coefficient piece.
 
     Holds only its endpoint states; the states at the n + 1 mesh nodes are
     built on the first sol() call and kept, so endpoint-only callers never

@@ -159,7 +159,7 @@ def criterion_eigenvalues(free: SLProblem) -> CriterionResult:
     return CriterionResult(
         "eigenvalues",
         ok,
-        f"{len(eigs)} poles in [0,1000], max rel err {worst:.2e}, {dt:.2f}s",
+        f"{len(eigs)} poles in [0,1000], max rel err {worst:.2e}",
     )
 
 

@@ -226,6 +226,24 @@ def _linear_p_c(lam: float, nu: int, z: float) -> float:
     return float(special.y1(z0) * jn(z) - special.j1(z0) * yn(z))
 
 
+def linear_p_endpoints(lam: float) -> np.ndarray:
+    """[[phi, psi], [phi^[1], psi^[1]]] at b = 1 of the linear-p problem, lam > 0.
+
+    phi = C0(z) / C0(z0) and phi^[1] = p phi' = -(z/4) C1(z) / C0(z0), since
+    dz/dt = sqrt(lam / p) and C0' = -C1.  psi = -2 pi S0(z) with
+    S_nu = Y0(z0) J_nu - J0(z0) Y_nu, so psi(0) = 0, and psi^[1] =
+    (pi z / 2) S1(z), which is 1 at z0 by the Wronskian J1 Y0 - J0 Y1 = 2/(pi z).
+    """
+    z0, z1 = 4.0 * math.sqrt(lam), 4.0 * math.sqrt(1.5 * lam)
+    c00 = _linear_p_c(lam, 0, z0)
+    s0 = float(special.y0(z0) * special.j0(z1) - special.j0(z0) * special.y0(z1))
+    s1 = float(special.y0(z0) * special.j1(z1) - special.j0(z0) * special.y1(z1))
+    return np.array([
+        [_linear_p_c(lam, 0, z1) / c00, -2.0 * math.pi * s0],
+        [-0.25 * z1 * _linear_p_c(lam, 1, z1) / c00, 0.5 * math.pi * z1 * s1],
+    ])
+
+
 def linear_p_eigs(lam_max: float) -> list[float]:
     """Eigenvalues in [0, lam_max] of the linear-p problem with tau = 0."""
 

@@ -278,3 +278,10 @@ def test_builtin_verification_suite_agrees():
         report(r.name, r.passed, r.detail)
     assert len(results) == 9
     assert all(r.passed for r in results)
+
+
+def test_eigenvalue_criterion_detail_is_reproducible(free):
+    # the detail line carries no wall time, so two runs print the same bytes
+    first, second = (verify.criterion_eigenvalues(free) for _ in range(2))
+    assert first.passed and second.passed
+    assert first.detail == second.detail

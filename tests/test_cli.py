@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -271,3 +272,42 @@ def test_console_script_help():
     assert proc.returncode == 0
     for name in ("eig", "mfun", "spectral", "expand", "classify", "verify-example"):
         assert name in proc.stdout
+
+
+# Closed-form and Magnus propagation, the eigenvalue search, spectral
+# assembly and the transform run without scipy; a table rule and the DOP853
+# reference engine load it when they are used.
+SCIPY_FREE = """
+import sys
+from dataclasses import replace
+import numpy as np
+import slspectra, slspectra.cli
+from slspectra import (build_spectral_function, constant, constant_coefficient_problem,
+                       find_eigenvalues, fourier_transform, load_problem, loads_problem,
+                       phi_at, sqrt_param)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for prob in (constant_coefficient_problem(), load_problem(sys.argv[1])):
+    find_eigenvalues(prob, constant(0.0), (-1.0, 50.0))
+    sigma = build_spectral_function(prob, sqrt_param(), (-10.0, 50.0), ac_nodes=20)
+    fourier_transform(prob, lambda t: np.exp(-t), sigma)
+print(scipy_modules())
+table = loads_problem(sys.argv[2])
+rk = replace(table, quad=replace(table.quad, closed_form_pieces=False))
+print(abs(phi_at(table, 37.0, 1.0).y - phi_at(rk, 37.0, 1.0).y) < 1e-8, bool(scipy_modules()))
+"""
+
+
+def test_scipy_loaded_only_on_demand():
+    from test_propagator import TABLE_INI
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, str(CONFIG_DIR / "linear_p.ini"), TABLE_INI],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]

@@ -1,4 +1,4 @@
-"""Golden-results ledger: the README CLI examples, rerun in-process.
+"""Golden-results ledger: the README CLI examples and a variable-p case, rerun.
 
 Each file tests/golden/<case>.json holds the command line of one case, the
 commit it was recorded at, the numbers the package printed there (every
@@ -43,7 +43,9 @@ import oracles  # noqa: E402
 from slspectra import cli  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
-MID = str(Path(__file__).resolve().parents[1] / "configs" / "middle_third.ini")
+ROOT = Path(__file__).resolve().parents[1]
+MID = str(ROOT / "configs" / "middle_third.ini")
+LINEAR_P = str(ROOT / "configs" / "linear_p.ini")
 EXPAND_SCHEDULE = "2:-500,0;5:-1250,0;10:-2500,0"
 
 CASES = {
@@ -61,6 +63,9 @@ CASES = {
     "eig_mid_c0": ["--config", MID, "eig", "--tau", "constant:0", "--range=-1,500"],
     "spectral_mid_sqrt": ["--config", MID, "spectral", "--tau", "sqrt", "--window=-50,400",
                           "--nodes", "600"],
+    "eig_linear_p_c0": ["--config", LINEAR_P, "eig", "--tau", "constant:0", "--range=-5,600"],
+    "spectral_linear_p_c0": ["--config", LINEAR_P, "spectral", "--tau", "constant:0",
+                             "--window=-5,600"],
 }
 
 # quantity -> (relative tolerance, floor of the scale)
@@ -130,7 +135,17 @@ def _oracle(case: str, values: dict) -> dict:
         }
     if case == "eig_mid_c0":
         return {"eigenvalues": oracles.midthird_eigs_closed(500.0)}
+    if case == "eig_linear_p_c0":
+        return {"eigenvalues": oracles.linear_p_eigs(600.0)}
+    if case == "spectral_linear_p_c0":
+        poles = oracles.linear_p_eigs(600.0)
+        return {"poles": poles, "masses": [oracles.linear_p_mass(lam) for lam in poles]}
     return {}
+
+
+def _stored(argv: list[str]) -> list[str]:
+    """argv as a golden file records it: config paths relative to the repo."""
+    return [str(Path(a).relative_to(ROOT)) if a in (MID, LINEAR_P) else a for a in argv]
 
 
 def _deviation(name: str, got, want) -> float:
@@ -151,7 +166,7 @@ def _deviation(name: str, got, want) -> float:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case, tmp_path):
     doc = json.loads((GOLDEN / f"{case}.json").read_text())
-    assert doc["argv"] == [a if a != MID else "configs/middle_third.ini" for a in CASES[case]]
+    assert doc["argv"] == _stored(CASES[case])
     got = run_case(CASES[case], tmp_path)
     assert sorted(got) == sorted(doc["values"])
     for name, want in doc["values"].items():
@@ -175,7 +190,7 @@ def _write_missing() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             values = run_case(argv, Path(tmp))
         doc = {
-            "argv": [a if a != MID else "configs/middle_third.ini" for a in argv],
+            "argv": _stored(argv),
             "commit": commit,
             "values": values,
             "oracle": _oracle(case, values),
