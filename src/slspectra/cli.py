@@ -185,12 +185,10 @@ def cmd_mfun(args) -> int:
     )
     outputs.append(out)
     if args.trace:
-        traj = fundamental_trajectory(problem, lam, "phi")
         ts = np.linspace(problem.a, problem.b, 201)
-        rows = []
-        for t in ts:
-            sv = traj.state_at(float(t))
-            rows.append((float(t), sv.y.real, sv.y.imag, sv.y1.real, sv.y1.imag))
+        y, y1 = fundamental_trajectory(problem, lam, "phi").eval(ts)
+        rows = [(t, v.real, v.imag, w.real, w.imag)
+                for t, v, w in zip(ts.tolist(), y.tolist(), y1.tolist())]
         trace_path = _out_dir(args) / "mfun_trace.csv"
         _write_table(trace_path, ["t", "re_y", "im_y", "re_y1", "im_y1"], rows)
         print(f"trace written to {trace_path}")

@@ -6,53 +6,37 @@ the first-order system in (y, y^[1]) with the quasi-derivative y^[1] = p y':
     y'     = y^[1] / p
     y^[1]' = (q - lambda Delta) y
 
-Steps never straddle coefficient piece boundaries: each piece is integrated
-as its own segment and the solver restarts at the boundary, so
-discontinuities in p, q or Delta never sit inside a step.
+One walk, _walk, carries initial columns (phi and psi, or the data given
+to propagate) from a to b for a whole batch of lambda.  It leaves one
+segment per piece, so steps never straddle a discontinuity of p, q or
+Delta.  A segment holds the batch's states at the piece's ends and sol(t),
+the states at points t inside it.  There are three kinds:
 
-Three engines cover the pieces:
+* _ExactSegment, where p, q and Delta are constant: the transfer is
+  exp(hA) = cosh(s) I + sinh(s)/s hA with A = [[0, 1/p], [q - lambda Delta,
+  0]] and s^2 = h^2 (q - lambda Delta) / p, exact to rounding with det = 1.
+  One elementwise pass gives the ends of all constant pieces; sol(t) is one
+  partial step from the piece's start.
+* _MagnusSegment, on every other piece: n uniform steps of the sixth-order,
+  three-point Gauss Magnus method (Blanes, Casas & Ros 2000), each the
+  exponential of a traceless 2x2 matrix, so det = 1 too.  Its entries are
+  polynomials in lambda with lambda-free coefficients cached per (piece,
+  n); n doubles until the Richardson estimate |T_2n - T_n| / 63 meets
+  quad.ode_tol, for the whole batch in one _magnus_transfers call.  sol(t)
+  is one partial step from the mesh node below t.
+* _ReferenceSegment: DOP853, adaptive Runge-Kutta of order 8(5,3) with
+  dense output, one run per (lambda, column), kept in _cache.  It covers
+  every piece when quad.closed_form_pieces = False (the CLI's --ode-tol
+  sets that) and the lambda whose Magnus step count would pass
+  _MAGNUS_MAX_STEPS (beyond |lambda| ~ 2e8 for p = 1 + t/2, q = 2t,
+  Delta = 1 + t at ode_tol = 1e-11), and is the oracle of the other two.
+  scipy is imported on its first use.
 
-* Closed form.  On a piece of length h where p, q and Delta are constant the
-  generator A = [[0, 1/p], [q - lambda Delta, 0]] does not vary, and the
-  transfer matrix is exp(hA) = cosh(s) I + sinh(s)/s hA with
-  s^2 = h^2 (q - lambda Delta) / p, evaluated by _cosh_sinhc.  It is exact
-  to rounding, has det = 1, so the Wronskian holds identically, and costs
-  microseconds, which keeps dense spectral sweeps cheap.
-* Magnus.  Every other piece takes n uniform steps of the sixth-order,
-  three-point Gauss Magnus method (Blanes, Casas & Ros 2000).  Each step is
-  the exponential of a traceless 2x2 matrix, by the same formula, so the
-  transfer matrix has det = 1 and the Wronskian holds to rounding.  The
-  exponent's entries are polynomials in lambda whose coefficients, built
-  from the coefficient samples at the Gauss nodes, do not depend on lambda
-  and are cached per (piece, n); n is doubled until the Richardson estimate
-  |T_2n - T_n| / 63 meets quad.ode_tol.  _magnus_transfers does this for a
-  whole batch of lambda: those with the same starting n share one
-  (rows, n) step array, reduced pairwise along the step axis, and only the
-  rows not yet converged are doubled again.
-* DOP853, the reference engine: an adaptive embedded Runge-Kutta method of
-  order 8(5,3) with dense output.  It runs on every piece when
-  quad.closed_form_pieces = False (the CLI's --ode-tol sets that), and
-  serves as the test oracle for the two fast engines.  It also takes over a
-  variable piece whose Magnus step count would pass _MAGNUS_MAX_STEPS, which
-  for p = 1 + t/2, q = 2t, Delta = 1 + t at ode_tol = 1e-11 happens beyond
-  |lambda| ~ 2e8 (16384 steps at 1e7).  scipy is imported on its first use.
-
-Complex spectral parameters propagate a complex state; real parameters stay
-in real arithmetic.
-
-One walk, _walk, carries the initial columns (phi, or phi and psi) from a to
-b for a whole batch of lambda: the closed-form steps to the ends of all
-constant pieces in one elementwise pass, one Magnus batch per variable
-piece, and y at any points t in constant pieces by one partial step from
-the state at the piece's start.  endpoint_states reads phi, psi and their
-quasi-derivatives at b off it, which is all slspectra.spectral needs;
-phi_rows reads phi at the points t, for the transform and its inverse.  The
-walk takes the batch it is given: slspectra.transform splits the nodes of a
-transform into blocks.  The cached dense Trajectory of
-fundamental_trajectory serves the other callers that need solutions inside
-[a, b] (mfun --trace, phi_at/psi_at, the adaptive fallback of the
-transform), and is the walk's per-lambda fallback: on the reference engine,
-for points t in a variable piece, and past the Magnus step budget.
+Complex lambda propagate a complex state; real ones stay real.  A
+Trajectory holds the segments of a walk.  endpoint_states reads phi, psi
+and their quasi-derivatives at b, all that slspectra.spectral needs;
+phi_rows reads phi at points t for the transform and its inverse;
+propagate and the cached fundamental_trajectory are the walk of one lambda.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -96,29 +80,6 @@ class StateVec:
         for v in (self.y, self.y1):
             if not (np.isfinite(complex(v).real) and np.isfinite(complex(v).imag)):
                 raise PropagationError(f"non-finite state component {v!r}")
-
-
-class _ExactSegment:
-    """Closed-form transfer across one constant-coefficient piece.
-
-    Mimics the relevant surface of a solve_ivp result: .t, .y and .sol().
-    """
-
-    def __init__(self, t0: float, t1: float, y0: np.ndarray, p: float, coef):
-        self.t0 = t0
-        self.t1 = t1
-        self._y0 = y0
-        self._p = p
-        self._coef = coef  # q - lambda * Delta on the piece
-        self._c = coef / p
-        end = self.sol(np.array([t1]))[:, 0]
-        self.t = np.array([t0, t1])
-        self.y = np.stack([y0, end], axis=1)
-
-    def sol(self, t_arr: np.ndarray) -> np.ndarray:
-        C, S = _closed_form(self._c, np.asarray(t_arr, dtype=float) - self.t0)
-        y0, y10 = self._y0
-        return np.stack([y0 * C + (y10 / self._p) * S, y0 * self._coef * S + y10 * C])
 
 
 # Three-point Gauss Magnus step (Blanes, Casas & Ros 2000): nodes at
@@ -334,125 +295,94 @@ def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float)
     return n_out, T_out.T.reshape(-1, 2, 2), spent
 
 
-@lru_cache(maxsize=16)
-def _magnus_transfer(rules, t0: float, t1: float, lam, tol: float):
-    """(n, T) of _magnus_transfers for the one lambda, or None when its step
-    budget ran out.
-
-    Cached because phi and psi ask for the same transfer one after the other.
-    """
-    n, T, spent = _magnus_transfers(rules, t0, t1, np.array([lam]), tol)
-    if spent[0]:
-        return None
-    T = T[0]
-    T.setflags(write=False)
-    return int(n[0]), T
+def _apply(M, state):
+    """The 2x2 matrices M = (m00, m01, m10, m11), as component arrays,
+    applied to state = (y, y^[1])."""
+    a, b, c, d = M
+    y, y1 = state
+    return np.array([a * y + b * y1, c * y + d * y1])
 
 
-class _MagnusSegment:
-    """Sixth-order Magnus transfer across one variable-coefficient piece.
-
-    Holds only its endpoint states; the states at the n + 1 mesh nodes are
-    built on the first sol() call and kept, so endpoint-only callers never
-    hold mesh-sized arrays.
-    """
-
-    def __init__(self, t0: float, t1: float, y0: np.ndarray, rules, lam, n: int, T):
-        self.t0 = t0
-        self.t1 = t1
-        self._y0 = y0
-        self._rules = rules
-        self._lam = lam
-        self._nodes = None
-        self.n = n
-        self.t = np.array([t0, t1])
-        self.y = np.stack([y0, T @ y0], axis=1)
-
-    def _node_states(self) -> np.ndarray:
-        """States at the mesh nodes, shape (2, n + 1), by a prefix product."""
-        if self._nodes is None:
-            parts = _magnus_samples(self._rules, self.t0, self.t1, self.n)
-            with np.errstate(all="ignore"):
-                E = _magnus_steps(parts, self._lam)
-                k = 1
-                while k < self.n:
-                    for e, prod in zip(E, _mul([e[k:] for e in E], [e[:-k] for e in E])):
-                        e[k:] = prod
-                    k *= 2
-            a, b, c, d = E
-            y, y1 = self._y0
-            self._nodes = np.concatenate(
-                [self._y0[:, None], np.stack([a * y + b * y1, c * y + d * y1])], axis=1
-            )
-        return self._nodes
-
-    def sol(self, t_arr: np.ndarray) -> np.ndarray:
-        """States at t_arr: one partial Magnus step from the mesh node below."""
-        t = np.asarray(t_arr, dtype=float)
-        y, y1 = self._node_states()
-        h = (self.t1 - self.t0) / self.n
-        k = np.clip(np.floor((t - self.t0) / h).astype(int), 0, self.n - 1)
-        left = self.t0 + h * k
-        with np.errstate(all="ignore"):
-            a, b, c, d = _magnus_steps(_magnus_parts(self._rules, left, t - left), self._lam)
-        return np.stack([a * y[k] + b * y1[k], c * y[k] + d * y1[k]])
+def _exact_step(state, p, coef, C, S):
+    """The closed-form transfer [[C, S/p], [coef S, C]] applied to state."""
+    y, y1 = state
+    return y * C + (y1 / p) * S, y * coef * S + y1 * C
 
 
-def _locate(problem: SLProblem, ends: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """The points t clipped to [a, b] and the piece of each, given the inner
-    piece ends (a piece owns its start); PropagationError outside [a, b]."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    a, b = problem.a, problem.b
-    tol = 1e-9 * (1.0 + abs(b - a))
-    if not np.all((t_arr >= a - tol) & (t_arr <= b + tol)):  # so is NaN
-        raise PropagationError("evaluation point outside [a, b]")
-    t_arr = np.clip(t_arr, a, b)
-    return t_arr, np.searchsorted(ends, t_arr, side="right")
+class _Segment:
+    """States start and end, shape (2, columns, lambdas), at the ends of one
+    piece [t0, t1]; sol(t) has shape (2, columns, lambdas, len(t))."""
+
+    def steps(self) -> list:
+        """(t, state) at the step nodes after t0, of the first column and lambda."""
+        return [(self.t1, self.end[:, 0, 0])]
 
 
-class Trajectory:
-    """Dense solution of one propagation over [a, b].
+class _ExactSegment(_Segment):
+    """Closed-form transfer across one constant-coefficient piece, with
+    coef = q - lambda Delta; C and S are _closed_form over the whole piece,
+    and sol(t) takes one partial step from the piece's start."""
 
-    Holds one segment per coefficient piece; evaluation dispatches query
-    points to the owning segment, and the step nodes and the endpoint are
-    read off the segments' .t and .y when asked for.
-    """
+    def __init__(self, t0: float, t1: float, start: np.ndarray, p, coef, C, S):
+        self.t0, self.t1, self.start = t0, t1, start
+        self._p, self._coef = p, coef
+        self.end = np.array(_exact_step(start, p, coef, C, S))
 
-    def __init__(self, problem: SLProblem, lam: complex, segments: list):
-        self.problem = problem
-        self.lam = lam
-        self._segments = segments
-        self._seg_ends = np.array([seg.t[-1] for seg in segments[:-1]])
+    def sol(self, t: np.ndarray) -> np.ndarray:
+        coef = self._coef[..., None]
+        C, S = _closed_form(coef / self._p, t - self.t0)
+        return _exact_step(self.start[..., None], self._p, coef, C, S)
 
-    def eval(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-        """Values (y, y^[1]) at the query points, as arrays."""
-        t_arr, idx = _locate(self.problem, self._seg_ends, t)
-        y = np.empty(t_arr.shape, dtype=complex)
-        y1 = np.empty(t_arr.shape, dtype=complex)
-        for i, seg in enumerate(self._segments):
-            mask = idx == i
-            if np.any(mask):
-                vals = seg.sol(t_arr[mask])
-                y[mask] = vals[0]
-                y1[mask] = vals[1]
-        return y, y1
 
-    def state_at(self, t: float) -> StateVec:
-        y, y1 = self.eval(t)
-        return StateVec(complex(y[0]), complex(y1[0]))
+class _MagnusSegment(_Segment):
+    """Magnus transfers across one variable piece from one _magnus_transfers
+    batch; the lambda whose step budget ran out go to a _ReferenceSegment.
+    The n + 1 mesh-node states of a lambda, which sol(t) steps from, come
+    from a prefix product on first use; only the last lambda's are kept, so
+    endpoint-only walks never build them and a batch holds one mesh at a time."""
 
-    @property
-    def nodes(self) -> tuple[tuple[float, StateVec], ...]:
-        """(t, state) at a and at the step nodes of every segment, up to b."""
-        first = self._segments[0]
-        pts = [(first.t[0], first.y[:, 0])]
-        pts += [(seg.t[k], seg.y[:, k]) for seg in self._segments for k in range(1, seg.t.size)]
-        return tuple((float(t), StateVec(complex(y[0]), complex(y[1]))) for t, y in pts)
+    def __init__(self, t0, t1, start, rules, lams, rtol, atol, key):
+        self.t0, self.t1, self.start = t0, t1, start
+        self._rules, self._lams = rules, lams
+        self._n, T, self._spent = _magnus_transfers(rules, t0, t1, lams, rtol)
+        self.end = _apply(T.transpose(1, 2, 0).reshape(4, 1, -1), start)
+        self._ref = None
+        if np.any(spent := self._spent):
+            sub = (start[:, :, spent], rules, lams[spent])
+            self._ref = _ReferenceSegment(t0, t1, *sub, rtol, atol, key)
+            self.end[:, :, spent] = self._ref.end
+        self._nodes = (None, None)
 
-    @property
-    def endpoint(self) -> StateVec:
-        y, y1 = self._segments[-1].y[:, -1]
-        return StateVec(complex(y), complex(y1))
+    def _node_states(self, i: int) -> np.ndarray:
+        """States of lambda i at the mesh nodes, shape (2, columns, n + 1)."""
+        if self._nodes[0] != i:
+            n = self._n[i]
+            E = _magnus_steps(_magnus_samples(self._rules, self.t0, self.t1, n), self._lams[i])
+            k = 1
+            while k < n:
+                for e, prod in zip(E, _mul([e[k:] for e in E], [e[:-k] for e in E])):
+                    e[k:] = prod
+                k *= 2
+            y0 = self.start[:, :, i, None]
+            self._nodes = (i, np.concatenate([y0, _apply(E, y0)], axis=2))
+        return self._nodes[1]
+
+    def sol(self, t: np.ndarray) -> np.ndarray:
+        out = np.empty(self.start.shape + t.shape, self.start.dtype)
+        for n in np.unique(self._n[~self._spent]).tolist():
+            h = (self.t1 - self.t0) / n
+            k = np.clip(np.floor((t - self.t0) / h).astype(int), 0, n - 1)
+            left = self.t0 + h * k
+            parts = _magnus_parts(self._rules, left, t - left)
+            for i in np.flatnonzero(self._n == n).tolist():
+                E = np.array(_magnus_steps(parts, self._lams[i]))[:, None]
+                out[:, :, i] = _apply(E, self._node_states(i)[:, :, k])
+        if self._ref is not None:
+            out[:, :, self._spent] = self._ref.sol(t)
+        return out
+
+    def steps(self) -> list:
+        return super().steps() if self._ref is None else self._ref.steps()
 
 
 def _piece_rhs(p_rule, q_rule, d_rule, lam):
@@ -477,6 +407,48 @@ def _piece_rhs(p_rule, q_rule, d_rule, lam):
     return rhs
 
 
+class _ReferenceSegment(_Segment):
+    """DOP853 across one piece, one dense run per (column, lambda), in real
+    arithmetic for a real lambda and start state.  The runs are kept in _cache
+    under key, lambda, start state and atol, so later walks reuse them; a
+    non-finite start state raises PropagationError before any run."""
+
+    def __init__(self, t0, t1, start, rules, lams, rtol, atol, key):
+        self.t0, self.t1, self.start = t0, t1, start
+        self.end = np.empty_like(start)
+        self._runs = np.empty(start.shape[1:], object)
+        for j, i in np.ndindex(self._runs.shape):
+            lam, y0 = lams[i].item(), start[:, j, i]
+            if not np.isfinite(y0).all():
+                raise PropagationError(
+                    f"non-finite state at t={t0:.6g}, lambda={lam}; solution overflow"
+                )
+            if lam.imag == 0.0 and not np.any(np.imag(y0)):
+                lam, y0 = lam.real, y0.real
+            run_key = (*key, lam, tuple(y0.tolist()), atol[j])
+            run = _cache.get(run_key)
+            if run is None:
+                run = solve_ivp(_piece_rhs(*rules, lam), (t0, t1), y0, method="DOP853",
+                                rtol=rtol, atol=atol[j], dense_output=True)
+                if not run.success:
+                    raise PropagationError(
+                        f"integration failed on [{t0:.6g}, {t1:.6g}] at lambda={lam}: {run.message}"
+                    )
+                _cache.put(run_key, run)
+            self._runs[j, i] = run
+            self.end[:, j, i] = run.y[:, -1]
+
+    def sol(self, t: np.ndarray) -> np.ndarray:
+        out = np.empty(self.start.shape + t.shape, self.start.dtype)
+        for j, i in np.ndindex(self._runs.shape):
+            out[:, j, i] = self._runs[j, i].sol(t)
+        return out
+
+    def steps(self) -> list:
+        run = self._runs[0, 0]
+        return list(zip(run.t[1:], run.y[:, 1:].T))
+
+
 @lru_cache(maxsize=32)
 def _pieces(problem: SLProblem):
     """(t0, t1, (p, q, Delta) rules, all constant?) of every piece, cached per
@@ -491,60 +463,111 @@ def _pieces(problem: SLProblem):
     return tuple(out)
 
 
+def _walk(problem: SLProblem, lams: np.ndarray, inits: np.ndarray) -> list:
+    """The segments, one per piece, of the walk of the module docstring: the
+    initial columns inits, shape (2, columns), carried from a to b for every
+    lambda in lams.  A non-finite state stays non-finite on every later
+    piece and never enters DOP853, so one check at b raises
+    PropagationError for exactly the lambda that overflow."""
+    pieces = _pieces(problem)
+    exact = problem.quad.closed_form_pieces
+    rtol = max(problem.quad.ode_tol, _MIN_RTOL)
+    atol = [1e-3 * rtol * max(1.0, abs(y), abs(y1)) for y, y1 in inits.T.tolist()]
+    state = inits[..., None] * np.ones_like(lams)
+    segments = []
+    with np.errstate(all="ignore"):  # overflow is caught at b
+        const = [(t1 - t0, *(r.value for r in rules)) for t0, t1, rules, c in pieces if c]
+        h, p, q, d = np.array(const).reshape(-1, 4, 1, 1).transpose(1, 0, 2, 3)
+        coef = q - lams * d
+        closed = zip(p, coef, *_closed_form(coef / p, h))
+        for k, (t0, t1, rules, constant) in enumerate(pieces):
+            if exact and constant:
+                seg = _ExactSegment(t0, t1, state, *next(closed))
+            else:
+                engine = _MagnusSegment if exact else _ReferenceSegment
+                seg = engine(t0, t1, state, rules, lams, rtol, atol, (problem, k))
+            segments.append(seg)
+            state = seg.end
+    if not np.isfinite(state).all():
+        bad = ~np.isfinite(state).all(axis=(0, 1))
+        raise PropagationError(
+            f"non-finite state at t={problem.b:.6g}, lambda={lams[bad][0]}; solution overflow"
+        )
+    return segments
+
+
+def _locate(problem: SLProblem, ends: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The points t clipped to [a, b] and the piece of each, given the inner
+    piece ends (a piece owns its start); PropagationError outside [a, b]."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    a, b = problem.a, problem.b
+    tol = 1e-9 * (1.0 + abs(b - a))
+    if not np.all((t_arr >= a - tol) & (t_arr <= b + tol)):  # so is NaN
+        raise PropagationError("evaluation point outside [a, b]")
+    t_arr = np.clip(t_arr, a, b)
+    return t_arr, np.searchsorted(ends, t_arr, side="right")
+
+
+class Trajectory:
+    """The segments of one walk over [a, b]: per piece an _ExactSegment,
+    _MagnusSegment or _ReferenceSegment, with no per-lambda fallback.  eval
+    dispatches points to the owning segments; for a batch (lam an array) it
+    returns arrays of shape (columns, lambdas, len(t)), for one solution (lam
+    a scalar, from propagate) complex arrays of shape (len(t),), and
+    state_at, nodes and endpoint read that solution."""
+
+    def __init__(self, problem: SLProblem, lam, segments: list):
+        self.problem = problem
+        self.lam = lam
+        self._segments = segments
+        self._seg_ends = np.array([seg.t1 for seg in segments[:-1]])
+
+    def eval(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        """Values (y, y^[1]) at the query points, as arrays."""
+        t_arr, idx = _locate(self.problem, self._seg_ends, t)
+        start = self._segments[0].start
+        out = np.empty(start.shape + t_arr.shape, start.dtype)
+        with np.errstate(all="ignore"):
+            for i, seg in enumerate(self._segments):
+                sel = idx == i
+                if sel.size and sel.all():  # one piece holds every point: no gather
+                    out = seg.sol(t_arr)
+                elif sel.any():
+                    out[0][..., sel], out[1][..., sel] = seg.sol(t_arr[sel])
+        y, y1 = out
+        return (y, y1) if np.ndim(self.lam) else (y[0, 0].astype(complex), y1[0, 0].astype(complex))
+
+    def state_at(self, t: float) -> StateVec:
+        y, y1 = self.eval(t)
+        return StateVec(complex(y[0]), complex(y1[0]))
+
+    @property
+    def nodes(self) -> tuple[tuple[float, StateVec], ...]:
+        """(t, state) at a and at the step nodes of every segment, up to b."""
+        first = self._segments[0]
+        pts = [(first.t0, first.start[:, 0, 0])]
+        pts += [pt for seg in self._segments for pt in seg.steps()]
+        return tuple((float(t), StateVec(complex(y[0]), complex(y[1]))) for t, y in pts)
+
+    @property
+    def endpoint(self) -> StateVec:
+        y, y1 = self._segments[-1].end[:, 0, 0]
+        return StateVec(complex(y), complex(y1))
+
+
 def propagate(
     problem: SLProblem,
     lam: complex,
     init: StateVec | tuple[complex, complex],
 ) -> Trajectory:
-    """Integrate from a to b with initial data (y(a), y^[1](a))."""
+    """Integrate from a to b with initial data (y(a), y^[1](a)): the walk of
+    the one lambda, in real arithmetic when lambda and the data are real."""
     lam = complex(lam)
-    if isinstance(init, StateVec):
-        init = (init.y, init.y1)
-    is_real = lam.imag == 0.0 and complex(init[0]).imag == 0.0 and complex(init[1]).imag == 0.0
-    if is_real:
-        state = np.array([complex(init[0]).real, complex(init[1]).real], dtype=float)
-        lam_eff: complex | float = lam.real
-    else:
-        state = np.array([complex(init[0]), complex(init[1])], dtype=complex)
-        lam_eff = lam
-    rtol = max(problem.quad.ode_tol, _MIN_RTOL)
-    atol = 1e-3 * rtol * max(1.0, float(np.max(np.abs(state))))
-    use_exact = problem.quad.closed_form_pieces
-
-    segments = []
-    # overflow at large |lambda| leaves a non-finite state, which the check
-    # below turns into a PropagationError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1, rules, constant in _pieces(problem):
-            if use_exact and constant:
-                p, q, d = (r.value for r in rules)
-                seg = _ExactSegment(t0, t1, state, p, q - lam_eff * d)
-            elif use_exact and (magnus := _magnus_transfer(rules, t0, t1, lam_eff, rtol)):
-                seg = _MagnusSegment(t0, t1, state, rules, lam_eff, *magnus)
-            else:
-                # the reference engine, and the fallback for Magnus step budgets
-                # exhausted at very large |lambda|
-                rhs = _piece_rhs(*rules, lam_eff)
-                seg = solve_ivp(
-                    rhs,
-                    (t0, t1),
-                    state,
-                    method="DOP853",
-                    rtol=rtol,
-                    atol=atol,
-                    dense_output=True,
-                )
-                if not seg.success:
-                    raise PropagationError(
-                        f"integration failed on [{t0:.6g}, {t1:.6g}] at lambda={lam}: {seg.message}"
-                    )
-            if not np.all(np.isfinite(np.abs(seg.y[:, -1]))):
-                raise PropagationError(
-                    f"non-finite state at t={t1:.6g}, lambda={lam}; solution overflow"
-                )
-            segments.append(seg)
-            state = seg.y[:, -1]
-    return Trajectory(problem, lam, segments)
+    init = np.array([init.y, init.y1] if isinstance(init, StateVec) else init, dtype=complex)
+    lams = np.array([lam])
+    if lam.imag == 0.0 and not np.any(init.imag):
+        lams, init = lams.real, init.real
+    return Trajectory(problem, lam, _walk(problem, lams, init[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +582,7 @@ def _init(alpha: float, which: str) -> tuple[float, float]:
 
 
 class _TrajectoryCache:
-    """Bounded LRU of fundamental-solution trajectories."""
+    """Bounded LRU of fundamental-solution trajectories and DOP853 runs."""
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
@@ -607,64 +630,6 @@ def fundamental_trajectory(problem: SLProblem, lam: complex, which: str) -> Traj
     return traj
 
 
-def _walk(problem: SLProblem, lams: np.ndarray, which: tuple[str, ...], t=None):
-    """States (y, y^[1]) at b, shape (2, len(which), len(lams)), and y at the
-    points t, shape (len(which), len(lams), len(t)), of the fundamental
-    solutions named in which ("phi", "psi") for every lambda in lams, by the
-    one walk of the module docstring.  Its steps are the expressions of
-    _ExactSegment, so the values match the per-lambda trajectories to
-    rounding.  A non-finite state stays non-finite on every later piece, so
-    one check at b raises PropagationError for exactly the lambda propagate
-    refuses.
-    """
-    pieces = _pieces(problem)
-    if t is None:
-        t, idx = np.empty(0), np.empty(0, int)
-    else:
-        t, idx = _locate(problem, np.array([t1 for _, t1, _, _ in pieces[:-1]]), t)
-    hit = set(idx.tolist())  # the pieces that hold points t
-    batched = problem.quad.closed_form_pieces and all(pieces[k][3] for k in hit)
-    fallback = np.full(lams.shape, not batched)
-    rtol = max(problem.quad.ode_tol, _MIN_RTOL)
-    inits = np.array([_init(problem.alpha, w) for w in which])
-    y, y1 = inits.T[..., None] * np.ones_like(lams)
-    rows = np.empty((len(which), lams.size, t.size), lams.dtype)
-    with np.errstate(all="ignore"):  # overflow is caught at b
-        const = [(t1 - t0, *(r.value for r in rules)) for t0, t1, rules, c in pieces if c]
-        h, p, q, d = np.array(const).reshape(-1, 4, 1).transpose(1, 0, 2)
-        coef = q - lams * d
-        closed = zip(p, coef, *_closed_form(coef / p, h))
-        for k, (t0, t1, rules, constant) in enumerate(pieces if batched else ()):
-            if constant:
-                p, coef, C, S = next(closed)
-                if k in hit:
-                    sel = idx == k
-                    Ct, St = _closed_form(coef[:, None] / p, t[sel] - t0)
-                    rows[..., sel] = y[..., None] * Ct + (y1[..., None] / p) * St
-                y, y1 = y * C + (y1 / p) * S, y * coef * S + y1 * C
-            else:  # lambda already falling back keep a stale state until the loop below
-                run = np.flatnonzero(~fallback)
-                _, T, spent = _magnus_transfers(rules, t0, t1, lams[run], rtol)
-                fallback[run[spent]] = True  # the step budget ran out
-                (t00, t01), (t10, t11) = T.transpose(1, 2, 0)
-                u, v = y[:, run], y1[:, run]
-                y[:, run], y1[:, run] = t00 * u + t01 * v, t10 * u + t11 * v
-    ends = np.array([y, y1])
-    real = np.real if ends.dtype == float else np.asarray
-    for i in np.flatnonzero(fallback):
-        for j, w in enumerate(which):
-            traj = fundamental_trajectory(problem, lams[i], w)
-            end = traj.endpoint
-            ends[:, j, i] = real([end.y, end.y1])
-            rows[j, i] = real(traj.eval(t)[0])
-    if not np.isfinite(ends).all():
-        bad = ~np.isfinite(ends).all(axis=(0, 1))
-        raise PropagationError(
-            f"non-finite state at t={problem.b:.6g}, lambda={lams[bad][0]}; solution overflow"
-        )
-    return ends, rows
-
-
 def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
     """[[phi, psi], [phi^[1], psi^[1]]] at b for every lambda in lams, shape
     (len(lams), 2, 2); real when every lambda is real.  Overflow raises
@@ -673,14 +638,17 @@ def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
     if np.iscomplexobj(lams) and np.all(lams.imag == 0.0):
         lams = lams.real
     lams = lams.astype(complex if np.iscomplexobj(lams) else float)
-    return _walk(problem, lams, ("phi", "psi"))[0].transpose(2, 0, 1)
+    inits = np.array([_init(problem.alpha, "phi"), _init(problem.alpha, "psi")]).T
+    return _walk(problem, lams, inits)[-1].end.transpose(2, 0, 1)
 
 
 def phi_rows(problem: SLProblem, lams, t) -> np.ndarray:
     """phi(t_j, lambda_k) for real lambda, as a (len(lams), len(t)) array,
-    read off _walk at the points t; points t in a variable piece take
-    fundamental_trajectory's rows.  Overflow raises PropagationError."""
-    return _walk(problem, np.atleast_1d(np.asarray(lams, dtype=float)), ("phi",), t)[1][0]
+    read off the walk's Trajectory at the points t.  Overflow raises
+    PropagationError."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    inits = np.array(_init(problem.alpha, "phi"))[:, None]
+    return Trajectory(problem, lams, _walk(problem, lams, inits)).eval(t)[0][0]
 
 
 def phi_at(problem: SLProblem, lam: complex, t: float) -> StateVec:

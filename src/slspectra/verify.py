@@ -35,7 +35,7 @@ from .problem import (
     constant_coefficient_problem,
     delta_inner,
 )
-from .propagator import wronskian
+from .propagator import fundamental_trajectory
 from .spectral import (
     _point_masses,
     build_spectral_function,
@@ -110,10 +110,11 @@ def _sqrt_poles(n: int) -> list[float]:
 # y'' = -lam Delta y, a method independent of the transfer-matrix propagator
 
 
-def _shoot_midthird(lam: float, n_steps: int = 3000) -> float:
-    """y'(1) for the shot started at (1, 0)."""
+def _shoot_midthird(lam, n_steps: int = 3000):
+    """y'(1) for the shot started at (1, 0); lam a float, or an array whose
+    entries are shot side by side with the same arithmetic."""
     per = n_steps // 3
-    y, v = 1.0, 0.0
+    y, v = (1.0, 0.0) if np.ndim(lam) == 0 else (np.ones(np.shape(lam)), np.zeros(np.shape(lam)))
     for t0, t1, dval in ((0.0, 1 / 3, 1.0), (1 / 3, 2 / 3, 0.0), (2 / 3, 1.0, 1.0)):
         c = -lam * dval
         h = (t1 - t0) / per
@@ -131,7 +132,7 @@ def _shoot_midthird_eigs(n: int, lam_hi: float) -> list[float]:
     from scipy.optimize import brentq
 
     grid = np.linspace(-1.0, lam_hi, max(64, int(2 * lam_hi)))
-    vals = np.array([_shoot_midthird(float(u)) for u in grid])
+    vals = _shoot_midthird(grid)
     roots: list[float] = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
@@ -335,10 +336,12 @@ def criterion_nevanlinna(free: SLProblem, mid: SLProblem) -> CriterionResult:
     rng = np.random.default_rng(_SEED)
     worst_w = 0.0
     for prob in (free, mid):
+        ts = np.linspace(prob.a, prob.b, 50)
         for _ in range(20):
             lam = complex(rng.uniform(-20, 120), rng.uniform(-5, 5))
-            for t in np.linspace(prob.a, prob.b, 50):
-                worst_w = max(worst_w, abs(wronskian(prob, lam, float(t)) - 1.0))
+            (py, py1), (sy, sy1) = (fundamental_trajectory(prob, lam, w).eval(ts)
+                                    for w in ("phi", "psi"))
+            worst_w = max(worst_w, float(np.max(np.abs(py * sy1 - py1 * sy - 1.0))))
     tol_w = 100.0 * free.quad.ode_tol
     ok_w = worst_w <= tol_w
     return CriterionResult(

@@ -118,6 +118,26 @@ def midthird_eigs_closed(lam_max: float) -> list[float]:
     return sorted(out)
 
 
+def midthird_state(lam: complex, t: float, init=(1.0, 0.0)) -> tuple[complex, complex]:
+    """(y(t), y'(t)) of the middle-third problem started from init at 0, piece
+    by piece in closed form: y0 cos(r s) + y'0 sin(r s)/r on the live thirds
+    (r = sqrt(lam)) and the line y0 + y'0 s across the dead one."""
+
+    def live(y, v, s):
+        r = cmath.sqrt(lam)
+        c, sn = cmath.cos(r * s), (cmath.sin(r * s) / r if r != 0 else s)
+        return y * c + v * sn, -lam * y * sn + v * c
+
+    third = 1.0 / 3.0
+    y, v = init
+    if t <= third:
+        return live(y, v, t)
+    y, v = live(y, v, third)
+    if t <= 2.0 * third:
+        return y + v * (t - third), v
+    return live(y + v * third, v, t - 2.0 * third)
+
+
 # ---------------------------------------------------------------------------
 # middle-third problem, shooting oracle (method independent of the package:
 # fixed-step classical RK4 on y'' = -lam Delta y, piece by piece)
@@ -242,6 +262,13 @@ def linear_p_endpoints(lam: float) -> np.ndarray:
         [_linear_p_c(lam, 0, z1) / c00, -2.0 * math.pi * s0],
         [-0.25 * z1 * _linear_p_c(lam, 1, z1) / c00, 0.5 * math.pi * z1 * s1],
     ])
+
+
+def linear_p_phi(t: float, lam: float) -> float:
+    """phi(t) of the linear-p problem, lam > 0: C0(4 sqrt(lam p(t))) / C0(z0)
+    with p(t) = 1 + t/2."""
+    z = 4.0 * math.sqrt(lam * (1.0 + 0.5 * t))
+    return _linear_p_c(lam, 0, z) / _linear_p_c(lam, 0, 4.0 * math.sqrt(lam))
 
 
 def linear_p_eigs(lam_max: float) -> list[float]:

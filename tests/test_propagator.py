@@ -339,11 +339,7 @@ class TestMagnusEngine:
         lam = 1e4
         want = propagate(rk_variant(poly), lam, (1.0, 0.0)).endpoint
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
-        propagator._magnus_transfer.cache_clear()
-        try:
-            traj = propagate(poly, lam, (1.0, 0.0))
-        finally:
-            propagator._magnus_transfer.cache_clear()
+        traj = propagate(poly, lam, (1.0, 0.0))
         assert traj.endpoint.y == pytest.approx(want.y, rel=1e-9)
         assert traj.endpoint.y1 == pytest.approx(want.y1, rel=1e-9)
         assert len(traj.nodes) > 2  # DOP853 step nodes, not a Magnus segment
@@ -390,12 +386,10 @@ class TestEndpointStates:
             propagator, "solve_ivp", lambda *a, **k: dop853.append(1) or solve_ivp(*a, **k)
         )
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
-        propagator._magnus_transfer.cache_clear()
         propagator.clear_cache()
         try:
             got = propagator.endpoint_states(poly, [37.0, 1e4])
         finally:
-            propagator._magnus_transfer.cache_clear()
             propagator.clear_cache()
         assert dop853
         want = _per_lambda_endpoints(rk_variant(poly, ode_tol=1e-12), [37.0, 1e4])
@@ -474,6 +468,104 @@ class TestPhiRows:
             propagator.phi_rows(free, [1.0], [0.5, 1.1])
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the walk took a per-lambda or DOP853 path")
+
+
+class TestWalkOracles:
+    """The walk against closed forms that do not share its arithmetic."""
+
+    LAMBDAS = TestPhiRows.LAMBDAS
+
+    def test_free_states_at_b_and_rows(self, free):
+        t = np.linspace(0.0, 1.0, 41)
+        got = propagator.endpoint_states(free, self.LAMBDAS)
+        want = np.array([np.array([oracles.phi_free(lam, 1.0), oracles.psi_free(lam, 1.0)]).T
+                         for lam in self.LAMBDAS]).real
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        rows = propagator.phi_rows(free, self.LAMBDAS, t)
+        want = np.array([[oracles.phi_free(lam, s)[0].real for s in t] for lam in self.LAMBDAS])
+        assert np.all(np.abs(rows - want) <= 1e-12 * np.max(np.abs(want), axis=1, keepdims=True))
+
+    def test_linear_p_rows_inside_the_magnus_piece(self, monkeypatch):
+        prob = load_problem(CONFIGS / "linear_p.ini")
+        assert not propagator._pieces(prob)[0][3]  # one variable piece
+        monkeypatch.setattr(propagator, "solve_ivp", _refuse)
+        monkeypatch.setattr(propagator, "fundamental_trajectory", _refuse)
+        lams = [0.5, 37.0, 600.0, 1e4]
+        t = np.linspace(0.0, 1.0, 29)[1:-1]
+        got = propagator.phi_rows(prob, lams, t)
+        want = np.array([[oracles.linear_p_phi(s, lam) for s in t] for lam in lams])
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_reference_engine_on_the_middle_third(self, mid):
+        rk = rk_variant(mid)
+        lams = [-300.0, -1.0, 0.0, 37.0, 400.0]
+        t = np.linspace(0.0, 1.0, 25)
+        ends = propagator.endpoint_states(rk, lams)
+        rows = propagator.phi_rows(rk, lams, t)
+        for k, lam in enumerate(lams):
+            want = np.array([oracles.midthird_state(lam, 1.0, init)
+                             for init in ((1.0, 0.0), (0.0, 1.0))]).T
+            assert np.max(np.abs(ends[k] - want.real)) <= 1e-9 * np.max(np.abs(want))
+            want = np.array([oracles.midthird_state(lam, s)[0].real for s in t])
+            assert np.max(np.abs(rows[k] - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+class TestOneWalk:
+    """Every propagation is the one walk: batches, budgets and point sets."""
+
+    def test_mixed_step_budget_batch(self, poly, monkeypatch):
+        # 1e4 runs out of Magnus steps and takes DOP853; 37 needs 128 steps at
+        # ode_tol 1e-11 and stays on Magnus
+        t = np.linspace(0.0, 1.0, 9)
+        ends_37 = propagator.endpoint_states(poly, [37.0])
+        rows_37 = propagator.phi_rows(poly, [37.0], t)
+        monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 128)
+        propagator.clear_cache()
+        try:
+            ends = propagator.endpoint_states(poly, [37.0, 1e4])
+            rows = propagator.phi_rows(poly, [37.0, 1e4], t)
+        finally:
+            propagator.clear_cache()
+        np.testing.assert_array_equal(ends[0], ends_37[0])
+        np.testing.assert_array_equal(rows[0], rows_37[0])
+        ref = rk_variant(poly, ode_tol=1e-12)
+        want = propagator.endpoint_states(ref, [1e4])[0]
+        want_rows = propagator.phi_rows(ref, [1e4], t)[0]
+        assert np.all(np.abs(ends[1] - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        assert np.max(np.abs(rows[1] - want_rows)) <= 1e-9 * np.max(np.abs(want_rows))
+
+    @pytest.mark.parametrize("name", ["free", "mid"])
+    def test_pointwise_and_batched_eval_agree(self, request, name):
+        prob = request.getfixturevalue(name)
+        t = np.linspace(prob.a, prob.b, 2000)
+        for lam in (4.0 + 1.0j, 37.0):
+            traj = propagator.fundamental_trajectory(prob, lam, "phi")
+            y, y1 = traj.eval(t)
+            points = [traj.state_at(s) for s in t.tolist()]
+            np.testing.assert_array_equal(y, [sv.y for sv in points])
+            np.testing.assert_array_equal(y1, [sv.y1 for sv in points])
+
+    def test_reference_runs_are_reused(self, free, monkeypatch):
+        # the endpoint walk's DOP853 runs serve later rows and trajectories
+        rk = rk_variant(free, ode_tol=1e-9)
+        runs = []
+        solve_ivp = propagator.solve_ivp
+        monkeypatch.setattr(
+            propagator, "solve_ivp", lambda *a, **k: runs.append(1) or solve_ivp(*a, **k)
+        )
+        propagator.clear_cache()
+        try:
+            propagator.endpoint_states(rk, [3.0, 40.0])
+            assert len(runs) == 4  # one per (lambda, column)
+            propagator.phi_rows(rk, [3.0, 40.0], np.linspace(0.0, 1.0, 5))
+            propagator.fundamental_trajectory(rk, 40.0, "psi").eval(0.5)
+            assert len(runs) == 4
+        finally:
+            propagator.clear_cache()
+
+
 def _magnus_transfer_per_lambda(rules, t0, t1, lam, tol):
     """(n, T) or None: one lambda at a time, on 1-D step arrays (the loop the
     batched transfers replace)."""
@@ -530,10 +622,9 @@ class TestMagnusTransfers:
                 want_n, want_T = _magnus_transfer_per_lambda(rules, t0, t1, lam, tol)
                 assert n[i] == want_n
                 np.testing.assert_array_equal(T[i], want_T)
-                propagator._magnus_transfer.cache_clear()
-                one_n, one_T = propagator._magnus_transfer(rules, t0, t1, lam, tol)
-                assert one_n == want_n
-                np.testing.assert_array_equal(one_T, want_T)
+                one_n, one_T, _ = propagator._magnus_transfers(rules, t0, t1, np.array([lam]), tol)
+                assert one_n[0] == want_n
+                np.testing.assert_array_equal(one_T[0], want_T)
         # the wide batch spans several start-step groups, and some group has
         # more rows than one step array holds
         start = propagator._start_steps(rules, t0, t1, lams)
@@ -544,12 +635,8 @@ class TestMagnusTransfers:
     def test_step_budget_mask(self, poly, monkeypatch):
         t0, t1, rules = _variable_piece(poly)
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
-        propagator._magnus_transfer.cache_clear()
-        try:
-            n, T, spent = propagator._magnus_transfers(rules, t0, t1, np.array([37.0, 1e4]), 1e-6)
-            assert propagator._magnus_transfer(rules, t0, t1, 1e4, 1e-6) is None
-        finally:
-            propagator._magnus_transfer.cache_clear()
+        n, T, spent = propagator._magnus_transfers(rules, t0, t1, np.array([37.0, 1e4]), 1e-6)
+        assert propagator._magnus_transfers(rules, t0, t1, np.array([1e4]), 1e-6)[2][0]
         np.testing.assert_array_equal(spent, [False, True])
         want_n, want_T = _magnus_transfer_per_lambda(rules, t0, t1, 37.0, 1e-6)
         assert n[0] == want_n <= 64 and n[1] == 0
