@@ -18,7 +18,7 @@ import ast
 import configparser
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -249,6 +249,10 @@ class SLProblem:
                 raise ConfigError(f"|{name}| is not finitely integrable: {exc}") from exc
             if not np.isfinite(abs(val)):
                 raise ConfigError(f"|{name}| integrates to a non-finite value")
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:  # field-wise, computed once: every cache keys on it
+        return self._hash
 
     @property
     def breakpoints(self) -> tuple[float, ...]:

@@ -9,14 +9,16 @@ the first-order system in (y, y^[1]) with the quasi-derivative y^[1] = p y':
 One walk, _walk, carries initial columns (phi and psi, or the data given
 to propagate) from a to b for a whole batch of lambda.  It leaves one
 segment per piece, so steps never straddle a discontinuity of p, q or
-Delta.  A segment holds the batch's states at the piece's ends and sol(t),
-the states at points t inside it.  There are three kinds:
+Delta.  A segment holds the batch's states at the piece's ends, sol(t),
+the states at points t inside it, and reduce, sums of c y(t) (or of
+c y(t)^2) over panels of points inside it.  There are three kinds:
 
 * _ExactSegment, where p, q and Delta are constant: the transfer is
   exp(hA) = cosh(s) I + sinh(s)/s hA with A = [[0, 1/p], [q - lambda Delta,
   0]] and s^2 = h^2 (q - lambda Delta) / p, exact to rounding with det = 1.
   One elementwise pass gives the ends of all constant pieces; sol(t) is one
-  partial step from the piece's start.
+  partial step from the piece's start, and reduce a step to each panel
+  midpoint and a partial step by each panel offset.
 * _MagnusSegment, on every other piece: n uniform steps of the sixth-order,
   three-point Gauss Magnus method (Blanes, Casas & Ros 2000), each the
   exponential of a traceless 2x2 matrix, so det = 1 too.  Its entries are
@@ -35,8 +37,9 @@ the states at points t inside it.  There are three kinds:
 Complex lambda propagate a complex state; real ones stay real.  A
 Trajectory holds the segments of a walk.  endpoint_states reads phi, psi
 and their quasi-derivatives at b, all that slspectra.spectral needs;
-phi_rows reads phi at points t for the transform and its inverse;
-propagate and the cached fundamental_trajectory are the walk of one lambda.
+phi_rows reads phi at points t for the inverse transform, phi_sums reduces
+phi or phi^2 on panel grids for the forward one; propagate and the cached
+fundamental_trajectory are the walk of one lambda.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -90,6 +93,7 @@ _MAGNUS_MAX_STEPS = 1 << 16  # beyond this the piece falls back to DOP853
 _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
 _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
 _MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
+_ROW_BATCH = 1 << 15  # most lambda x t (or panel) entries of phi held at once
 
 
 def _pmul(x, y):
@@ -311,7 +315,16 @@ def _exact_step(state, p, coef, C, S):
 
 class _Segment:
     """States start and end, shape (2, columns, lambdas), at the ends of one
-    piece [t0, t1]; sol(t) has shape (2, columns, lambdas, len(t))."""
+    piece [t0, t1]; sol(t) of shape (2, columns, lambdas, len(t)); reduce, per
+    panel set (mids, x, c), sum c[p, i] y(mids[p] + x[i]) (or y^2) of shape
+    (len(sets), columns, lambdas)."""
+
+    def reduce(self, sets, squared: bool) -> np.ndarray:
+        """sol(t) once on the points of all sets, its rows times each c."""
+        y = self.sol(np.concatenate([(mids[:, None] + x).ravel() for mids, x, _ in sets]))[0]
+        y = y * y if squared else y
+        split = np.cumsum([c.size for _, _, c in sets])[:-1]
+        return np.array([r @ c.ravel() for r, (_, _, c) in zip(np.split(y, split, axis=-1), sets)])
 
     def steps(self) -> list:
         """(t, state) at the step nodes after t0, of the first column and lambda."""
@@ -332,6 +345,19 @@ class _ExactSegment(_Segment):
         coef = self._coef[..., None]
         C, S = _closed_form(coef / self._p, t - self.t0)
         return _exact_step(self.start[..., None], self._p, coef, C, S)
+
+    def reduce(self, sets, squared: bool) -> np.ndarray:
+        """exp((m + x) A) = exp(x A) exp(m A): y = C Y + S Z with (Y, Z) = (y,
+        y^[1]/p) at the midpoints and (C, S) the steps by the offsets, so sums
+        over x are matmuls; cancelling terms lose up to exp(2|s|) in rounding."""
+        out = []
+        for mids, x, c in sets:
+            (Y, Z), (C, S) = self.sol(mids), _closed_form(self._coef[..., None] / self._p, x)
+            Z = Z / self._p
+            terms = ([(Y * Y, C * C), (2 * Y * Z, C * S), (Z * Z, S * S)] if squared
+                     else [(Y, C), (Z, S)])
+            out.append(sum(np.sum(V * (F @ c.T), axis=-1) for V, F in terms))
+        return np.array(out)
 
 
 class _MagnusSegment(_Segment):
@@ -649,6 +675,33 @@ def phi_rows(problem: SLProblem, lams, t) -> np.ndarray:
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     inits = np.array(_init(problem.alpha, "phi"))[:, None]
     return Trajectory(problem, lams, _walk(problem, lams, inits)).eval(t)[0][0]
+
+
+def phi_sums(problem: SLProblem, lams, grids, squared: bool) -> np.ndarray:
+    """sum_j c_j phi(t_j, lambda_k) (or phi^2) over each grid (sets, c) for
+    real lambda, shape (len(grids), len(lams)); sets are panel sets (mids, x),
+    each inside one piece, with points t_j = mids[p] + x[i] in order.  One walk
+    per block of lambda (about _ROW_BATCH entries per array), one reduce per piece."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    pieces = _pieces(problem)
+    ends = np.array([t1 for _, t1, _, _ in pieces[:-1]])
+    jobs = {}  # piece -> [(grid, (mids, x, c))]
+    for g, (sets, c) in enumerate(grids):
+        cs = np.split(c, np.cumsum([mids.size * x.size for mids, x in sets])[:-1])
+        for (mids, x), ci in zip(sets, cs):
+            k = int(np.searchsorted(ends, mids[0], side="right"))
+            jobs.setdefault(k, []).append((g, (mids, x, ci.reshape(mids.size, x.size))))
+    width = sum(max(c.shape) if problem.quad.closed_form_pieces and pieces[k][3] else c.size
+                for k, js in jobs.items() for _, (*_, c) in js)
+    n = max(1, _ROW_BATCH // max(width, len(pieces)))
+    out = np.zeros((len(grids), lams.size), np.result_type(float, *(c for _, c in grids)))
+    for i in range(0, lams.size, n):
+        segments = _walk(problem, lams[i : i + n], np.array(_init(problem.alpha, "phi"))[:, None])
+        with np.errstate(all="ignore"):
+            for k, js in jobs.items():
+                gs, ks = zip(*js)
+                np.add.at(out[:, i : i + n], list(gs), segments[k].reduce(ks, squared)[:, 0])
+    return out
 
 
 def phi_at(problem: SLProblem, lam: complex, t: float) -> StateVec:

@@ -9,11 +9,11 @@ is kept when the two agree within the problem's quadrature tolerances, and
 a node that fails is recomputed by the adaptive rule of quadrature.py, which
 raises QuadratureError rather than return a degraded value.  The source norm
 ||y||^2_Delta and the norms ||phi(., lambda_k)||^2_Delta of eigen_expansion
-come from the same grids with the same check (_checked).  Both sides
-use one matrix Phi[k, j] = phi(t_j, s_k) from propagator.phi_rows, one walk
-of the pieces per block of nodes; _phi_blocks is the one place that splits
-the nodes into blocks, of at most _ROW_BATCH entries of Phi.  The inverse,
-its bound and the Parseval norm all come from one truncated spectral sum
+come from the same grids with the same check (_checked), without forming
+phi: propagator.phi_sums steps to each panel midpoint and by each offset,
+then reduces phi (or phi^2) against the weights by matmuls.  The inverse
+reads rows phi(t_j, s_k) of phi_rows, _ROW_BATCH at a time (_phi_blocks);
+it, its bound and the Parseval norm come from one truncated spectral sum
 
     y_N(t) = sum_k phi(t, s_k) w_k yhat(s_k)
 
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ConfigError, CrossCheckError, GridMismatchError, WindowError
 from .nevanlinna import BoundaryParam, classify_bc
 from .problem import SLProblem, delta_inner, delta_norm
-from .propagator import fundamental_trajectory, phi_rows
+from .propagator import _ROW_BATCH, fundamental_trajectory, phi_rows, phi_sums
 from .quadrature import _w_high, _x_high
 from .spectral import (
     SpectralFunction,
@@ -56,7 +56,6 @@ from .spectral import (
 
 _ZERO_NORM = 1e-30  # below this, treat ||y||^2_Delta as zero
 _MAX_PANELS = 4096  # per subinterval; bounds the grid for extreme nodes
-_ROW_BATCH = 1 << 15  # most node x t entries of Phi held at once (_phi_blocks)
 
 
 @dataclass(frozen=True)
@@ -140,19 +139,21 @@ def _hat_at(problem: SLProblem, y: Callable, s: float) -> complex:
     return delta_inner(problem, y, phi)
 
 
-def _checked(problem: SLProblem, coarse, fine, adaptive: Callable[[], complex]) -> complex:
-    """The check of the two shared grids: fine when it agrees with coarse
-    within max(abs_tol, rel_tol |fine|) of problem.quad, else adaptive()."""
-    if abs(coarse - fine) <= max(problem.quad.abs_tol, problem.quad.rel_tol * abs(fine)):
-        return complex(fine)
-    return complex(adaptive())
+def _checked(problem: SLProblem, coarse, fine, adaptive: Callable[[int], complex]) -> np.ndarray:
+    """The check of the two shared grids, on arrays: fine[i] where it agrees
+    with coarse[i] within max(abs_tol, rel_tol |fine[i]|), else adaptive(i)."""
+    quad = problem.quad
+    with np.errstate(invalid="ignore"):
+        ok = np.abs(coarse - fine) <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(fine))
+    out = np.array(fine, dtype=complex, ndmin=1)
+    out[~ok.ravel()] = [adaptive(i) for i in np.flatnonzero(~ok).tolist()]
+    return out
 
 
-def _shared_grids(
-    problem: SLProblem, s_ext: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _shared_grids(problem: SLProblem, s_ext: np.ndarray) -> tuple[tuple, tuple]:
     """Nodes t and weights w * Delta(t) of two composite Gauss-Legendre rules
-    on the support of Delta, with m and ceil(1.5 m) panels per subinterval.
+    on the support of Delta, with m and ceil(1.5 m) panels per subinterval,
+    and their panel sets (mids, half x_high) for phi_sums, one per subinterval.
 
     The subintervals are the Delta-support pieces split at every breakpoint,
     since phi kinks where p, q or Delta jump.  m = ceil(1 + k len / pi), with
@@ -178,26 +179,18 @@ def _shared_grids(
                 half = 0.5 * (t1 - t0) / panels
                 mids = t0 + half * (2.0 * np.arange(panels) + 1.0)
                 t = (mids[:, None] + half * _x_high).ravel()
-                parts.append((t, np.tile(half * _w_high, panels) * piece.rule(t)))
-    return tuple(
-        tuple(np.concatenate(arrs) for arrs in zip(*parts)) for parts in grids
-    )
+                w = np.tile(half * _w_high, panels) * piece.rule(t)
+                parts.append((t, w, (mids, half * _x_high)))
+    return tuple((np.concatenate(t), np.concatenate(w), s) for t, w, s in (zip(*g) for g in grids))
 
 
 def _phi_norms_sq(problem: SLProblem, lams: np.ndarray) -> np.ndarray:
-    """||phi(., lam_k)||^2_Delta for real lam_k: the squared rows of phi on
-    the two shared grids, with fourier_transform's check; a node that fails
-    it is recomputed by delta_norm."""
-    (t1, w1), (t2, w2) = _shared_grids(problem, np.array([lams.min(), lams.max()]))
-    coarse, fine = np.empty((2, lams.size))
-    for blk, rows in _phi_blocks(problem, lams, np.concatenate([t1, t2])):
-        coarse[blk], fine[blk] = rows[:, : t1.size] ** 2 @ w1, rows[:, t1.size :] ** 2 @ w2
-
-    def adaptive(s: float) -> float:
-        return delta_norm(problem, lambda t: phi_rows(problem, [s], t)[0]) ** 2
-
-    return np.array([_checked(problem, c, f, lambda s=s: adaptive(s)).real
-                     for s, c, f in zip(lams, coarse, fine)])
+    """||phi(., lam_k)||^2_Delta for real lam_k from phi_sums on the two shared
+    grids, with fourier_transform's check; a node that fails goes to delta_norm."""
+    (_, w1, sets1), (_, w2, sets2) = _shared_grids(problem, np.array([lams.min(), lams.max()]))
+    coarse, fine = phi_sums(problem, lams, [(sets1, w1), (sets2, w2)], True)
+    return _checked(problem, coarse, fine, lambda i: delta_norm(
+        problem, lambda t: phi_rows(problem, [lams[i]], t)[0]) ** 2).real
 
 
 def fourier_transform(
@@ -207,9 +200,8 @@ def fourier_transform(
 
     All nodes share two composite Gauss-Legendre grids on the support of
     Delta (see _shared_grids), the second with 1.5x the panels of the first.
-    phi(., s) of a block of nodes on both grids together is reduced at once
-    to the dot products with w Delta y; the 1.5x value is kept when the two
-    agree within max(abs_tol, rel_tol |yhat|) of problem.quad.
+    phi_sums reduces phi(., s) on both grids against w Delta y; the 1.5x
+    value is kept when the two agree within max(abs_tol, rel_tol |yhat|).
     A node that fails this check, such as one whose y kinks inside a piece,
     is recomputed by the adaptive rule (_hat_at), which raises
     QuadratureError if it cannot converge; the source norm falls back to
@@ -218,27 +210,18 @@ def fourier_transform(
     masses = [s for s, _ in sigma.point_masses]
     nodes = np.concatenate([sigma.ac_grid, masses])
     s_ext = np.array([nodes.min(), nodes.max()]) if nodes.size else np.zeros(1)
-    (t1, w1), (t2, w2) = _shared_grids(problem, s_ext)
-    t_all = np.concatenate([t1, t2])
-    y_all = np.asarray(yv(t_all))
-    c1, c2 = w1 * y_all[: t1.size], w2 * y_all[t1.size :]
-    coarse, fine = np.empty((2, nodes.size), complex)
-    for blk, rows in _phi_blocks(problem, nodes, t_all):
-        coarse[blk], fine[blk] = rows[:, : t1.size] @ c1, rows[:, t1.size :] @ c2
-    hats = [
-        _checked(problem, c, f, lambda s=s: _hat_at(problem, yv, s))
-        for s, c, f in zip(nodes, coarse, fine)
-    ]
-    y_sq = np.abs(y_all) ** 2
-    norm_sq = _checked(
-        problem, w1 @ y_sq[: t1.size], w2 @ y_sq[t1.size :], lambda: delta_inner(problem, yv, yv)
-    )
+    (t1, w1, sets1), (t2, w2, sets2) = _shared_grids(problem, s_ext)
+    y1, y2 = np.split(np.asarray(yv(np.concatenate([t1, t2]))), [t1.size])
+    coarse, fine = phi_sums(problem, nodes, [(sets1, w1 * y1), (sets2, w2 * y2)], False)
+    hats = _checked(problem, coarse, fine, lambda i: _hat_at(problem, yv, nodes[i]))
+    norm_sq = _checked(problem, w1 @ np.abs(y1) ** 2, w2 @ np.abs(y2) ** 2,
+                       lambda _: delta_inner(problem, yv, yv))
     n_ac = sigma.ac_grid.size
     return TransformedFn(
         ac_u=sigma.ac_grid.copy(),
-        ac_values=np.array(hats[:n_ac], dtype=complex),
-        mass_values=tuple(zip(masses, hats[n_ac:])),
-        source_norm_sq=max(norm_sq.real, 0.0),
+        ac_values=hats[:n_ac],
+        mass_values=tuple(zip(masses, hats[n_ac:].tolist())),
+        source_norm_sq=max(float(norm_sq[0].real), 0.0),
     )
 
 

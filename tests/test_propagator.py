@@ -468,6 +468,78 @@ class TestPhiRows:
             propagator.phi_rows(free, [1.0], [0.5, 1.1])
 
 
+def _panel_grids(problem, lams):
+    """The transform's two shared grids for lams as (sets, t, c), with random
+    complex weights c, so the sums cancel nothing by symmetry."""
+    rng = np.random.default_rng(11)
+    grids = transform._shared_grids(problem, np.array([min(lams), max(lams)]))
+    return [(sets, t, rng.normal(size=t.size) + 1j * rng.normal(size=t.size))
+            for t, _, sets in grids]
+
+
+class TestPhiSums:
+    """phi_sums, the per-segment reduction, against phi_rows times the weights."""
+
+    LAMBDAS = [-1e4, -300.0, -1e-3, 0.0, 1e-9, 2e-6, 37.0, 1e4]  # series branch at 0, 1e-9
+
+    @pytest.mark.parametrize("name", ["free", "mid", "linear_p", "table", "rk"])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_matches_rows_times_weights(self, request, name, squared):
+        if name == "linear_p":
+            prob = load_problem(CONFIGS / "linear_p.ini")  # Magnus default
+        elif name == "rk":
+            prob = rk_variant(request.getfixturevalue("mid"))  # DOP853 default
+        else:
+            prob = request.getfixturevalue(name)
+        lams = self.LAMBDAS if name != "rk" else [-300.0, 0.0, 1e-9, 37.0]
+        grids = _panel_grids(prob, lams)
+        got = propagator.phi_sums(prob, lams, [(sets, c) for sets, _, c in grids], squared)
+        assert got.shape == (2, len(lams))
+        for g, (_, t, c) in enumerate(grids):
+            rows = propagator.phi_rows(prob, lams, t) ** (2 if squared else 1)
+            assert np.all(np.abs(got[g] - rows @ c) <= 1e-12 * (np.abs(rows) @ np.abs(c)))
+
+    @pytest.mark.parametrize("name", ["free", "mid", "table"])
+    def test_blocks_match_one_block(self, request, name, monkeypatch):
+        prob = request.getfixturevalue(name)
+        grids = [(sets, c) for sets, _, c in _panel_grids(prob, self.LAMBDAS)]
+        whole = propagator.phi_sums(prob, self.LAMBDAS, grids, False)
+        for batch in (1, 20, 50):
+            monkeypatch.setattr(propagator, "_ROW_BATCH", batch)
+            got = propagator.phi_sums(prob, self.LAMBDAS, grids, False)
+            assert np.all(np.abs(got - whole) <= 1e-14 * np.maximum(1.0, np.abs(whole)))
+
+    def test_one_sol_per_piece_for_all_grids(self, monkeypatch):
+        # the default reduce builds each lambda's Magnus mesh once, not once per grid
+        prob = load_problem(CONFIGS / "linear_p.ini")
+        grids = [(sets, c) for sets, _, c in _panel_grids(prob, self.LAMBDAS)]
+        calls = []
+        sol = propagator._MagnusSegment.sol
+        monkeypatch.setattr(propagator._MagnusSegment, "sol",
+                            lambda seg, t: calls.append(t.size) or sol(seg, t))
+        propagator.phi_sums(prob, self.LAMBDAS, grids, False)
+        assert calls == [sum(c.size for _, c in grids)]
+
+    def test_overflow_refused(self, free):
+        grids = [(sets, c) for sets, _, c in _panel_grids(free, [1.0, -1e6])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError):
+                propagator.phi_sums(free, [1.0, -1e6], grids, False)
+
+
+def test_equal_problems_hash_equal_and_share_the_piece_cache():
+    one, two = (load_problem(CONFIGS / "middle_third.ini") for _ in range(2))
+    assert one == two and one is not two and hash(one) == hash(two)
+    assert hash(one) == hash((one.a, one.b, one.alpha, one.p, one.q, one.delta, one.quad))
+    other = replace(one, alpha=0.3)
+    assert other != one and hash(other) != hash(one)
+    propagator._pieces(one)
+    hits = propagator._pieces.cache_info().hits
+    assert propagator._pieces(two) is propagator._pieces(one)
+    assert propagator._pieces.cache_info().hits == hits + 2
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the walk took a per-lambda or DOP853 path")
 

@@ -31,7 +31,7 @@ from slspectra import (
     sqrt_param,
     uniform_convergence_profile,
 )
-from slspectra import transform
+from slspectra import propagator, transform
 from slspectra.propagator import fundamental_trajectory, phi_rows
 from slspectra.transform import EigenMode, _hat_at, _inverse_on_grid
 
@@ -201,12 +201,12 @@ class TestSharedGrid:
 
     def test_grid_covers_support_only_and_is_capped(self, mid):
         # panel counts: ceil(1 + 10 (1/3) / pi) = 3 and ceil(4.5) = 5 per live third
-        (t1, w1), (t2, w2) = transform._shared_grids(mid, np.array([-1.0, 100.0]))
+        (t1, w1, _), (t2, w2, _) = transform._shared_grids(mid, np.array([-1.0, 100.0]))
         assert (t1.size, t2.size) == (2 * 21 * 3, 2 * 21 * 5)
         for t, w in ((t1, w1), (t2, w2)):
             assert not np.any((t > 1.0 / 3.0) & (t < 2.0 / 3.0))
             assert w.sum() == pytest.approx(2.0 / 3.0, rel=1e-14)
-        (t1, _), (t2, _) = transform._shared_grids(mid, np.array([0.0, 1e300]))
+        (t1, _, _), (t2, _, _) = transform._shared_grids(mid, np.array([0.0, 1e300]))
         cap = transform._MAX_PANELS
         assert (t1.size, t2.size) == (2 * 21 * cap, 2 * 21 * math.ceil(1.5 * cap))
 
@@ -215,6 +215,36 @@ class TestSharedGrid:
         yhat = fourier_transform(free, y, sigma_pp)
         assert len(hat_calls) > 0
         assert_matches_adaptive(free, y, sigma_pp, yhat)
+
+    @pytest.mark.parametrize("name", ["free", "mid"])
+    def test_constant_pieces_form_no_phi_rows(self, request, name, monkeypatch):
+        problem = request.getfixturevalue(name)
+        sig = build_spectral_function(problem, SQRT, (-50.0, 900.0), ac_nodes=24)
+        want = fourier_transform(problem, quartic, sig)
+        lams = np.array([s for s, _ in sig.point_masses])
+        norms = transform._phi_norms_sq(problem, lams)
+        calls = []
+        monkeypatch.setattr(transform, "phi_rows", lambda *a: calls.append(a))
+        monkeypatch.setattr(propagator, "phi_rows", lambda *a: calls.append(a))
+        monkeypatch.setattr(propagator.Trajectory, "eval", lambda *a: calls.append(a))
+        got = fourier_transform(problem, quartic, sig)
+        np.testing.assert_array_equal(got.ac_values, want.ac_values)
+        assert got.mass_values == want.mass_values
+        np.testing.assert_array_equal(transform._phi_norms_sq(problem, lams), norms)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["free", "mid", "linear_p"])
+    def test_small_row_batch_changes_only_rounding(self, request, name, monkeypatch):
+        problem = request.getfixturevalue(name)
+        sig = build_spectral_function(problem, SQRT, (-50.0, 900.0), ac_nodes=24)
+        lams = np.array([s for s, _ in sig.point_masses])
+        want = fourier_transform(problem, quartic, sig), transform._phi_norms_sq(problem, lams)
+        monkeypatch.setattr(propagator, "_ROW_BATCH", 50)
+        got = fourier_transform(problem, quartic, sig), transform._phi_norms_sq(problem, lams)
+        for g, w in ((got[0].ac_values, want[0].ac_values), (got[1], want[1]),
+                     ([v for _, v in got[0].mass_values], [v for _, v in want[0].mass_values])):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-15)
+        assert got[0].source_norm_sq == want[0].source_norm_sq
 
     @pytest.mark.parametrize("lam", [-1e6, -5e5, -3e5])
     def test_overflow_refused_as_on_the_per_lambda_path(self, free, lam):
