@@ -20,14 +20,18 @@ Im m(u+i0) = Im tau+(u) / |phi(b,u) tau+(u) - phi^[1](b,u)|^2, valid for
 real coefficient problems where phi(b,u) is real.  The extrapolation route
 samples Im m(u + i eps) along a decreasing eps schedule and extrapolates
 polynomially to eps = 0.  Point masses are similarly computed by residue
-and by the eps-limit of eps * Im m, and the two must agree.
+and by the eps-limit of eps * Im m, and the two must agree; the residue
+takes D' from a complex step, Im D(lambda_k + i h) / h, which has no
+cancellation, so N, D' and the eps samples all come off one walk of
+complex lambda.
 
 Everything takes lambda in batches, with one call of endpoint_states and one
 of each tau closure per batch; endpoint_states reads phi and psi at b off
 the one lambda-batched walk of the pieces in slspectra.propagator, which
-takes each batch whole.  Outside the eigenvalue scan,
+takes each batch whole.  The eigenvalue scan makes one call per refinement
+level and one per refinement step.  Outside the scan,
 build_spectral_function makes one such call for the pole probes of all
-roots, two for all point masses (_point_masses) and one for the density.
+roots, one for all point masses (_point_masses) and one for the density.
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ from .roots import brentq, chandrupatla  # noqa: F401
 _POLE_GUARD = 1e-14  # |D| below this fraction of |N| counts as "at a pole"
 _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
-_ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets in s: width <= 2e-12 + 4e-14 |s|
+_ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |x|
 _ROOT_LTOL = 1e-15  # ... or width in lambda <= 1e-15 (1 + |lambda|)
 _PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b (see _endpoints)
+_COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 + |lambda|)
 
 
 def default_eps_schedule() -> tuple[float, ...]:
@@ -107,16 +112,19 @@ def _m_parts(problem: SLProblem, tau: BoundaryParam, lams):
     return num, den, np.abs(den) <= _POLE_GUARD * np.abs(num)
 
 
+def _pole_error(lam, den) -> PoleProximityError:
+    return PoleProximityError(
+        f"m-function denominator vanishes at lambda={complex(lam)} (|D|={abs(den):.3e})"
+    )
+
+
 def _m_values(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     """m_tau at every lam in lams; raises PoleProximityError if one is at a pole."""
     lams = np.asarray(lams, dtype=complex)
     num, den, at_pole = _m_parts(problem, tau, lams)
     if np.any(at_pole):
         i = int(np.argmax(at_pole))
-        raise PoleProximityError(
-            f"m-function denominator vanishes at lambda={complex(lams[i])} "
-            f"(|D|={abs(den[i]):.3e})"
-        )
+        raise _pole_error(lams[i], den[i])
     return num / den
 
 
@@ -146,13 +154,23 @@ def _density_boundary(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
     return np.where(tv.imag == 0.0, 0.0, tv.imag / (math.pi * np.abs(den) ** 2))
 
 
+@lru_cache(maxsize=8)
+def _quadratic_projection(x: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(H, w) of the least-squares quadratic through samples at x: H @ y are
+    its values at x and w @ y its value at 0.  x is mapped onto [-1, 1]
+    first, as Polynomial.fit maps it."""
+    x = np.array(x)
+    off, scl = np.polynomial.polyutils.mapparms((x.min(), x.max()), (-1.0, 1.0))
+    V = np.vander(off + scl * x, 3, increasing=True)
+    pinv = np.linalg.pinv(V)
+    return V @ pinv, np.array([1.0, off, off * off]) @ pinv
+
+
 def _quadratic_fits(x: np.ndarray, ys: np.ndarray):
-    """Polynomial.fit(x, y, 2) of every row y of ys in one least-squares solve
-    (shared x, so one map of [min x, max x] onto [-1, 1]): values at x and 0."""
-    P = np.polynomial
-    off, scl = P.polyutils.mapparms((x.min(), x.max()), (-1.0, 1.0))
-    coef = P.polynomial.polyfit(off + scl * x, ys.T, 2)
-    return P.polynomial.polyval(off + scl * x, coef), P.polynomial.polyval(off, coef)
+    """Polynomial.fit(x, y, 2) of every row y of ys, by the projection cached
+    per x: values at x and 0."""
+    H, w = _quadratic_projection(tuple(x.tolist()))
+    return ys @ H.T, ys @ w
 
 
 def _extrapolated_densities(
@@ -232,9 +250,16 @@ def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
     Rescaling by max(1,|tau+|) keeps the scan bounded through large tau
     without flipping signs.  Nodes where tau+ is genuinely complex (ac
     spectrum) or near a tau pole are flagged invalid: no real m-pole there,
-    and no propagation either.
+    and no propagation either.  A Mobius tau = (a u + b)/(c u + d) instead
+    scans (c u + d) D = (a u + b) phi(b) - (c u + d) phi^[1](b), which is
+    entire in u and valid everywhere: W(phi, psi) = 1 and ad - bc > 0 leave
+    it no zero that is not a pole of m.
     """
     us = np.asarray(us, dtype=float)
+    if tau.mobius is not None:
+        a, b, c, d = tau.mobius
+        (ph, _), (ph1, _) = _endpoints(problem, us).transpose(1, 2, 0)
+        return (a * us + b) * ph - (c * us + d) * ph1, np.ones(us.shape, bool)
     tv, inf = _tau_array(tau, us)
     valid = inf | ((np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv))) & (np.abs(tv.real) <= 1e6))
     vals = np.zeros(us.size)
@@ -312,36 +337,46 @@ def _scan_segment(
     shrinks with lambda; at the base resolution such a pair is just an
     interior dip of |f| with no sign change, and whether three wide-spaced
     samples reveal the notch depends on grid phase.  So every interior
-    same-sign dip triple is subdivided unconditionally until the depth
-    budget runs out, and the brackets of every depth are collected.  A dip
-    that survives the full depth at rounding level is a suspected double
-    root and is an error, never merged.
+    same-sign dip triple is subdivided into 17 nodes unconditionally until
+    the depth budget runs out, and the brackets of every depth are
+    collected.  The subdivision is breadth-first: all subgrids of one depth
+    are rows of one array and take one _scan_values call.  A dip that
+    survives the full depth at rounding level is a suspected double root
+    and is an error, never merged.
     """
-    vals, valid = _scan_values(problem, tau, s_nodes * np.abs(s_nodes))
-    pair = valid[:-1] & valid[1:]
-    zero = np.append(pair, valid[-1]) & (vals == 0.0)
-    roots += _u_of(s_nodes[zero]).tolist()
-    k = np.flatnonzero(pair & (vals[:-1] * vals[1:] < 0.0))
-    brackets += zip(*(a.tolist() for a in (s_nodes[k], s_nodes[k + 1], vals[k], vals[k + 1])))
+    grids = np.atleast_2d(s_nodes)
+    while True:
+        vals, valid = (
+            a.reshape(grids.shape) for a in _scan_values(problem, tau, _u_of(grids).ravel())
+        )
+        pair = valid[:, :-1] & valid[:, 1:]
+        zero = np.column_stack([pair, valid[:, -1]]) & (vals == 0.0)
+        roots += _u_of(grids[zero]).tolist()
+        g, k = np.nonzero(pair & (vals[:, :-1] * vals[:, 1:] < 0.0))
+        brackets += zip(
+            *(a.tolist() for a in (grids[g, k], grids[g, k + 1], vals[g, k], vals[g, k + 1]))
+        )
 
-    # interior same-sign triples whose middle |value| is the smallest
-    lo, mid, hi = vals[:-2], vals[1:-1], vals[2:]
-    sign = np.sign(mid)
-    dip = valid[:-2] & valid[1:-1] & valid[2:] & (mid != 0.0)
-    dip &= (np.sign(lo) == sign) & (np.sign(hi) == sign)
-    dip &= (np.abs(mid) <= np.abs(lo)) & (np.abs(mid) <= np.abs(hi))
-    if depth == 0:
-        double = dip & (np.abs(mid) < 1e-9 * np.maximum(np.abs(lo), np.abs(hi)))
-        if np.any(double):
-            i = int(np.argmax(double))
-            raise DoubleRootError(
-                f"denominator nearly vanishes without sign change near "
-                f"lambda={_u_of(float(s_nodes[i + 1])):.8g}"
-            )
-        return
-    for i in np.flatnonzero(dip).tolist():
-        sub = np.linspace(float(s_nodes[i]), float(s_nodes[i + 2]), 17)
-        _scan_segment(problem, tau, sub, depth - 1, roots, brackets)
+        # interior same-sign triples whose middle |value| is the smallest
+        lo, mid, hi = vals[:, :-2], vals[:, 1:-1], vals[:, 2:]
+        sign = np.sign(mid)
+        dip = valid[:, :-2] & valid[:, 1:-1] & valid[:, 2:] & (mid != 0.0)
+        dip &= (np.sign(lo) == sign) & (np.sign(hi) == sign)
+        dip &= (np.abs(mid) <= np.abs(lo)) & (np.abs(mid) <= np.abs(hi))
+        g, i = np.nonzero(dip)
+        if depth == 0:
+            double = np.abs(mid[g, i]) < 1e-9 * np.maximum(np.abs(lo[g, i]), np.abs(hi[g, i]))
+            if np.any(double):
+                j = int(np.argmax(double))
+                raise DoubleRootError(
+                    f"denominator nearly vanishes without sign change near "
+                    f"lambda={_u_of(float(grids[g[j], i[j] + 1])):.8g}"
+                )
+            return
+        if g.size == 0:
+            return
+        grids = np.linspace(grids[g, i], grids[g, i + 2], 17, axis=1)
+        depth -= 1
 
 
 def find_eigenvalues(
@@ -354,10 +389,12 @@ def find_eigenvalues(
 
     A scan in the variable s = sign(u) sqrt|u| brackets the sign changes of
     the (rescaled) denominator (_scan_segment), and chandrupatla refines all
-    brackets together, with one _scan_values call per iteration.  A bracket
-    stops at width 2e-12 + 4e-14 |s|, or at width 1e-15 (1 + |lambda|) in
-    lambda, which ends the refinement of a root at lambda = 0 where the
-    tolerance in s is far below rounding."""
+    brackets together, with one _scan_values call per iteration.  Every
+    bracket is refined in s but the one that holds s = 0: there the scan
+    function is ~ s|s| and interpolation in s falls back to bisection, so
+    that bracket is refined in lambda = s|s|, where it is analytic.  A
+    bracket stops at width 2e-12 + 4e-14 |x| in its variable x, or at width
+    1e-15 (1 + |lambda|) in lambda."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigError(f"empty search interval [{lo}, {hi}]")
@@ -380,23 +417,28 @@ def find_eigenvalues(
     brackets: list[tuple[float, float, float, float]] = []
     _scan_segment(problem, tau, s_grid, 3, roots, brackets)
     if brackets:
+        x1, x2, f1, f2 = np.array(brackets).T
+        in_u = (x1 <= 0.0) & (x2 >= 0.0)
+        x1, x2 = np.where(in_u, _u_of(x1), x1), np.where(in_u, _u_of(x2), x2)
 
-        def f(s: np.ndarray) -> np.ndarray:
-            vals, valid = _scan_values(problem, tau, _u_of(s))
+        def lam_of(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+            return np.where(in_u[live], x, _u_of(x))
+
+        def f(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+            vals, valid = _scan_values(problem, tau, lam_of(x, live))
             if not np.all(valid):
-                raise PoleProximityError(
-                    f"scan function invalid inside bracket at s={s[~valid][0]}"
-                )
+                lam = lam_of(x, live)[~valid][0]
+                raise PoleProximityError(f"scan function invalid inside bracket at lambda={lam}")
             return vals
 
-        def converged(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-            u1 = _u_of(s1)
-            return np.abs(_u_of(s2) - u1) <= _ROOT_LTOL * (1.0 + np.abs(u1))
+        def converged(x1: np.ndarray, x2: np.ndarray, live: np.ndarray) -> np.ndarray:
+            u1 = lam_of(x1, live)
+            return np.abs(lam_of(x2, live) - u1) <= _ROOT_LTOL * (1.0 + np.abs(u1))
 
-        s_roots = chandrupatla(
-            f, *np.array(brackets).T, _ROOT_XTOL, _ROOT_RTOL, maxiter=200, converged=converged
+        found = chandrupatla(
+            f, x1, x2, f1, f2, _ROOT_XTOL, _ROOT_RTOL, maxiter=200, converged=converged
         )
-        roots += _u_of(s_roots).tolist()
+        roots += lam_of(found, np.arange(found.size)).tolist()
 
     if tau.kind == "analytic" and roots:
         roots = [r for r, pole in zip(roots, _pole_probes(problem, tau, roots)) if pole]
@@ -420,48 +462,44 @@ def find_eigenvalues(
 # point masses
 
 
-def _num_den(problem: SLProblem, tau: BoundaryParam, us):
-    """N and D of m = N/D at the real points us, as real arrays."""
-    us = np.asarray(us, dtype=float)
-    tv, inf = _tau_array(tau, us)
-    complex_tv = ~inf & (np.abs(tv.imag) > 1e-12 * (1.0 + np.abs(tv)))
-    if np.any(complex_tv):
-        raise ConfigError(f"tau+({us[complex_tv][0]}) is not real; no real pole possible here")
-    return _quotient(problem, us, tv.real, inf)
-
-
 def _point_masses(
     problem: SLProblem, tau: BoundaryParam, lams, eps_schedule=None
 ) -> np.ndarray:
-    """point_mass at every lambda_k in lams: one _num_den call for all
-    lambda_k, lambda_k +- h and one m evaluation for all lambda_k + i eps.
-    The first failing lambda_k raises what point_mass raises for it alone
-    (a tau+ that is not real raises ConfigError for the whole batch)."""
+    """point_mass at every lambda_k in lams, from one _quotient call for
+    every lambda_k + i h and lambda_k + i eps.  The first failing lambda_k
+    raises what point_mass raises for it alone (a tau+ that is not real
+    raises ConfigError for the whole batch)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if lams.size == 0:
         return np.zeros(0)
     eps = _check_schedule(eps_schedule)
     eps = eps[-min(6, eps.size) :]
-    h = 1e-5 * (1.0 + np.abs(lams))
-    num, den = _num_den(problem, tau, np.stack([lams, lams + h, lams - h], axis=1).ravel())
-    num, den = num[::3], den.reshape(-1, 3)
-    z = lams[:, None] + 1j * eps
-    m_num, m_den, at_pole = _m_parts(problem, tau, z.ravel())
+    h = _COMPLEX_STEP * (1.0 + np.abs(lams))
+    z = lams[:, None] + 1j * np.column_stack([h, np.tile(eps, (lams.size, 1))])
+    tv, inf = _tau_array(tau, z)
+    # tau(lambda_k + i h) = tau+(lambda_k) + i h tau'(lambda_k) where tau+ is real
+    complex_tv = ~inf[:, 0] & (np.abs(tv[:, 0].imag) > 1e-12 * (1.0 + np.abs(tv[:, 0])))
+    if np.any(complex_tv):
+        raise ConfigError(f"tau+({lams[complex_tv][0]}) is not real; no real pole possible here")
+    num, den = (a.reshape(z.shape) for a in _quotient(problem, z.ravel(), tv.ravel(), inf.ravel()))
+    num_eps, den_eps = num[:, 1:], den[:, 1:]
+    at_pole = np.abs(den_eps) <= _POLE_GUARD * np.abs(num_eps)
+    d_prime = den[:, 0].imag / h
     with np.errstate(divide="ignore", invalid="ignore"):  # D' = 0 is reported below
-        d_prime = (den[:, 1] - den[:, 2]) / (2.0 * h)
-        jump_res = -num / d_prime
-        m = np.divide(m_num, m_den, out=np.zeros_like(m_num), where=~at_pole)
+        jump_res = -num[:, 0].real / d_prime
+        m = np.divide(num_eps, den_eps, out=np.zeros_like(num_eps), where=~at_pole)
         # eps * Im m = sigma_k + c1 eps^2 + c2 eps^4 near a simple pole in a gap
-        _, jump_lim = _quadratic_fits(eps**2, eps * m.imag.reshape(z.shape))
-        at_pole = at_pole.reshape(z.shape).any(axis=1)
+        _, jump_lim = _quadratic_fits(eps**2, eps * m.imag)
         crossed = np.abs(jump_res - jump_lim) > 1e-3 * np.abs(jump_res)
-    bad = np.flatnonzero((d_prime == 0.0) | at_pole | (jump_res <= 0.0) | crossed)
+    near = at_pole.any(axis=1)
+    bad = np.flatnonzero((d_prime == 0.0) | near | (jump_res <= 0.0) | crossed)
     if bad.size:
         i, lam_k = bad[0], float(lams[bad[0]])
         if d_prime[i] == 0.0:
             raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
-        if at_pole[i]:
-            _m_values(problem, tau, z[i])  # raises lambda_k's PoleProximityError
+        if near[i]:
+            j = int(np.argmax(at_pole[i])) + 1
+            raise _pole_error(z[i, j], den[i, j])
         if jump_res[i] <= 0.0:
             raise CrossCheckError(
                 f"residue jump {jump_res[i]:.6g} at lambda={lam_k} is not positive"
@@ -482,7 +520,10 @@ def point_mass(
     """Jump of sigma at a located simple pole lambda_k.
 
     Computed two independent ways and cross-checked to rel. 1e-3:
-    (a) residue -N(lambda_k)/D'(lambda_k), D' by central difference;
+    (a) residue -N(lambda_k)/D'(lambda_k) by a complex step: with
+        h = 1e-20 (1 + |lambda_k|), N = Re N(lambda_k + i h) and
+        D' = Im D(lambda_k + i h) / h, both exact to O(h^2) and free of
+        cancellation (Squire & Trapp, SIAM Rev. 40, 1998);
     (b) limit of eps * Im m(lambda_k + i eps), a quadratic in eps^2 through
         the min(6, len(eps)) smallest eps.
     Returns (a).  Checks run in the order D' = 0, pole proximity, residue

@@ -122,12 +122,18 @@ def _as_vectorized(y: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return np.vectorize(y)
 
 
-def _phi_blocks(problem: SLProblem, s: np.ndarray, t: np.ndarray):
+def _phi_blocks(problem: SLProblem, s: np.ndarray, t: np.ndarray, slots=None):
     """(slice, rows) over the nodes s: phi_rows on t of at most _ROW_BATCH
-    entries at a time, so no caller holds the whole matrix."""
+    entries at a time, so no caller holds the whole matrix.  A block holds
+    the nodes of one run of slots // n (slots increasing, by default the
+    positions of s), so any subset of the nodes that keeps its slots is
+    split into the same blocks."""
     n = max(1, _ROW_BATCH // max(1, t.size))
-    for i in range(0, s.size, n):
-        yield slice(i, i + n), phi_rows(problem, s[i : i + n], t)
+    slots = np.arange(s.size) if slots is None else slots
+    cuts = [0, *(np.flatnonzero(np.diff(slots // n)) + 1), s.size]
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        if j > i:
+            yield slice(i, j), phi_rows(problem, s[i:j], t)
 
 
 def _hat_at(problem: SLProblem, y: Callable, s: float) -> complex:
@@ -227,12 +233,13 @@ def fourier_transform(
 
 def _terms(
     sigma: SpectralFunction, yhat: TransformedFn, truncation: Truncation
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes s_k, sigma-weights w_k and yhat(s_k) of the truncated sum.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s_k, sigma-weights w_k, yhat(s_k) and slots of the truncated sum.
 
     The terms are the first k_max point masses with their jumps, then the ac
     nodes inside the window with weight density x cell width; terms of zero
-    weight are dropped."""
+    weight are dropped.  A term's slot is its place among all the masses and
+    then all the ac nodes of sigma, whatever the truncation."""
     if not np.array_equal(yhat.ac_u, sigma.ac_grid):
         raise GridMismatchError("transform ac grid does not match the spectral function")
     if tuple(s for s, _ in yhat.mass_values) != tuple(s for s, _ in sigma.point_masses):
@@ -253,8 +260,11 @@ def _terms(
     values = np.concatenate(
         [[v for _, v in yhat.mass_values[: truncation.k_max]], yhat.ac_values[sel]]
     )
+    slots = np.concatenate(
+        [np.arange(len(masses)), len(sigma.point_masses) + np.flatnonzero(sel)]
+    )
     keep = weights != 0.0
-    return nodes[keep], weights[keep], values[keep]
+    return nodes[keep], weights[keep], values[keep], slots[keep]
 
 
 def _inverse_on_grid(
@@ -262,16 +272,32 @@ def _inverse_on_grid(
     sigma: SpectralFunction,
     yhat: TransformedFn,
     t_arr: np.ndarray,
-    truncation: Truncation,
+    schedule: list[Truncation],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The truncated sum c @ Phi on a t grid, with Phi[k, j] = phi(t_j, s_k)
-    and c = w * yhat; returns (values, pointwise bound |c| @ |Phi|)."""
-    nodes, weights, values = _terms(sigma, yhat, truncation)
+    """The truncated sums c @ Phi on a t grid for every truncation of a
+    nested schedule, with Phi[k, j] = phi(t_j, s_k) and c = w * yhat;
+    returns (values, pointwise bounds |c| @ |Phi|), one row per truncation.
+
+    The rows of the widest (last) truncation are walked once.  Each
+    truncation sums its own terms of each block, and the blocks follow the
+    slots, so its row is bit for bit that of a call with it alone."""
+    nodes, weights, values, slots = _terms(sigma, yhat, schedule[-1])
+    is_mass = slots < len(sigma.point_masses)
+    within = np.array([
+        np.where(
+            is_mass, slots < tr.k_max,
+            (nodes >= tr.ac_window[0]) & (nodes <= tr.ac_window[1]),
+        )
+        for tr in schedule
+    ])
     c = weights * values
-    total, bound = np.zeros(t_arr.size, complex), np.zeros(t_arr.size)
-    for blk, rows in _phi_blocks(problem, nodes, t_arr):
-        total += c[blk] @ rows
-        bound += np.abs(c[blk]) @ np.abs(rows)
+    total = np.zeros((len(schedule), t_arr.size), complex)
+    bound = np.zeros((len(schedule), t_arr.size))
+    for blk, rows in _phi_blocks(problem, nodes, t_arr, slots):
+        for i, take in enumerate(within[:, blk]):
+            if take.any():
+                total[i] += c[blk][take] @ rows[take]
+                bound[i] += np.abs(c[blk][take]) @ np.abs(rows[take])
     return total, bound
 
 
@@ -286,8 +312,8 @@ def inverse_transform(
 
     The bound sum_k |phi(t, s_k) w_k yhat(s_k)| is pointwise at t, so it
     dominates every partial sum of the expansion at that t."""
-    values, bounds = _inverse_on_grid(problem, sigma, yhat, np.array([float(t)]), truncation)
-    return InverseResult(value=complex(values[0]), abs_bound=float(bounds[0]))
+    values, bounds = _inverse_on_grid(problem, sigma, yhat, np.array([float(t)]), [truncation])
+    return InverseResult(value=complex(values[0, 0]), abs_bound=float(bounds[0, 0]))
 
 
 def parseval_defect(
@@ -301,7 +327,7 @@ def parseval_defect(
     For ||y||_Delta = 0 the absolute transformed norm is returned (the
     relative form is meaningless on ker pi_Delta)."""
     yhat = fourier_transform(problem, y, sigma)
-    _, weights, values = _terms(sigma, yhat, truncation)
+    _, weights, values, _ = _terms(sigma, yhat, truncation)
     t_norm = float(np.dot(weights, np.abs(values) ** 2))
     if yhat.source_norm_sq <= _ZERO_NORM:
         return t_norm
@@ -397,13 +423,11 @@ def uniform_convergence_profile(
         raise ConfigError("empty t grid")
     y_ref = np.asarray(_as_vectorized(y_true)(t_arr))
     rows = []
-    values = []
-    for tr in schedule:
-        vals, _ = _inverse_on_grid(problem, sigma, yhat, t_arr, tr)
+    values, _ = _inverse_on_grid(problem, sigma, yhat, t_arr, schedule)
+    for tr, vals in zip(schedule, values):
         sup = float(np.max(np.abs(vals - y_ref)))
         lo, hi = tr.ac_window
         rows.append((f"k_max={tr.k_max}, ac_window=[{lo:g},{hi:g}]", sup))
-        values.append(vals)
     sups = [s for _, s in rows]
     tail = sups[-3:]
     monotone = all(b <= a for a, b in zip(tail[:-1], tail[1:]))

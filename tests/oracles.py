@@ -81,6 +81,47 @@ def dirichlet_eigs_free(n: int) -> list[float]:
     return [((k + 0.5) * math.pi) ** 2 for k in range(n)]
 
 
+def _roots_in_s(g, lo: float, hi: float, n: int) -> list[float]:
+    """Roots of the real function g in [lo, hi]: scipy brentq on the sign
+    changes of g over n nodes uniform in s = sign(u) sqrt|u|."""
+    s_of = lambda u: math.copysign(math.sqrt(abs(u)), u)
+    us = [s * abs(s) for s in np.linspace(s_of(lo), s_of(hi), n)]
+    vals = [g(u) for u in us]
+    return [
+        brentq(g, u0, u1, rtol=1e-15)
+        for u0, u1, v0, v1 in zip(us[:-1], us[1:], vals[:-1], vals[1:])
+        if v0 * v1 < 0.0
+    ]
+
+
+# tau = (a lam + b)/(c lam + d): m = N/D with, scaled by c lam + d,
+#   D = (a lam + b) cos r + (c lam + d) r sin r,
+#   N = (a lam + b) sin(r)/r - (c lam + d) cos r,
+# both entire in lam.  W(phi, psi) = 1 and ad - bc > 0 leave D no zero
+# shared with N, so the poles of m are the zeros of D, the jump at one is
+# -N/D', and the factor c lam + d cancels from it.
+
+
+def mobius_poles_free(a: float, b: float, c: float, d: float, lo: float, hi: float) -> list[float]:
+    def den(u: float) -> float:
+        r = cmath.sqrt(u)
+        return ((a * u + b) * cmath.cos(r) + (c * u + d) * r * cmath.sin(r)).real
+
+    return _roots_in_s(den, lo, hi, 20000)
+
+
+def mobius_mass_free(a: float, b: float, c: float, d: float, lam: float) -> float:
+    """Jump -N/D' at a pole lam != 0 of the free problem's m, with
+    dD/dlam = a cos r - (a lam + b) sin(r)/(2r) + c r sin r
+              + (c lam + d) (sin r + r cos r)/(2r)."""
+    r = cmath.sqrt(lam)
+    cos, sin = cmath.cos(r), cmath.sin(r)
+    num = (a * lam + b) * sin / r - (c * lam + d) * cos
+    d_den = (a * cos - (a * lam + b) * sin / (2 * r) + c * r * sin
+             + (c * lam + d) * (sin + r * cos) / (2 * r))
+    return (-num / d_den).real
+
+
 # hand-computed integrals used by the transform tests
 INNER_COS_3PI4 = 0.5 - 1.0 / (3.0 * math.pi)  # int_0^1 cos^2(3 pi t/4) dt
 CROSS_A1_A2 = 1.0 / (5.0 * math.pi)  # int_0^1 cos(3 pi t/4) cos(7 pi t/4) dt
@@ -136,6 +177,35 @@ def midthird_state(lam: complex, t: float, init=(1.0, 0.0)) -> tuple[complex, co
     if t <= 2.0 * third:
         return y + v * (t - third), v
     return live(y + v * third, v, t - 2.0 * third)
+
+
+def midthird_mass_tau0(lam: float) -> float:
+    """Jump 1 / ||phi||^2_Delta at an eigenvalue lam > 0 of the tau = 0
+    problem, integrated in closed form over the two live thirds, where
+    phi = y cos(r s) + y' sin(r s)/r with s the distance from the third's
+    start:  int_0^{1/3} phi^2 = y^2 (1/6 + sin(2r/3)/(4r))
+    + (y'/r)^2 (1/6 - sin(2r/3)/(4r)) + (y y'/r^2) sin^2(r/3)."""
+    r = math.sqrt(lam)
+    half = math.sin(2.0 * r / 3.0) / (4.0 * r)
+    even, odd = 1.0 / 6.0 + half, 1.0 / 6.0 - half
+    cross = math.sin(r / 3.0) ** 2 / (r * r)
+    norm_sq = even  # first third: y = 1, y' = 0
+    y, v = (x.real for x in midthird_state(lam, 2.0 / 3.0))
+    norm_sq += y * y * even + (v / r) ** 2 * odd + y * v * cross
+    return 1.0 / norm_sq
+
+
+def mobius_poles_midthird(
+    a: float, b: float, c: float, d: float, lo: float, hi: float
+) -> list[float]:
+    """Poles of the middle-third m for tau = (a lam + b)/(c lam + d): the
+    zeros of (a lam + b) phi(1) - (c lam + d) phi'(1) (p = 1)."""
+
+    def den(u: float) -> float:
+        y, v = midthird_state(u, 1.0)
+        return ((a * u + b) * y - (c * u + d) * v).real
+
+    return _roots_in_s(den, lo, hi, 20000)
 
 
 # ---------------------------------------------------------------------------

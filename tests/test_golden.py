@@ -11,8 +11,9 @@ number with a tolerance per quantity, relative to max(|value|, floor):
   the classify limits B, D and d_tau 1e-11: the root refinement stops at
   widths near 1e-14 relative, so 1e-11 leaves room only for rounding;
 * ac densities 1e-10: one quotient of endpoint states, a few roundings;
-* point masses 1e-8: the residue's central difference with h = 1e-5 (1 +
-  |lambda|) is accurate to about that, so a change of method may move it;
+* point masses 1e-8: the ledger was recorded with a central-difference
+  residue (h = 1e-5 (1 + |lambda|)), accurate to about that; the
+  complex-step residue that replaced it moves them by up to 2e-9;
 * expand sup errors 1e-6: each is the maximum of a sum over thousands of
   terms with quadratures at 1e-11.
 

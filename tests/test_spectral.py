@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,19 +305,12 @@ def _scan_values_per_lambda(problem, tau, us):
     return vals, valid
 
 
-def _num_den_per_lambda(problem, tau, us):
+def _quotient_per_lambda(problem, lams, tv, inf):
     out = []
-    for u in us:
-        tv = spectral._tau_value(tau, complex(u))
-        ph, ps = _endpoints(problem, float(u))
-        if tv is INF_FLAG:
-            out.append((ps.y.real, ph.y.real))
-            continue
-        if abs(tv.imag) > 1e-12 * (1.0 + abs(tv)):
-            raise ConfigError(f"tau+({u}) is not real")
-        tr = tv.real
-        out.append((ps.y.real * tr - ps.y1.real, ph.y.real * tr - ph.y1.real))
-    return np.array(out).T
+    for lam, t, is_inf in zip(lams, tv, inf):
+        ph, ps = _endpoints(problem, complex(lam))
+        out.append((ps.y, ph.y) if is_inf else (ps.y * t - ps.y1, ph.y * t - ph.y1))
+    return np.array(out, dtype=complex).reshape(-1, 2).T
 
 
 def _m_values_per_lambda(problem, tau, lams):
@@ -373,7 +367,7 @@ def per_lambda(monkeypatch):
 
     def install():
         monkeypatch.setattr(spectral, "_scan_values", _scan_values_per_lambda)
-        monkeypatch.setattr(spectral, "_num_den", _num_den_per_lambda)
+        monkeypatch.setattr(spectral, "_quotient", _quotient_per_lambda)
         monkeypatch.setattr(spectral, "_m_values", _m_values_per_lambda)
         monkeypatch.setattr(spectral, "_density_boundary", _density_boundary_per_lambda)
         monkeypatch.setattr(spectral, "_winding_confirms", _winding_per_lambda)
@@ -511,9 +505,18 @@ class TestBracketRefinement:
         (args, kwargs, roots), = refinements
         f, x1, x2 = args[:3]
         assert x1.size > 3
-        for a, b, s in zip(x1, x2, roots):
-            want = scipy_brentq(lambda x: float(f(np.array([x]))[0]), a, b, rtol=1e-14)
-            ds, du = abs(s - want), abs(s * abs(s) - want * abs(want))
+        # the bracket around the eigenvalue 0 of tau = 0 is refined in
+        # lambda = s|s|, every other in s
+        in_u = (x1 <= 0.0) & (x2 >= 0.0)
+        assert np.count_nonzero(in_u) == (tau is C0)
+        for i, (a, b, x) in enumerate(zip(x1, x2, roots)):
+            g = lambda x: float(f(np.array([x]), np.array([i]))[0])
+            if in_u[i]:
+                want = scipy_brentq(g, a, b, xtol=1e-300, rtol=1e-15)
+                assert abs(x - want) <= 2e-15 * (1.0 + abs(want))
+                continue
+            want = scipy_brentq(g, a, b, rtol=1e-14)
+            ds, du = abs(x - want), abs(x * abs(x) - want * abs(want))
             assert ds <= 4e-12 + 5e-14 * abs(want) or du <= 2e-15 * (1.0 + want * want)
 
     def test_roots_far_inside_the_stopping_width(self, free):
@@ -532,21 +535,20 @@ class TestBracketRefinement:
             spectral.brentq(math.cos, 0.0, 1.0)
 
     def test_root_at_zero_stops_at_lambda_width(self, varcoef, refinements):
-        # D(lambda) is only ~1e-17 to 1e-23 near the root at 0, so brentq's
-        # tolerance in s (4e-24 in lambda) bisects rounding noise
+        # in s the scan function is ~ s|s| at the root at 0 and brentq
+        # bisects rounding noise down to a width of 4e-24 in lambda; in
+        # lambda it is analytic and the bracket converges in a few steps
         find_eigenvalues(varcoef, C0, (-20.0, 1100.0))
         (args, kwargs, roots), = refinements
         f, x1, x2, f1, f2, *rest = args
         i = int(np.flatnonzero((x1 <= 0.0) & (x2 >= 0.0))[0])
         ours = []
-        counted = lambda x: ours.append(x.size) or f(x)
+        counted = lambda x, live: ours.append(x.size) or f(x, np.array([i]))
         root = spectral.chandrupatla(counted, x1[i], x2[i], f1[i], f2[i], *rest, **kwargs)[0]
-        theirs = []
-        scalar = lambda x: theirs.append(x) or float(f(np.array([x]))[0])
-        scipy_brentq(scalar, x1[i], x2[i], rtol=1e-14)
-        assert len(ours) < len(theirs)
-        assert abs(root * abs(root)) <= 1e-12
-        assert abs(roots[i] * abs(roots[i])) <= 1e-12
+        assert len(ours) <= 8
+        # the true eigenvalue is 0; the computed D has its root at rounding level
+        assert root == roots[i]
+        assert abs(root) <= 1e-15
 
     def test_varcoef_endpoint_calls_halved(self, varcoef, monkeypatch):
         calls = []
@@ -636,7 +638,8 @@ class TestScanSegment:
         find_eigenvalues(prob, tau, interval)
         monkeypatch.undo()
         got, want = self._both(prob, tau, *calls[0])
-        assert got == want and len(got[1]) > 3
+        # the loops go depth first, the batches breadth first: same finds, other order
+        assert [sorted(x) for x in got] == [sorted(x) for x in want] and len(got[1]) > 3
 
     @pytest.mark.parametrize("floor", [0.1, 1e-30], ids=["shallow-dip", "double-root"])
     def test_zeros_invalid_nodes_and_dips(self, free, monkeypatch, floor):
@@ -657,7 +660,8 @@ class TestScanSegment:
             else:
                 for nodes in (s_nodes, s_nodes[:11]):  # the second ends on the zero at s = 1
                     got, want = self._both(free, C0, nodes, depth)
-                    assert got == want and got[0] == [-1.0, 1.0]
+                    assert [sorted(x) for x in got] == [sorted(x) for x in want]
+                    assert sorted(got[0]) == [-1.0, 1.0]
 
 
 class TestTauArray:
@@ -679,21 +683,30 @@ class TestTauArray:
 
 # Per-lambda oracles of the batched spectral assembly: point_mass and
 # _is_pole as they were before the masses and probes of a window became one
-# batch, and the per-node extrapolated density.
+# batch, with the residue restated for the complex step (one _quotient call
+# at lambda_k + i h) and the eps-limit for the cached quadratic projection,
+# and the per-node extrapolated density.
 
 
 def _point_mass_per_lambda(problem, tau, lam_k, eps_schedule=None):
     lam_k = float(lam_k)
     eps = spectral._check_schedule(eps_schedule)
-    h = 1e-5 * (1.0 + abs(lam_k))
-    num, den = spectral._num_den(problem, tau, [lam_k, lam_k + h, lam_k - h])
-    d_prime = float(den[1] - den[2]) / (2.0 * h)
+    h = spectral._COMPLEX_STEP * (1.0 + abs(lam_k))
+    z = np.array([lam_k + 1j * h])
+    tv, inf = spectral._tau_array(tau, z)
+    if not inf[0] and abs(tv[0].imag) > 1e-12 * (1.0 + abs(tv[0])):
+        raise ConfigError(f"tau+({lam_k}) is not real; no real pole possible here")
+    num, den = spectral._quotient(problem, z, tv, inf)
+    d_prime = float(den[0].imag) / h
     if d_prime == 0.0:
         raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
-    jump_res = -float(num[0]) / d_prime
+    jump_res = -float(num[0].real) / d_prime
+    eps = eps[-min(6, eps.size) :]
     w = eps * spectral._m_values(problem, tau, lam_k + 1j * eps).imag
-    k = min(6, eps.size)
-    jump_lim = float(np.polynomial.Polynomial.fit(eps[-k:] ** 2, w[-k:], deg=2)(0.0))
+    # the cached projection of the batch (checked against Polynomial.fit in
+    # test_eps_limit_matches_polynomial_fit), so the eps-limit of a non-pole,
+    # which is rounding noise, prints the same digits
+    jump_lim = float(spectral._quadratic_fits(eps**2, w[None, :])[1][0])
     if jump_res <= 0.0:
         raise CrossCheckError(f"residue jump {jump_res:.6g} at lambda={lam_k} is not positive")
     if abs(jump_res - jump_lim) > 1e-3 * abs(jump_res):
@@ -778,11 +791,12 @@ class TestBatchedAssembly:
             point_mass(free, SQRT, lam)
 
     @staticmethod
-    def _patch(monkeypatch, name, edit):
-        """Route spectral.<name> through edit(lams, result)."""
-        orig = getattr(spectral, name)
+    def _patch(monkeypatch, edit):
+        """Route spectral._quotient through edit(lams, (N, D))."""
+        orig = spectral._quotient
         monkeypatch.setattr(
-            spectral, name, lambda prob, tau, lams: edit(np.asarray(lams), orig(prob, tau, lams))
+            spectral, "_quotient",
+            lambda prob, lams, tv, inf: edit(np.asarray(lams), orig(prob, lams, tv, inf)),
         )
 
     @pytest.mark.filterwarnings("error")
@@ -791,45 +805,45 @@ class TestBatchedAssembly:
         with pytest.raises(ConfigError, match="not real"):
             spectral._point_masses(free, SQRT, oracles.sqrt_poles_free(2) + [-1.0])
 
-        def flat_den(us, nd):  # D(lambda_2 + h) = D(lambda_2 - h)
-            num, den = nd
-            den = den.copy()
-            den[np.abs(us - eigs[2]) < 1.0] = 1.0
-            return num, den
+        def near(lams, k, step):  # the complex step (Im < 1e-10) or the eps samples of eigs[k]
+            return (np.abs(lams.real - eigs[k]) < 1.0) & ((lams.imag < 1e-10) == step)
 
-        self._patch(monkeypatch, "_num_den", flat_den)
+        def flat_den(lams, nd):  # Im D(lambda_2 + i h) = 0, so D'(lambda_2) = 0
+            num, den = nd
+            return num, np.where(near(lams, 2, True), den.real + 0j, den)
+
+        self._patch(monkeypatch, flat_den)
         with pytest.raises(CrossCheckError, match=re.escape(f"D'({eigs[2]}) = 0")):
             spectral._point_masses(free, C0, eigs)
         monkeypatch.undo()
 
-        def flip_residue(us, nd):  # residue of lambda_1 negative
+        def flip_residue(lams, nd):  # residue of lambda_1 negative
             num, den = nd
-            return np.where(np.abs(us - eigs[1]) < 1.0, -num, num), den
+            return np.where(near(lams, 1, True), -num, num), den
 
-        self._patch(monkeypatch, "_num_den", flip_residue)
+        self._patch(monkeypatch, flip_residue)
         with pytest.raises(CrossCheckError, match="is not positive"):
             spectral._point_masses(free, C0, eigs)
         # the lowest failing lambda wins: lambda_1 fails before lambda_2 does
-        self._patch(monkeypatch, "_num_den", flat_den)
+        self._patch(monkeypatch, flat_den)
         with pytest.raises(CrossCheckError, match=f"residue jump .* at lambda={eigs[1]} "):
             spectral._point_masses(free, C0, eigs)
         monkeypatch.undo()
 
-        def at_pole(lams, parts):  # D = 0 at lambda_3 + i eps
-            num, den, pole = parts
-            hit = np.abs(lams.real - eigs[3]) < 1.0
-            return num, np.where(hit, 0.0, den), pole | hit
+        def at_pole(lams, nd):  # D = 0 at lambda_3 + i eps
+            num, den = nd
+            return num, np.where(near(lams, 3, False), 0.0, den)
 
-        self._patch(monkeypatch, "_m_parts", at_pole)
+        self._patch(monkeypatch, at_pole)
         with pytest.raises(PoleProximityError, match=f"lambda=\\({eigs[3]}\\+"):
             spectral._point_masses(free, C0, eigs)
         monkeypatch.undo()
 
-        def skew(lams, parts):  # eps * Im m of lambda_0 off by 1 %
-            num, den, pole = parts
-            return np.where(np.abs(lams.real - eigs[0]) < 1.0, 1.01 * num, num), den, pole
+        def skew(lams, nd):  # eps * Im m of lambda_0 off by 1 %
+            num, den = nd
+            return np.where(near(lams, 0, False), 1.01 * num, num), den
 
-        self._patch(monkeypatch, "_m_parts", skew)
+        self._patch(monkeypatch, skew)
         with pytest.raises(CrossCheckError, match=f"cross-check failed at lambda={eigs[0]}"):
             spectral._point_masses(free, C0, eigs)
 
@@ -850,10 +864,11 @@ class TestBatchedAssembly:
 
     def test_assembly_endpoint_calls_fixed(self, free, monkeypatch):
         """Outside the scan, build_spectral_function makes one endpoint_states
-        call for the pole probes, two for the point masses and one for the
+        call for the pole probes, one for the point masses and one for the
         density, however many poles the window holds.  Before the batches
         it made 3 per pole plus 1: 10 on the README window (3 poles) and 31
-        on [-50, 1000] (10 poles)."""
+        on [-50, 1000] (10 poles); with the central difference, the masses
+        took two calls."""
         calls, scanning = [], []
         endpoint_states, scan_values = spectral.endpoint_states, spectral._scan_values
 
@@ -875,7 +890,7 @@ class TestBatchedAssembly:
             calls.clear()
             sigma = build_spectral_function(free, SQRT, window, ac_nodes=600)
             assert len(sigma.point_masses) == poles
-            assert len(calls) == 4
+            assert len(calls) == 3
 
     def test_extrapolated_densities_match_per_node(self, free, mid):
         eps = spectral._check_schedule(None)
@@ -894,6 +909,139 @@ class TestBatchedAssembly:
         a1 = oracles.sqrt_poles_free(1)[0]
         with pytest.raises(PoleContaminatedError, match=f"u={a1 + 1e-4}"):
             spectral._extrapolated_densities(free, SQRT_FN_ONLY, [-1.0, a1 + 1e-4, a1], eps)
+
+
+# the free problem again, with p = 1 read off a spline table: every
+# propagation runs the Magnus transfer of a variable piece
+FREE_TABLE_INI = """
+[interval]
+a = 0.0
+b = 1.0
+alpha = -pi/2
+
+[coefficients.p]
+pieces =
+    0.0, 1.0, table:3:0.0 1.0; 0.25 1.0; 0.5 1.0; 0.75 1.0; 1.0 1.0
+
+[coefficients.q]
+pieces =
+    0.0, 1.0, constant:0.0
+
+[coefficients.delta]
+pieces =
+    0.0, 1.0, constant:1.0
+"""
+
+
+def _central_difference_mass(problem, tau, lam_k, h):
+    """-N/D' at lambda_k with D' = (D(lambda_k + h) - D(lambda_k - h)) / 2h."""
+    us = np.array([lam_k, lam_k + h, lam_k - h])
+    tv, inf = spectral._tau_array(tau, us)
+    num, den = spectral._quotient(problem, us, tv.real, inf)
+    return -num[0] / ((den[1] - den[2]) / (2.0 * h))
+
+
+class TestComplexStepResidue:
+    """The residue -N/D' with D' = Im D(lambda_k + i h) / h against a central
+    difference and against closed-form jumps."""
+
+    @pytest.mark.parametrize("name,tau,interval", TestBatchedAssembly.CASES)
+    def test_within_central_difference_truncation(self, request, name, tau, interval):
+        # the central difference at h = 1e-5 (1 + |lambda|) errs by c h^2, so
+        # its values at h and 2h differ by 3 c h^2: the complex step lies
+        # within 1.5 times that truncation error of the value at h
+        prob, tau = request.getfixturevalue(name), {"sqrt": SQRT, "c0": C0}[tau]
+        eigs = find_eigenvalues(prob, tau, interval)
+        for lam, jump in zip(eigs, spectral._point_masses(prob, tau, eigs)):
+            h = 1e-5 * (1.0 + abs(lam))
+            at_h, at_2h = (_central_difference_mass(prob, tau, lam, x) for x in (h, 2.0 * h))
+            assert abs(jump - at_h) <= 0.5 * abs(at_2h - at_h)
+
+    def _check(self, prob, tau, interval, jump_of, count):
+        eigs = find_eigenvalues(prob, tau, interval)
+        assert len(eigs) == count
+        want = [jump_of(lam) for lam in eigs]
+        got = spectral._point_masses(prob, tau, eigs)
+        assert float(np.max(np.abs(got / want - 1.0))) <= 1e-10
+
+    def test_free_sqrt_jump_two(self, free):
+        self._check(free, SQRT, (0.0, 3000.0), lambda lam: oracles.SQRT_JUMP_FREE, 17)
+
+    def test_middle_third_tau0(self, mid):
+        self._check(
+            mid, C0, (-1.0, 3000.0),
+            lambda lam: 1.5 if abs(lam) < 1e-12 else oracles.midthird_mass_tau0(lam), 12,
+        )
+
+    def test_linear_p(self, varcoef):
+        self._check(
+            varcoef, C0, (-20.0, 1100.0),
+            lambda lam: oracles.linear_p_mass(lam if abs(lam) > 1e-12 else 0.0), 10,
+        )
+
+    def test_table_config(self):
+        table = loads_problem(FREE_TABLE_INI)
+        self._check(table, C0, (-1.0, 1000.0), lambda lam: 1.0 if lam < 1.0 else 2.0, 11)
+
+    def test_reference_integrator(self, varcoef):
+        # closed_form_pieces = false: the complex lambda go through DOP853
+        rk = replace(varcoef, quad=replace(varcoef.quad, closed_form_pieces=False))
+        self._check(
+            rk, C0, (-20.0, 120.0),
+            lambda lam: oracles.linear_p_mass(lam if abs(lam) > 1e-12 else 0.0), 4,
+        )
+
+
+class TestMobiusScan:
+    """A real Mobius tau scans (c u + d) D, which has no pole where tau has
+    one; the poles and jumps match the closed forms."""
+
+    @pytest.mark.parametrize(
+        "coefs,window",
+        [((2.0, -1.0, 3.0, 0.5), (-50.0, 500.0)), ((1.0, 0.0, -1.0, 2.0), (-3.0, 40.0))],
+    )
+    def test_free_problem(self, free, coefs, window):
+        sigma = build_spectral_function(free, mobius(*coefs), window, ac_nodes=200)
+        want = oracles.mobius_poles_free(*coefs, *window)
+        got = [s for s, _ in sigma.point_masses]
+        assert len(got) == len(want) >= 3
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for s, jump in sigma.point_masses:
+            if abs(s) > 1e-12:
+                assert jump == pytest.approx(oracles.mobius_mass_free(*coefs, s), rel=1e-10)
+        assert sigma.ac_density.size == 0 or not np.any(sigma.ac_density)
+
+    def test_middle_third(self, mid):
+        coefs, window = (1.0, 0.0, -1.0, 2.0), (0.5, 3000.0)
+        sigma = build_spectral_function(mid, mobius(*coefs), window, ac_nodes=200)
+        want = oracles.mobius_poles_midthird(*coefs, *window)
+        got = [s for s, _ in sigma.point_masses]
+        assert len(got) == len(want) >= 10
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_scan_is_valid_across_the_tau_pole(self, free):
+        tau = mobius(1.0, 0.0, -1.0, 2.0)  # tau = u / (2 - u), pole at u = 2
+        us = np.linspace(1.0, 3.0, 9)
+        vals, valid = spectral._scan_values(free, tau, us)
+        assert np.all(valid) and np.all(np.isfinite(vals))
+        r = np.sqrt(us)
+        want = us * np.cos(r) + (2.0 - us) * r * np.sin(r)  # (2 - u) D, p = 1
+        np.testing.assert_allclose(vals, want, rtol=1e-13)
+
+    def test_coefficients_only_from_the_factory(self, free):
+        # only mobius() sets the scanned coefficients: the constructor refuses
+        # them and replace() drops them, so the scan never searches another
+        # function than the one m uses
+        with pytest.raises(TypeError):
+            BoundaryParam(kind="constant", theta=1.0, mobius=(1.0, 0.0, 0.0, 1.0))
+        tau = mobius(1.0, 0.0, -1.0, 2.0)
+        assert tau.mobius == (1.0, 0.0, -1.0, 2.0)
+        swapped = replace(tau, fn=SQRT.fn, boundary_fn=SQRT.boundary_fn)
+        assert swapped.mobius is None
+        us = np.linspace(-3.0, -1.0, 5)
+        np.testing.assert_array_equal(
+            spectral._scan_values(free, swapped, us)[0], spectral._scan_values(free, SQRT, us)[0]
+        )
 
 
 class TestTauArrayClosures:

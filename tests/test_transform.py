@@ -252,7 +252,7 @@ class TestSharedGrid:
         sig = pure_point_spectral([(lam, 1.0)], (lam - 1.0, 1.0))
         yhat = TransformedFn(np.array([]), np.array([], complex), ((lam, 1.0),), 1.0)
         t = np.linspace(0.0, 1.0, 5)
-        inverse = lambda: _inverse_on_grid(free, sig, yhat, t, Truncation(1, (0.0, 0.0)))
+        inverse = lambda: _inverse_on_grid(free, sig, yhat, t, [Truncation(1, (0.0, 0.0))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if lam <= -5e5:
@@ -263,7 +263,7 @@ class TestSharedGrid:
                 return
             hat = fourier_transform(free, quartic, sig).mass_values[0][1]
             assert hat == pytest.approx(_hat_at(free, quartic, lam), rel=1e-10)
-            values, bound = inverse()
+            (values,), (bound,) = inverse()
             phi = fundamental_trajectory(free, lam, "phi").eval(t)[0]
         assert np.all(np.isfinite(values)) and np.max(np.abs(values)) > 1e200
         np.testing.assert_allclose(values, phi, rtol=1e-13)
@@ -314,7 +314,7 @@ class TestInverseTransform:
         )
         for tr, profile_vals in zip(schedule, profile.values):
             terms = term_by_term(free, sigma_wide, yhat, tr)
-            grid_vals, grid_bound = _inverse_on_grid(free, sigma_wide, yhat, t_grid, tr)
+            (grid_vals,), (grid_bound,) = _inverse_on_grid(free, sigma_wide, yhat, t_grid, [tr])
             assert np.array_equal(profile_vals, grid_vals)
             for j, t in enumerate(t_grid):
                 parts = [
@@ -325,6 +325,7 @@ class TestInverseTransform:
                 got = inverse_transform(free, sigma_wide, yhat, float(t), tr)
                 assert abs(got.value - want) <= 1e-12
                 assert abs(grid_vals[j] - want) <= 1e-12
+                assert abs(profile_vals[j] - want) <= 1e-12
                 assert got.abs_bound == pytest.approx(want_bound, rel=1e-12)
                 assert grid_bound[j] == pytest.approx(want_bound, rel=1e-12)
                 assert got.abs_bound >= abs(got.value) - 1e-12
@@ -418,6 +419,31 @@ class TestConvergenceProfile:
         sups = [s for _, s in rep.truncations]
         assert rep.monotone_tail
         assert sups[-1] < 1e-3 < sups[0]
+
+    @pytest.mark.parametrize("batch", [None, 7 * 41])
+    def test_rows_walked_once(self, free, sigma_wide, monkeypatch, batch):
+        # nested truncations share their nodes: the profile walks the phi rows
+        # of the widest truncation once, not those of every truncation, and
+        # each truncation's values stay bit for bit those of a call with it
+        # alone, also when its nodes fall in several blocks of 7
+        if batch is not None:
+            monkeypatch.setattr(transform, "_ROW_BATCH", batch)
+        yhat = fourier_transform(free, quartic, sigma_wide)
+        schedule = [Truncation(k, (-250.0 * k, 0.0)) for k in (2, 5, 10)]
+        rows = []
+        monkeypatch.setattr(
+            transform, "phi_rows", lambda p, lams, t: rows.append(len(lams)) or phi_rows(p, lams, t)
+        )
+        rep = uniform_convergence_profile(
+            free, sigma_wide, yhat, quartic, schedule, np.linspace(0, 1, 41)
+        )
+        widest = transform._terms(sigma_wide, yhat, schedule[-1])[0]
+        assert sum(rows) == widest.size
+        terms = [transform._terms(sigma_wide, yhat, tr)[0].size for tr in schedule]
+        assert terms[0] < terms[1] < terms[2] == widest.size
+        for tr, vals in zip(schedule, rep.values):
+            (want,), _ = _inverse_on_grid(free, sigma_wide, yhat, np.linspace(0, 1, 41), [tr])
+            assert np.array_equal(vals, want)
 
     def test_zero_function_profile(self, free, sigma_pp):
         zero = lambda t: np.zeros_like(np.asarray(t))
