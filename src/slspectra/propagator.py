@@ -326,10 +326,6 @@ class _Segment:
         split = np.cumsum([c.size for _, _, c in sets])[:-1]
         return np.array([r @ c.ravel() for r, (_, _, c) in zip(np.split(y, split, axis=-1), sets)])
 
-    def steps(self) -> list:
-        """(t, state) at the step nodes after t0, of the first column and lambda."""
-        return [(self.t1, self.end[:, 0, 0])]
-
 
 class _ExactSegment(_Segment):
     """Closed-form transfer across one constant-coefficient piece, with
@@ -407,9 +403,6 @@ class _MagnusSegment(_Segment):
             out[:, :, self._spent] = self._ref.sol(t)
         return out
 
-    def steps(self) -> list:
-        return super().steps() if self._ref is None else self._ref.steps()
-
 
 def _piece_rhs(p_rule, q_rule, d_rule, lam):
     """Right-hand side closure for one piece; constants get a fast path."""
@@ -469,10 +462,6 @@ class _ReferenceSegment(_Segment):
         for j, i in np.ndindex(self._runs.shape):
             out[:, j, i] = self._runs[j, i].sol(t)
         return out
-
-    def steps(self) -> list:
-        run = self._runs[0, 0]
-        return list(zip(run.t[1:], run.y[:, 1:].T))
 
 
 @lru_cache(maxsize=32)
@@ -540,7 +529,7 @@ class Trajectory:
     dispatches points to the owning segments; for a batch (lam an array) it
     returns arrays of shape (columns, lambdas, len(t)), for one solution (lam
     a scalar, from propagate) complex arrays of shape (len(t),), and
-    state_at, nodes and endpoint read that solution."""
+    state_at and endpoint read that solution."""
 
     def __init__(self, problem: SLProblem, lam, segments: list):
         self.problem = problem
@@ -566,14 +555,6 @@ class Trajectory:
     def state_at(self, t: float) -> StateVec:
         y, y1 = self.eval(t)
         return StateVec(complex(y[0]), complex(y1[0]))
-
-    @property
-    def nodes(self) -> tuple[tuple[float, StateVec], ...]:
-        """(t, state) at a and at the step nodes of every segment, up to b."""
-        first = self._segments[0]
-        pts = [(first.t0, first.start[:, 0, 0])]
-        pts += [pt for seg in self._segments for pt in seg.steps()]
-        return tuple((float(t), StateVec(complex(y[0]), complex(y[1]))) for t, y in pts)
 
     @property
     def endpoint(self) -> StateVec:

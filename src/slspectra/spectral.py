@@ -18,7 +18,7 @@ Two inversion routes are kept deliberately separate.  The boundary route
 evaluates tau's own boundary values tau+(u) and uses the exact identity
 Im m(u+i0) = Im tau+(u) / |phi(b,u) tau+(u) - phi^[1](b,u)|^2, valid for
 real coefficient problems where phi(b,u) is real.  The extrapolation route
-samples Im m(u + i eps) along a decreasing eps schedule and extrapolates
+samples Im m(u + i eps) at the six fixed eps of _EPS and extrapolates
 polynomially to eps = 0.  Point masses are similarly computed by residue
 and by the eps-limit of eps * Im m, and the two must agree; the residue
 takes D' from a complex step, Im D(lambda_k + i h) / h, which has no
@@ -51,7 +51,6 @@ from .errors import (
     WindowError,
 )
 from .nevanlinna import BoundaryParam, _tau_array
-from .nevanlinna import _tau_value  # noqa: F401  (the scalar oracle of _tau_array)
 from .problem import SLProblem
 from .propagator import endpoint_states
 from .quadrature import piecewise_integrate
@@ -61,27 +60,10 @@ from .roots import brentq, chandrupatla  # noqa: F401
 _POLE_GUARD = 1e-14  # |D| below this fraction of |N| counts as "at a pole"
 _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
-_ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |x|
-_ROOT_LTOL = 1e-15  # ... or width in lambda <= 1e-15 (1 + |lambda|)
+_ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |lambda|
 _PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b (see _endpoints)
 _COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 + |lambda|)
-
-
-def default_eps_schedule() -> tuple[float, ...]:
-    """eps_j = 0.1 * 2^-j for j = 0..12."""
-    return tuple(0.1 * 2.0 ** (-j) for j in range(13))
-
-
-def _check_schedule(eps_schedule) -> np.ndarray:
-    eps = np.asarray(
-        list(eps_schedule) if eps_schedule is not None else default_eps_schedule(),
-        dtype=float,
-    )
-    if eps.size < 3:
-        raise ConfigError("eps schedule needs at least 3 entries")
-    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise ConfigError("eps schedule must be positive and strictly decreasing")
-    return eps
+_EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2^-j, j = 7..12
 
 
 def _endpoints(problem: SLProblem, lams) -> np.ndarray:
@@ -173,16 +155,13 @@ def _quadratic_fits(x: np.ndarray, ys: np.ndarray):
     return ys @ H.T, ys @ w
 
 
-def _extrapolated_densities(
-    problem: SLProblem, tau: BoundaryParam, us, eps: np.ndarray
-) -> np.ndarray:
+def _extrapolated_densities(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
     """(1/pi) lim Im m(u + i eps) at every u, by a quadratic in eps through
-    the min(6, len(eps)) smallest eps, from one m evaluation of every u +
-    i eps.  The first failing u raises the error of its own fit."""
+    the six eps of _EPS, from one m evaluation of every u + i eps.  The
+    first failing u raises the error of its own fit."""
     us = np.asarray(us, dtype=float)
-    eps = eps[-min(6, eps.size) :]
-    vals = _m_values(problem, tau, (us[:, None] + 1j * eps).ravel()).imag.reshape(-1, eps.size)
-    fits, at_zero = _quadratic_fits(eps, vals)
+    vals = _m_values(problem, tau, (us[:, None] + 1j * _EPS).ravel()).imag.reshape(-1, _EPS.size)
+    fits, at_zero = _quadratic_fits(_EPS, vals)
     # Im m is analytic in eps off the poles, so the quadratic tracks the tail
     # samples to ~1e-11 relative; a nearby pole's Lorentzian bump (or its
     # 1/eps growth) leaves residuals many orders larger.
@@ -203,23 +182,21 @@ def spectral_density(
     problem: SLProblem,
     tau: BoundaryParam,
     u: float,
-    eps_schedule=None,
     method: str = "auto",
 ) -> float:
     """Density sigma'(u) = (1/pi) lim Im m(u + i eps).
 
     method "boundary" uses tau's boundary values and is exact in eps;
-    "extrapolation" fits a quadratic in eps over the schedule's smallest
-    entries; "auto" prefers the boundary route when tau supports it.
+    "extrapolation" fits a quadratic in eps through the six eps of _EPS;
+    "auto" prefers the boundary route when tau supports it.
     """
     u = float(u)
-    eps = _check_schedule(eps_schedule)
     if method == "auto":
         method = "boundary" if tau.has_boundary_values else "extrapolation"
     if method == "boundary":
         return float(_density_boundary(problem, tau, [u])[0])
     if method == "extrapolation":
-        return float(_extrapolated_densities(problem, tau, [u], eps)[0])
+        return float(_extrapolated_densities(problem, tau, [u])[0])
     raise ConfigError(f"unknown density method {method!r}")
 
 
@@ -389,12 +366,9 @@ def find_eigenvalues(
 
     A scan in the variable s = sign(u) sqrt|u| brackets the sign changes of
     the (rescaled) denominator (_scan_segment), and chandrupatla refines all
-    brackets together, with one _scan_values call per iteration.  Every
-    bracket is refined in s but the one that holds s = 0: there the scan
-    function is ~ s|s| and interpolation in s falls back to bisection, so
-    that bracket is refined in lambda = s|s|, where it is analytic.  A
-    bracket stops at width 2e-12 + 4e-14 |x| in its variable x, or at width
-    1e-15 (1 + |lambda|) in lambda."""
+    brackets together in lambda = s|s|, where the scan function is analytic
+    (in s it is ~ s|s| at s = 0), with one _scan_values call per iteration.
+    A bracket stops at width 2e-12 + 4e-14 |lambda|."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigError(f"empty search interval [{lo}, {hi}]")
@@ -417,28 +391,18 @@ def find_eigenvalues(
     brackets: list[tuple[float, float, float, float]] = []
     _scan_segment(problem, tau, s_grid, 3, roots, brackets)
     if brackets:
-        x1, x2, f1, f2 = np.array(brackets).T
-        in_u = (x1 <= 0.0) & (x2 >= 0.0)
-        x1, x2 = np.where(in_u, _u_of(x1), x1), np.where(in_u, _u_of(x2), x2)
+        s1, s2, f1, f2 = np.array(brackets).T
 
-        def lam_of(x: np.ndarray, live: np.ndarray) -> np.ndarray:
-            return np.where(in_u[live], x, _u_of(x))
-
-        def f(x: np.ndarray, live: np.ndarray) -> np.ndarray:
-            vals, valid = _scan_values(problem, tau, lam_of(x, live))
+        def f(lams: np.ndarray) -> np.ndarray:
+            vals, valid = _scan_values(problem, tau, lams)
             if not np.all(valid):
-                lam = lam_of(x, live)[~valid][0]
-                raise PoleProximityError(f"scan function invalid inside bracket at lambda={lam}")
+                raise PoleProximityError(
+                    f"scan function invalid inside bracket at lambda={lams[~valid][0]}"
+                )
             return vals
 
-        def converged(x1: np.ndarray, x2: np.ndarray, live: np.ndarray) -> np.ndarray:
-            u1 = lam_of(x1, live)
-            return np.abs(lam_of(x2, live) - u1) <= _ROOT_LTOL * (1.0 + np.abs(u1))
-
-        found = chandrupatla(
-            f, x1, x2, f1, f2, _ROOT_XTOL, _ROOT_RTOL, maxiter=200, converged=converged
-        )
-        roots += lam_of(found, np.arange(found.size)).tolist()
+        found = chandrupatla(f, _u_of(s1), _u_of(s2), f1, f2, _ROOT_XTOL, _ROOT_RTOL, maxiter=200)
+        roots += found.tolist()
 
     if tau.kind == "analytic" and roots:
         roots = [r for r, pole in zip(roots, _pole_probes(problem, tau, roots)) if pole]
@@ -462,9 +426,7 @@ def find_eigenvalues(
 # point masses
 
 
-def _point_masses(
-    problem: SLProblem, tau: BoundaryParam, lams, eps_schedule=None
-) -> np.ndarray:
+def _point_masses(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     """point_mass at every lambda_k in lams, from one _quotient call for
     every lambda_k + i h and lambda_k + i eps.  The first failing lambda_k
     raises what point_mass raises for it alone (a tau+ that is not real
@@ -472,10 +434,8 @@ def _point_masses(
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if lams.size == 0:
         return np.zeros(0)
-    eps = _check_schedule(eps_schedule)
-    eps = eps[-min(6, eps.size) :]
     h = _COMPLEX_STEP * (1.0 + np.abs(lams))
-    z = lams[:, None] + 1j * np.column_stack([h, np.tile(eps, (lams.size, 1))])
+    z = lams[:, None] + 1j * np.column_stack([h, np.tile(_EPS, (lams.size, 1))])
     tv, inf = _tau_array(tau, z)
     # tau(lambda_k + i h) = tau+(lambda_k) + i h tau'(lambda_k) where tau+ is real
     complex_tv = ~inf[:, 0] & (np.abs(tv[:, 0].imag) > 1e-12 * (1.0 + np.abs(tv[:, 0])))
@@ -489,7 +449,7 @@ def _point_masses(
         jump_res = -num[:, 0].real / d_prime
         m = np.divide(num_eps, den_eps, out=np.zeros_like(num_eps), where=~at_pole)
         # eps * Im m = sigma_k + c1 eps^2 + c2 eps^4 near a simple pole in a gap
-        _, jump_lim = _quadratic_fits(eps**2, eps * m.imag)
+        _, jump_lim = _quadratic_fits(_EPS**2, _EPS * m.imag)
         crossed = np.abs(jump_res - jump_lim) > 1e-3 * np.abs(jump_res)
     near = at_pole.any(axis=1)
     bad = np.flatnonzero((d_prime == 0.0) | near | (jump_res <= 0.0) | crossed)
@@ -515,7 +475,6 @@ def point_mass(
     problem: SLProblem,
     tau: BoundaryParam,
     lambda_k: float,
-    eps_schedule=None,
 ) -> float:
     """Jump of sigma at a located simple pole lambda_k.
 
@@ -525,11 +484,11 @@ def point_mass(
         D' = Im D(lambda_k + i h) / h, both exact to O(h^2) and free of
         cancellation (Squire & Trapp, SIAM Rev. 40, 1998);
     (b) limit of eps * Im m(lambda_k + i eps), a quadratic in eps^2 through
-        the min(6, len(eps)) smallest eps.
+        the six eps of _EPS.
     Returns (a).  Checks run in the order D' = 0, pole proximity, residue
     <= 0, cross-check.  The one-pole call of _point_masses.
     """
-    return float(_point_masses(problem, tau, [lambda_k], eps_schedule)[0])
+    return float(_point_masses(problem, tau, [lambda_k])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +586,6 @@ def build_spectral_function(
     tau: BoundaryParam,
     window: tuple[float, float],
     ac_nodes: int = 600,
-    eps_schedule=None,
 ) -> SpectralFunction:
     """Assemble sigma on the window: locate poles, extract jumps, lay an ac
     grid avoiding pole neighbourhoods and fill densities."""
@@ -637,7 +595,7 @@ def build_spectral_function(
     if ac_nodes < 16:
         raise ConfigError("ac_nodes must be >= 16")
     eigs = find_eigenvalues(problem, tau, (s_min, s_max))
-    masses = tuple(zip(eigs, _point_masses(problem, tau, eigs, eps_schedule).tolist()))
+    masses = tuple(zip(eigs, _point_masses(problem, tau, eigs).tolist()))
 
     edges = _xi_edges(s_min, s_max, ac_nodes)
     nodes = _u_of(0.5 * (edges[:-1] + edges[1:]))
@@ -654,7 +612,6 @@ def build_spectral_function(
         # neighbourhoods are already excluded above
         need = ~inf & (np.abs(tv.imag) > 1e-14 * (1.0 + np.abs(tv)))
         if np.any(need):
-            _check_schedule(eps_schedule)
             dens[need] = _density_boundary(problem, tau, nodes[need])
     return SpectralFunction(
         ac_grid=nodes,

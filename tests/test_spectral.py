@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from scipy.optimize import brentq as scipy_brentq
 from slspectra import loads_problem, spectral
-from slspectra.nevanlinna import INF_FLAG
+from slspectra.nevanlinna import INF_FLAG, _tau_value
 from slspectra.propagator import fundamental_trajectory
 from slspectra import (
     ConfigError,
@@ -260,8 +260,14 @@ class TestStieltjesCdf:
         assert stieltjes_cdf(sigma_sqrt, a1 + 0.5) == pytest.approx(2.0, abs=1e-6)
 
     def test_left_continuity_at_jump(self, sigma_sqrt):
+        # at sigma's own jump s1, which lies within rounding of the oracle pole
         a1 = oracles.sqrt_poles_free(1)[0]
-        assert stieltjes_cdf(sigma_sqrt, a1) == pytest.approx(0.0, abs=1e-9)
+        s1 = sigma_sqrt.point_masses[0][0]
+        assert abs(s1 - a1) <= 1e-15 * a1
+        assert stieltjes_cdf(sigma_sqrt, s1) == 0.0
+        assert stieltjes_cdf(sigma_sqrt, np.nextafter(s1, math.inf)) == pytest.approx(
+            2.0, abs=1e-6
+        )
 
     def test_negative_tail_mass(self, sigma_sqrt):
         # int_{-W}^0 density du = -(2/pi) arctan(tanh sqrt(W)) -> -1/2
@@ -293,7 +299,7 @@ def _endpoints(problem, lam):
 def _scan_values_per_lambda(problem, tau, us):
     vals, valid = np.zeros(len(us)), np.zeros(len(us), dtype=bool)
     for i, u in enumerate(us):
-        tv = spectral._tau_value(tau, complex(u))
+        tv = _tau_value(tau, complex(u))
         if tv is not INF_FLAG and (abs(tv.imag) > 1e-12 * (1.0 + abs(tv)) or abs(tv.real) > 1e6):
             continue
         ph, _ = _endpoints(problem, float(u))
@@ -318,7 +324,7 @@ def _m_values_per_lambda(problem, tau, lams):
     for lam in lams:
         lam = complex(lam)
         ph, ps = _endpoints(problem, lam)
-        tv = spectral._tau_value(tau, lam)
+        tv = _tau_value(tau, lam)
         if tv is INF_FLAG:
             num, den = ps.y, ph.y
         else:
@@ -332,7 +338,7 @@ def _m_values_per_lambda(problem, tau, lams):
 def _density_boundary_per_lambda(problem, tau, us):
     out = []
     for u in us:
-        tv = spectral._tau_value(tau, complex(u))
+        tv = _tau_value(tau, complex(u))
         ph, _ = _endpoints(problem, float(u))
         if tv is INF_FLAG:
             den, im_t, scale = ph.y, 0.0, abs(ph.y) + abs(ph.y1)
@@ -353,7 +359,7 @@ def _winding_per_lambda(problem, tau, lam0):
     for z0, z1 in zip(corners[:-1], corners[1:]):
         for frac in np.linspace(0.0, 1.0, 50, endpoint=False):
             z = z0 + (z1 - z0) * frac
-            tv = spectral._tau_value(tau, z)
+            tv = _tau_value(tau, z)
             ph, _ = _endpoints(problem, z)
             samples.append(ph.y if tv is INF_FLAG else ph.y * tv - ph.y1)
     total = sum(math.atan2((w1 / w0).imag, (w1 / w0).real)
@@ -505,23 +511,17 @@ class TestBracketRefinement:
         (args, kwargs, roots), = refinements
         f, x1, x2 = args[:3]
         assert x1.size > 3
-        # the bracket around the eigenvalue 0 of tau = 0 is refined in
-        # lambda = s|s|, every other in s
-        in_u = (x1 <= 0.0) & (x2 >= 0.0)
-        assert np.count_nonzero(in_u) == (tau is C0)
-        for i, (a, b, x) in enumerate(zip(x1, x2, roots)):
-            g = lambda x: float(f(np.array([x]), np.array([i]))[0])
-            if in_u[i]:
-                want = scipy_brentq(g, a, b, xtol=1e-300, rtol=1e-15)
-                assert abs(x - want) <= 2e-15 * (1.0 + abs(want))
-                continue
-            want = scipy_brentq(g, a, b, rtol=1e-14)
-            ds, du = abs(x - want), abs(x * abs(x) - want * abs(want))
-            assert ds <= 4e-12 + 5e-14 * abs(want) or du <= 2e-15 * (1.0 + want * want)
+        # every bracket is refined in lambda, the bracket around the
+        # eigenvalue 0 of tau = 0 too
+        assert np.count_nonzero((x1 <= 0.0) & (x2 >= 0.0)) == (tau is C0)
+        for a, b, x in zip(x1, x2, roots):
+            g = lambda x: float(f(np.array([x]))[0])
+            want = scipy_brentq(g, a, b, xtol=1e-300, rtol=1e-15)
+            assert abs(x - want) <= 2e-15 * (1.0 + abs(want))
 
     def test_roots_far_inside_the_stopping_width(self, free):
-        # the stopping width is 2e-12 + 4e-14 |s|, about 1e-13 relative in
-        # lambda at s ~ 300; the secant zero of the last bracket is at rounding
+        # the stopping width is 2e-12 + 4e-14 |lambda|, about 4e-14 relative
+        # at lambda ~ 1e5; the secant zero of the last bracket is at rounding
         got = np.array(find_eigenvalues(free, C0, (1.0, 1e5)))
         want = (np.pi * np.arange(1, got.size + 1)) ** 2
         assert got.size == 100
@@ -543,7 +543,7 @@ class TestBracketRefinement:
         f, x1, x2, f1, f2, *rest = args
         i = int(np.flatnonzero((x1 <= 0.0) & (x2 >= 0.0))[0])
         ours = []
-        counted = lambda x, live: ours.append(x.size) or f(x, np.array([i]))
+        counted = lambda x: ours.append(x.size) or f(x)
         root = spectral.chandrupatla(counted, x1[i], x2[i], f1[i], f2[i], *rest, **kwargs)[0]
         assert len(ours) <= 8
         # the true eigenvalue is 0; the computed D has its root at rounding level
@@ -675,7 +675,7 @@ class TestTauArray:
     def test_matches_per_lambda_values(self, tau):
         for lams in (self.REAL, self.COMPLEX, self.REAL[:0]):
             tv, inf = spectral._tau_array(tau, lams)
-            want = [spectral._tau_value(tau, complex(lam)) for lam in lams]
+            want = [_tau_value(tau, complex(lam)) for lam in lams]
             np.testing.assert_array_equal(inf, [w is INF_FLAG for w in want])
             np.testing.assert_array_equal(tv, [0.0 if w is INF_FLAG else w for w in want])
             assert tv.dtype == complex and inf.dtype == bool and tv.shape == lams.shape
@@ -688,9 +688,9 @@ class TestTauArray:
 # and the per-node extrapolated density.
 
 
-def _point_mass_per_lambda(problem, tau, lam_k, eps_schedule=None):
+def _point_mass_per_lambda(problem, tau, lam_k):
     lam_k = float(lam_k)
-    eps = spectral._check_schedule(eps_schedule)
+    eps = spectral._EPS
     h = spectral._COMPLEX_STEP * (1.0 + abs(lam_k))
     z = np.array([lam_k + 1j * h])
     tv, inf = spectral._tau_array(tau, z)
@@ -701,7 +701,6 @@ def _point_mass_per_lambda(problem, tau, lam_k, eps_schedule=None):
     if d_prime == 0.0:
         raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
     jump_res = -float(num[0].real) / d_prime
-    eps = eps[-min(6, eps.size) :]
     w = eps * spectral._m_values(problem, tau, lam_k + 1j * eps).imag
     # the cached projection of the batch (checked against Polynomial.fit in
     # test_eps_limit_matches_polynomial_fit), so the eps-limit of a non-pole,
@@ -730,12 +729,12 @@ def _is_pole_per_root(problem, tau, lam0):
     return spectral._winding_confirms(problem, tau, lam0)
 
 
-def _density_extrapolation_per_node(problem, tau, u, eps):
+def _density_extrapolation_per_node(problem, tau, u):
+    eps = spectral._EPS
     vals = spectral._m_values(problem, tau, u + 1j * eps).imag
-    k = min(6, eps.size)
-    fit = np.polynomial.Polynomial.fit(eps[-k:], vals[-k:], deg=2)
-    res = max(abs(float(fit(e)) - v) for e, v in zip(eps[-k:], vals[-k:]))
-    if res > 1e-8 * (1.0 + float(np.max(np.abs(vals[-k:])))):
+    fit = np.polynomial.Polynomial.fit(eps, vals, deg=2)
+    res = max(abs(float(fit(e)) - v) for e, v in zip(eps, vals))
+    if res > 1e-8 * (1.0 + float(np.max(np.abs(vals)))):
         raise PoleContaminatedError(f"no convergence at u={u}")
     out = float(fit(0.0)) / math.pi
     if out < 0.0:
@@ -764,8 +763,18 @@ class TestBatchedAssembly:
         np.testing.assert_array_equal(spectral._point_masses(prob, tau, eigs), want)
         np.testing.assert_array_equal([point_mass(prob, tau, lam) for lam in eigs], want)
 
+    def test_fixed_eps_are_the_old_schedule_tail(self, free):
+        # eps_j = 0.1 * 2^-j for j = 0..12 was the default schedule, and both
+        # eps-limits read its six smallest entries
+        schedule = np.array([0.1 * 2.0 ** (-j) for j in range(13)])
+        np.testing.assert_array_equal(spectral._EPS, schedule[-6:])
+        eigs = find_eigenvalues(free, C0, (-1.0, 1000.0))
+        assert len(eigs) == 11
+        want = [_point_mass_per_lambda(free, C0, lam) for lam in eigs]
+        np.testing.assert_array_equal(spectral._point_masses(free, C0, eigs), want)
+
     def test_eps_limit_matches_polynomial_fit(self, free, mid):
-        eps = spectral._check_schedule(None)[-6:]
+        eps = spectral._EPS
         rows = []
         for prob, tau, lams in ((free, SQRT, oracles.sqrt_poles_free(4)),
                                 (mid, C0, find_eigenvalues(mid, C0, (-1.0, 500.0)))):
@@ -893,11 +902,9 @@ class TestBatchedAssembly:
             assert len(calls) == 3
 
     def test_extrapolated_densities_match_per_node(self, free, mid):
-        eps = spectral._check_schedule(None)
         for prob, us in ((free, np.linspace(-60.0, -0.5, 23)), (mid, np.linspace(-40.0, -1.0, 9))):
-            got = spectral._extrapolated_densities(prob, SQRT_FN_ONLY, us, eps)
-            want = np.array([_density_extrapolation_per_node(prob, SQRT_FN_ONLY, u, eps)
-                             for u in us])
+            got = spectral._extrapolated_densities(prob, SQRT_FN_ONLY, us)
+            want = np.array([_density_extrapolation_per_node(prob, SQRT_FN_ONLY, u) for u in us])
             assert np.all(want > 0.0)
             assert float(np.max(np.abs(got / want - 1.0))) <= 1e-12
             assert [spectral_density(prob, SQRT_FN_ONLY, u) for u in us[:3]] == pytest.approx(
@@ -905,10 +912,9 @@ class TestBatchedAssembly:
             )
 
     def test_extrapolated_density_near_a_pole_raises(self, free):
-        eps = spectral._check_schedule(None)
         a1 = oracles.sqrt_poles_free(1)[0]
         with pytest.raises(PoleContaminatedError, match=f"u={a1 + 1e-4}"):
-            spectral._extrapolated_densities(free, SQRT_FN_ONLY, [-1.0, a1 + 1e-4, a1], eps)
+            spectral._extrapolated_densities(free, SQRT_FN_ONLY, [-1.0, a1 + 1e-4, a1])
 
 
 # the free problem again, with p = 1 read off a spline table: every
@@ -1051,7 +1057,7 @@ class TestTauArrayClosures:
         tau = mobius(1.0, 0.0, -1.0, 2.0)  # c u + d = 0 at u = 2
         lams = np.array([[2.0, 2.0 + 1e-3j, -40.0], [1e4j, 2.0 - 5.0j, 0.5]])
         tv, inf = spectral._tau_array(tau, lams)
-        want = [spectral._tau_value(tau, complex(lam)) for lam in lams.ravel()]
+        want = [_tau_value(tau, complex(lam)) for lam in lams.ravel()]
         np.testing.assert_array_equal(inf.ravel(), [w is INF_FLAG for w in want])
         np.testing.assert_array_equal(tv.ravel(), [0.0 if w is INF_FLAG else w for w in want])
         assert inf[0, 0] and inf.sum() == 1
