@@ -23,15 +23,17 @@ polynomially to eps = 0.  Point masses are similarly computed by residue
 and by the eps-limit of eps * Im m, and the two must agree; the residue
 takes D' from a complex step, Im D(lambda_k + i h) / h, which has no
 cancellation, so N, D' and the eps samples all come off one walk of
-complex lambda.
+complex lambda.  The same step is the eigenvalue search's only pole test:
+a zero of D is a pole of m iff tau+ is real there and -N/D' > 0.
 
 Everything takes lambda in batches, with one call of endpoint_states and one
 of each tau closure per batch; endpoint_states reads phi and psi at b off
 the one lambda-batched walk of the pieces in slspectra.propagator, which
 takes each batch whole.  The eigenvalue scan makes one call per refinement
 level and one per refinement step.  Outside the scan,
-build_spectral_function makes one such call for the pole probes of all
-roots, one for all point masses (_point_masses) and one for the density.
+build_spectral_function makes one such call for the pole test of all
+roots (_poles), one for all point masses (_point_masses) and one for the
+density.
 """
 
 from __future__ import annotations
@@ -263,32 +265,35 @@ def _u_of(s: float) -> float:
     return s * abs(s)
 
 
-def _pole_probes(problem: SLProblem, tau: BoundaryParam, roots) -> list[bool]:
-    """Probe whether each zero of the denominator is a pole of m or a branch
-    point: eps * Im m(lam0 + i eps) is eps-independent at a simple pole and
-    ~ sqrt(eps) at a square-root branch point.  One m evaluation for all
-    roots; _winding_confirms settles a ratio in between."""
-    eps = np.array([1e-6, 4e-6])
-    lams = np.asarray(roots, dtype=float)[:, None] + 1j * eps
-    w = eps * _m_values(problem, tau, lams.ravel()).imag.reshape(lams.shape)
-    out = []
-    for lam0, (w1, w2) in zip(roots, w):
-        if w1 <= 0.0 or w2 / w1 >= 1.6:
-            out.append(False)
-        else:
-            out.append(abs(w2 / w1 - 1.0) <= 0.25 or _winding_confirms(problem, tau, lam0))
-    return out
+def _complex_step(problem: SLProblem, tau: BoundaryParam, lams, eps=()):
+    """One _quotient call at z = lambda_k + i h, h = 1e-20 (1 + |lambda_k|),
+    and at every lambda_k + i eps: (z, N, D, D' = Im D(z[:, 0]) / h, and the
+    mask of lambda_k where tau(z[:, 0]) is not real to O(h), so tau+ is not)."""
+    h = _COMPLEX_STEP * (1.0 + np.abs(lams))
+    z = lams[:, None] + 1j * np.column_stack([h, np.tile(eps, (lams.size, 1))])
+    tv, inf = _tau_array(tau, z)
+    complex_tv = ~inf[:, 0] & (np.abs(tv[:, 0].imag) > 1e-12 * (1.0 + np.abs(tv[:, 0])))
+    num, den = (a.reshape(z.shape) for a in _quotient(problem, z.ravel(), tv.ravel(), inf.ravel()))
+    return z, num, den, den[:, 0].imag / h, complex_tv
+
+
+def _poles(problem: SLProblem, tau: BoundaryParam, roots) -> np.ndarray:
+    """Which real zeros of D are poles of m: tau+ real and -N/D' > 0, the
+    checks of _point_masses, from one complex-step walk.  A branch point of
+    tau fails the first: sqrt(i h) is ~ sqrt(h) off the axis."""
+    _, num, _, d_prime, complex_tv = _complex_step(problem, tau, np.asarray(roots, dtype=float))
+    return ~complex_tv & (np.sign(num[:, 0].real) * np.sign(d_prime) < 0.0)
 
 
 def _is_pole(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
-    """_pole_probes for one root."""
-    return _pole_probes(problem, tau, [lam0])[0]
+    """_poles for one root."""
+    return bool(_poles(problem, tau, [lam0])[0])
 
 
 def _winding_confirms(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
-    """Fallback pole confirmation: winding number of D(lambda) on a small
-    rectangle around lam0 (argument principle; assumes D analytic there,
-    i.e. the rectangle must avoid tau's branch cut)."""
+    """Winding number of D(lambda) on a small rectangle around lam0 (argument
+    principle; D must be analytic there).  No package path calls it;
+    perfbench/tracer.py counts calls to this name."""
     h, v = 1e-2 * (1.0 + abs(lam0)), 1e-2
     c = np.array([complex(lam0 + x, y) for x, y in ((-h, -v), (h, -v), (h, v), (-h, v), (-h, -v))])
     z = (c[:-1, None] + (c[1:] - c[:-1])[:, None] * np.linspace(0.0, 1.0, 50, endpoint=False)).ravel()
@@ -329,17 +334,19 @@ def _scan_segment(
         pair = valid[:, :-1] & valid[:, 1:]
         zero = np.column_stack([pair, valid[:, -1]]) & (vals == 0.0)
         roots += _u_of(grids[zero]).tolist()
-        g, k = np.nonzero(pair & (vals[:, :-1] * vals[:, 1:] < 0.0))
+        sign = np.sign(vals)
+        g, k = np.nonzero(pair & (sign[:, :-1] * sign[:, 1:] < 0.0))
         brackets += zip(
             *(a.tolist() for a in (grids[g, k], grids[g, k + 1], vals[g, k], vals[g, k + 1]))
         )
 
-        # interior same-sign triples whose middle |value| is the smallest
+        # interior same-sign triples whose middle |value| is the smallest,
+        # strictly so on the left: of two adjacent dips with equal |value|
+        # only the first is subdivided, so no bracket is found twice
         lo, mid, hi = vals[:, :-2], vals[:, 1:-1], vals[:, 2:]
-        sign = np.sign(mid)
         dip = valid[:, :-2] & valid[:, 1:-1] & valid[:, 2:] & (mid != 0.0)
-        dip &= (np.sign(lo) == sign) & (np.sign(hi) == sign)
-        dip &= (np.abs(mid) <= np.abs(lo)) & (np.abs(mid) <= np.abs(hi))
+        dip &= (sign[:, :-2] == sign[:, 1:-1]) & (sign[:, 2:] == sign[:, 1:-1])
+        dip &= (np.abs(mid) < np.abs(lo)) & (np.abs(mid) <= np.abs(hi))
         g, i = np.nonzero(dip)
         if depth == 0:
             double = np.abs(mid[g, i]) < 1e-9 * np.maximum(np.abs(lo[g, i]), np.abs(hi[g, i]))
@@ -368,7 +375,9 @@ def find_eigenvalues(
     the (rescaled) denominator (_scan_segment), and chandrupatla refines all
     brackets together in lambda = s|s|, where the scan function is analytic
     (in s it is ~ s|s| at s = 0), with one _scan_values call per iteration.
-    A bracket stops at width 2e-12 + 4e-14 |lambda|."""
+    A bracket stops at width 2e-12 + 4e-14 |lambda|.  For an analytic tau
+    a root is kept iff it passes _poles: tau+ real there and -N/D' > 0,
+    from one complex-step walk of all roots."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigError(f"empty search interval [{lo}, {hi}]")
@@ -404,22 +413,11 @@ def find_eigenvalues(
         found = chandrupatla(f, _u_of(s1), _u_of(s2), f1, f2, _ROOT_XTOL, _ROOT_RTOL, maxiter=200)
         roots += found.tolist()
 
-    if tau.kind == "analytic" and roots:
-        roots = [r for r, pole in zip(roots, _pole_probes(problem, tau, roots)) if pole]
-    roots = [
-        r
-        for r in roots
-        if lo - 1e-12 * (1.0 + abs(lo)) <= r <= hi + 1e-12 * (1.0 + abs(hi))
-    ]
-    roots.sort()
-    out: list[float] = []
-    for r in roots:
-        if out and r - out[-1] <= 1e-8 * (1.0 + abs(out[-1])):
-            continue
-        out.append(r)
-        if len(out) >= max_count:
-            break
-    return out
+    roots = np.sort(roots)
+    roots = roots[(roots >= lo - 1e-12 * (1.0 + abs(lo))) & (roots <= hi + 1e-12 * (1.0 + abs(hi)))]
+    if tau.kind == "analytic" and roots.size:
+        roots = roots[_poles(problem, tau, roots)]
+    return roots[:max_count].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +425,18 @@ def find_eigenvalues(
 
 
 def _point_masses(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
-    """point_mass at every lambda_k in lams, from one _quotient call for
+    """point_mass at every lambda_k in lams, from one _complex_step walk of
     every lambda_k + i h and lambda_k + i eps.  The first failing lambda_k
     raises what point_mass raises for it alone (a tau+ that is not real
     raises ConfigError for the whole batch)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if lams.size == 0:
         return np.zeros(0)
-    h = _COMPLEX_STEP * (1.0 + np.abs(lams))
-    z = lams[:, None] + 1j * np.column_stack([h, np.tile(_EPS, (lams.size, 1))])
-    tv, inf = _tau_array(tau, z)
-    # tau(lambda_k + i h) = tau+(lambda_k) + i h tau'(lambda_k) where tau+ is real
-    complex_tv = ~inf[:, 0] & (np.abs(tv[:, 0].imag) > 1e-12 * (1.0 + np.abs(tv[:, 0])))
+    z, num, den, d_prime, complex_tv = _complex_step(problem, tau, lams, _EPS)
     if np.any(complex_tv):
         raise ConfigError(f"tau+({lams[complex_tv][0]}) is not real; no real pole possible here")
-    num, den = (a.reshape(z.shape) for a in _quotient(problem, z.ravel(), tv.ravel(), inf.ravel()))
     num_eps, den_eps = num[:, 1:], den[:, 1:]
     at_pole = np.abs(den_eps) <= _POLE_GUARD * np.abs(num_eps)
-    d_prime = den[:, 0].imag / h
     with np.errstate(divide="ignore", invalid="ignore"):  # D' = 0 is reported below
         jump_res = -num[:, 0].real / d_prime
         m = np.divide(num_eps, den_eps, out=np.zeros_like(num_eps), where=~at_pole)

@@ -209,6 +209,46 @@ def mobius_poles_midthird(
 
 
 # ---------------------------------------------------------------------------
+# vectorised closed-form denominators for lam > 0, where r = sqrt(lam) is
+# real and every expression stays real; their zeros are the poles of m
+
+
+def mobius_den_free_array(a: float, b: float, c: float, d: float, lams) -> np.ndarray:
+    """(a lam + b) cos r + (c lam + d) r sin r, the free problem's D for
+    tau = (a lam + b)/(c lam + d), scaled by c lam + d, at every lam > 0."""
+    lams = np.asarray(lams, dtype=float)
+    r = np.sqrt(lams)
+    return (a * lams + b) * np.cos(r) + (c * lams + d) * r * np.sin(r)
+
+
+def sqrt_den_midthird_array(lams) -> np.ndarray:
+    """r phi(1) - phi'(1) of the middle-third problem, D for tau = sqrt, at
+    every lam > 0: phi = cos(r t) on the first third, a line across the
+    dead one, then y cos(r s) + y' sin(r s)/r on the last (as in
+    midthird_state)."""
+    r = np.sqrt(np.asarray(lams, dtype=float))
+    c, s = np.cos(r / 3.0), np.sin(r / 3.0)
+    y, v = c, -r * s  # at t = 1/3
+    y = y + v / 3.0  # at t = 2/3
+    return r * (y * c + v * s / r) - (-r * y * s + v * c)
+
+
+def sign_change_cells(den, lo: float, hi: float, n: int, chunk: int = 1 << 18):
+    """(left, right) edges in lam of the cells of an n-node grid uniform in
+    r = sqrt(lam) over [lo, hi] (0 < lo < hi) where den changes sign,
+    evaluated chunk by chunk so memory stays small."""
+    rs = np.linspace(math.sqrt(lo), math.sqrt(hi), n)
+    left, right = [], []
+    for i in range(0, n - 1, chunk):
+        r = rs[i : i + chunk + 1]
+        sign = np.sign(den(r * r))
+        k = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        left.append(r[k] ** 2)
+        right.append(r[k + 1] ** 2)
+    return np.concatenate(left), np.concatenate(right)
+
+
+# ---------------------------------------------------------------------------
 # middle-third problem, shooting oracle (method independent of the package:
 # fixed-step classical RK4 on y'' = -lam Delta y, piece by piece)
 

@@ -28,6 +28,7 @@ from slspectra import (
     find_eigenvalues,
     m_function,
     mobius,
+    parse_tau,
     point_mass,
     pure_point_spectral,
     spectral_density,
@@ -159,6 +160,44 @@ class TestEigenvalues:
         widest = float(str(exc.value).rsplit(", ", 1)[1].rstrip("]"))
         cap = spectral._SCAN_NODES
         assert (math.sqrt(widest) + 2 * math.pi / 6) / (math.pi / 6) + 1 <= cap
+
+    # Above lambda ~ 2.2e9 one ulp of lambda (4.8e-7) is comparable to any
+    # fixed small eps, so the pole test must not read m at lambda_k + i eps.
+    HIGH = (2.2e9, 2.3e9)
+
+    @pytest.mark.parametrize(
+        "name,tau,den",
+        [("free", "mobius:1,0,-1,2",
+          lambda lams: oracles.mobius_den_free_array(1.0, 0.0, -1.0, 2.0, lams)),
+         ("mid", "sqrt", oracles.sqrt_den_midthird_array)],
+        ids=["free-mobius", "mid-sqrt"],
+    )
+    def test_high_window_poles_match_closed_form(self, request, name, tau, den):
+        prob = request.getfixturevalue(name)
+        got = np.array(find_eigenvalues(prob, parse_tau(tau), self.HIGH))
+        # the cells of a 1e6-node grid in sqrt(lambda) where the closed-form
+        # D changes sign, one per pole (poles lie >= 2.3 apart in sqrt(lambda))
+        left, right = oracles.sign_change_cells(den, *self.HIGH, 10**6)
+        assert got.size == left.size == {"free": 335, "mid": 224}[name]
+        assert np.all((left <= got) & (got <= right))
+
+    def test_high_window_free_sqrt_poles(self, free):
+        k = np.arange(14900, 15300)
+        want = math.pi**2 * (k - 0.25) ** 2  # tau = sqrt(lambda) poles, tan r = -1
+        want = want[(want >= self.HIGH[0]) & (want <= self.HIGH[1])]
+        got = find_eigenvalues(free, SQRT, self.HIGH)
+        assert len(got) == want.size == 335
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    def test_pole_test_at_branch_point_and_poles(self, free):
+        assert not spectral._is_pole(free, SQRT, 0.0)
+        assert all(spectral._is_pole(free, SQRT, lam) for lam in oracles.sqrt_poles_free(3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_scan_values_leak_no_warning(self, mid):
+        # the scan values reach ~1e289 at lambda = -1e6, so brackets compare signs
+        got = find_eigenvalues(mid, C0, (-1e6, 10.0))
+        assert len(got) == 1 and abs(got[0]) < 1e-15
 
 
 class TestPointMass:
@@ -376,7 +415,6 @@ def per_lambda(monkeypatch):
         monkeypatch.setattr(spectral, "_quotient", _quotient_per_lambda)
         monkeypatch.setattr(spectral, "_m_values", _m_values_per_lambda)
         monkeypatch.setattr(spectral, "_density_boundary", _density_boundary_per_lambda)
-        monkeypatch.setattr(spectral, "_winding_confirms", _winding_per_lambda)
 
     return install
 
@@ -578,7 +616,8 @@ class TestBracketRefinement:
 
 def _scan_segment_loops(problem, tau, s_nodes, depth, roots, brackets):
     """_scan_segment as it was, with a Python loop over the scan nodes for
-    the zeros and sign changes and one for the dip triples."""
+    the zeros and sign changes and one for the dip triples (a dip's middle
+    |value| strictly below its left neighbour's)."""
     n = s_nodes.size
     vals, valid = spectral._scan_values(problem, tau, s_nodes * np.abs(s_nodes))
     for i in range(n - 1):
@@ -598,7 +637,7 @@ def _scan_segment_loops(problem, tau, s_nodes, depth, roots, brackets):
         trip = vals[i - 1 : i + 2]
         if np.any(trip == 0.0) or len(set(np.sign(trip))) != 1:
             continue
-        if not (abs(vals[i]) <= abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1])):
+        if not (abs(vals[i]) < abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1])):
             continue
         if depth == 0:
             local = max(abs(vals[i - 1]), abs(vals[i + 1]))
@@ -663,6 +702,25 @@ class TestScanSegment:
                     assert [sorted(x) for x in got] == [sorted(x) for x in want]
                     assert sorted(got[0]) == [-1.0, 1.0]
 
+    def test_equal_adjacent_dips_bracket_once(self, free, monkeypatch):
+        # f(s) = (s - 1/2)^2 - 1/100 on integer nodes: f(0) = f(1), two dips
+        # of equal |value| around the root pair 0.4, 0.6.  Subdividing both
+        # would bracket each root twice.
+        def scan_values(problem, tau, us):
+            s = np.sign(us) * np.sqrt(np.abs(us))
+            return (s - 0.5) ** 2 - 0.01, np.ones(s.shape, bool)
+
+        monkeypatch.setattr(spectral, "_scan_values", scan_values)
+        s_nodes = np.arange(-3.0, 5.0)
+        for depth in (1, 2, 3):
+            got, want = self._both(free, C0, s_nodes, depth)
+            assert [sorted(x) for x in got] == [sorted(x) for x in want]
+            roots, brackets = got
+            assert roots == [] and len(brackets) == len(set(brackets)) == 2
+            assert [(lo < 0.4 < hi, lo < 0.6 < hi) for lo, hi, _, _ in sorted(brackets)] == [
+                (True, False), (False, True)
+            ]
+
 
 class TestTauArray:
     """_tau_array against the per-lambda _tau_value it batches."""
@@ -681,11 +739,11 @@ class TestTauArray:
             assert tv.dtype == complex and inf.dtype == bool and tv.shape == lams.shape
 
 
-# Per-lambda oracles of the batched spectral assembly: point_mass and
-# _is_pole as they were before the masses and probes of a window became one
-# batch, with the residue restated for the complex step (one _quotient call
-# at lambda_k + i h) and the eps-limit for the cached quadratic projection,
-# and the per-node extrapolated density.
+# Per-lambda oracles of the batched spectral assembly: point_mass as it was
+# before the masses of a window became one batch, with the residue restated
+# for the complex step (one _quotient call at lambda_k + i h) and the
+# eps-limit for the cached quadratic projection, and the per-node
+# extrapolated density.
 
 
 def _point_mass_per_lambda(problem, tau, lam_k):
@@ -716,19 +774,6 @@ def _point_mass_per_lambda(problem, tau, lam_k):
     return jump_res
 
 
-def _is_pole_per_root(problem, tau, lam0):
-    eps = np.array([1e-6, 4e-6])
-    w1, w2 = eps * spectral._m_values(problem, tau, lam0 + 1j * eps).imag
-    if w1 <= 0.0:
-        return False
-    ratio = w2 / w1
-    if abs(ratio - 1.0) <= 0.25:
-        return True
-    if ratio >= 1.6:
-        return False
-    return spectral._winding_confirms(problem, tau, lam0)
-
-
 def _density_extrapolation_per_node(problem, tau, u):
     eps = spectral._EPS
     vals = spectral._m_values(problem, tau, u + 1j * eps).imag
@@ -748,7 +793,7 @@ SQRT_FN_ONLY = BoundaryParam(kind="analytic", fn=SQRT.fn, name="sqrt-fn-only")
 
 
 class TestBatchedAssembly:
-    """_point_masses, _pole_probes and the batched extrapolated density
+    """_point_masses, the pole test and the batched extrapolated density
     against the per-lambda oracles above."""
 
     CASES = [("free", "sqrt", (0.0, 1000.0)), ("mid", "c0", (-1.0, 3000.0)),
@@ -857,23 +902,24 @@ class TestBatchedAssembly:
             spectral._point_masses(free, C0, eigs)
 
     def test_pole_probes_equal_per_root(self, mid, monkeypatch):
-        probes = []
-        pole_probes = spectral._pole_probes
+        # the search tests all its roots in one _poles call; each verdict is
+        # _is_pole's for that root alone, and the search keeps the passes
+        calls = []
+        poles = spectral._poles
         monkeypatch.setattr(
-            spectral, "_pole_probes",
-            lambda p, t, roots: probes.append(list(roots)) or pole_probes(p, t, roots),
+            spectral, "_poles", lambda p, t, roots: calls.append(list(roots)) or poles(p, t, roots)
         )
-        find_eigenvalues(mid, SQRT, (-50.0, 2000.0))
-        (roots,) = probes
+        eigs = find_eigenvalues(mid, SQRT, (-50.0, 2000.0))
+        (roots,) = calls
+        assert eigs == [r for r in roots if spectral._is_pole(mid, SQRT, r)]
         roots += [0.0, 1e-3, 7.5]  # the branch point of sqrt and two non-roots
-        got = pole_probes(mid, SQRT, roots)
-        assert got == [_is_pole_per_root(mid, SQRT, r) for r in roots]
+        got = poles(mid, SQRT, roots).tolist()
         assert got == [spectral._is_pole(mid, SQRT, r) for r in roots]
         assert sum(got) >= 5 and not all(got)
 
     def test_assembly_endpoint_calls_fixed(self, free, monkeypatch):
         """Outside the scan, build_spectral_function makes one endpoint_states
-        call for the pole probes, one for the point masses and one for the
+        call for the pole test, one for the point masses and one for the
         density, however many poles the window holds.  Before the batches
         it made 3 per pole plus 1: 10 on the README window (3 poles) and 31
         on [-50, 1000] (10 poles); with the central difference, the masses
