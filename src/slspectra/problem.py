@@ -164,12 +164,14 @@ class QuadConfig:
     """Quadrature and propagation tolerances.
 
     closed_form_pieces enables the fast propagation engines: the exact
-    transfer matrix on pieces where p, q and Delta are all constant and
-    error-controlled Magnus steps on the other pieces.  Disable it to select
-    the reference engine, the adaptive Runge-Kutta integrator DOP853, on
-    every piece (mainly useful for convergence studies and as a test oracle).
-    ode_tol is the relative tolerance of both the Magnus and the DOP853
-    engine.
+    transfer matrix on pieces where p, q and Delta are all constant,
+    constant-perturbation steps on a lambda-free mesh where p and Delta are
+    constant or polynomial with p Delta > 0, and error-controlled Magnus
+    steps on the other pieces.  Disable it to select the reference engine,
+    the adaptive Runge-Kutta integrator DOP853, on every piece (mainly
+    useful for convergence studies and as a test oracle).  ode_tol is the
+    relative tolerance of the CPM mesh test and of the Magnus and DOP853
+    engines.
     """
 
     abs_tol: float = 1e-11

@@ -11,7 +11,8 @@ to propagate) from a to b for a whole batch of lambda.  It leaves one
 segment per piece, so steps never straddle a discontinuity of p, q or
 Delta.  A segment holds the batch's states at the piece's ends, sol(t),
 the states at points t inside it, and reduce, sums of c y(t) (or of
-c y(t)^2) over panels of points inside it.  There are three kinds:
+c y(t)^2) over panels of points inside it.  The rules of a piece choose
+its kind; there are four:
 
 * _ExactSegment, where p, q and Delta are constant: the transfer is
   exp(hA) = cosh(s) I + sinh(s)/s hA with A = [[0, 1/p], [q - lambda Delta,
@@ -19,20 +20,31 @@ c y(t)^2) over panels of points inside it.  There are three kinds:
   One elementwise pass gives the ends of all constant pieces; sol(t) is one
   partial step from the piece's start, and reduce a step to each panel
   midpoint and a partial step by each panel offset.
-* _MagnusSegment, on every other piece: n uniform steps of the sixth-order,
-  three-point Gauss Magnus method (Blanes, Casas & Ros 2000), each the
-  exponential of a traceless 2x2 matrix, so det = 1 too.  Its entries are
-  polynomials in lambda with lambda-free coefficients cached per (piece,
-  n); n doubles until the Richardson estimate |T_2n - T_n| / 63 meets
-  quad.ode_tol, for the whole batch in one _magnus_transfers call.  sol(t)
-  is one partial step from the mesh node below t.
+* _CPMSegment, where p and Delta are constant: or poly: rules with
+  p Delta > 0 on the closed piece (q may be any rule): constant-perturbation
+  steps (Ixaru 2000; Ledoux, Van Daele & Vanden Berghe 2005) in the
+  Liouville variable x = int sqrt(Delta / p) dt, where u = (p Delta)^(1/4) y
+  solves -u'' + Q u = lambda u.  A step is the closed-form transfer for the
+  mean Qbar of Q on it plus three perturbation corrections for a Legendre
+  fit of Q - Qbar, sums of lambda-free polynomials times the functions
+  eta_m(Z), Z = (Qbar - lambda) h^2, which are entire in lambda.  The mesh
+  is uniform in t, built once per (piece, ode_tol) on first use and the
+  same for every lambda; its error falls as lambda grows.  sol(t) is one
+  partial step from the mesh node below t.
+* _MagnusSegment, on the other variable pieces (a table: rule for p or
+  Delta, or a Delta that vanishes on the piece): n uniform steps of the
+  sixth-order, three-point Gauss Magnus method (Blanes, Casas & Ros 2000),
+  each the exponential of a traceless 2x2 matrix, so det = 1 too.  Its
+  entries are polynomials in lambda with lambda-free coefficients cached
+  per (piece, n); n doubles until the Richardson estimate |T_2n - T_n| / 63
+  meets quad.ode_tol, for the whole batch in one _magnus_transfers call.
+  sol(t) is one partial step from the mesh node below t.
 * _ReferenceSegment: DOP853, adaptive Runge-Kutta of order 8(5,3) with
   dense output, one run per (lambda, column), kept in _cache.  It covers
   every piece when quad.closed_form_pieces = False (the CLI's --ode-tol
   sets that) and the lambda whose Magnus step count would pass
-  _MAGNUS_MAX_STEPS (beyond |lambda| ~ 2e8 for p = 1 + t/2, q = 2t,
-  Delta = 1 + t at ode_tol = 1e-11), and is the oracle of the other two.
-  scipy is imported on its first use.
+  _MAGNUS_MAX_STEPS, and is the oracle of the other three.  scipy is
+  imported on its first use.
 
 Complex lambda propagate a complex state; real ones stay real.  A
 Trajectory holds the segments of a walk.  endpoint_states reads phi, psi
@@ -54,12 +66,14 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import ConfigError, PropagationError
-from .problem import ConstantRule, SLProblem
+from .problem import ConstantRule, PolyRule, SLProblem
+from .quadrature import _w_high, _x_high
 
 _MIN_RTOL = 2.5e-14  # DOP853 rejects tolerances at rounding level
 
@@ -232,6 +246,24 @@ def _mul(L, R):
     return a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
 
 
+def _chain(E):
+    """E[..., n-1] @ ... @ E[..., 0] of step components E by pairwise
+    reduction along the last axis; n is a power of two."""
+    while E[0].shape[-1] > 1:
+        E = _mul([e[..., 1::2] for e in E], [e[..., ::2] for e in E])
+    return [e[..., 0] for e in E]
+
+
+def _prefix(E) -> None:
+    """E[..., k] becomes E[..., k] @ ... @ E[..., 0], in place, in
+    log2(n) passes of _mul."""
+    n, k = E[0].shape[-1], 1
+    while k < n:
+        for e, prod in zip(E, _mul([e[..., k:] for e in E], [e[..., :-k] for e in E])):
+            e[..., k:] = prod
+        k *= 2
+
+
 def _products(parts, lams: np.ndarray) -> np.ndarray:
     """E[n-1] @ ... @ E[0] of the steps in parts for every lambda, as
     components of shape (4, len(lams)), by pairwise reduction along the step
@@ -240,10 +272,7 @@ def _products(parts, lams: np.ndarray) -> np.ndarray:
     rows = max(1, _MAGNUS_BATCH // parts[0][0].size)
     out = np.empty((4, lams.size), lams.dtype)
     for i in range(0, lams.size, rows):
-        E = _magnus_steps(parts, lams[i : i + rows, None])
-        while E[0].shape[1] > 1:
-            E = _mul([e[:, 1::2] for e in E], [e[:, ::2] for e in E])
-        out[:, i : i + rows] = [e[:, 0] for e in E]
+        out[:, i : i + rows] = _chain(_magnus_steps(parts, lams[i : i + rows, None]))
     return out
 
 
@@ -297,6 +326,278 @@ def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float)
                 T_out[:, idx[done]] = T2[:, done]
                 idx, T = idx[~done], T2[:, ~done]
     return n_out, T_out.T.reshape(-1, 2, 2), spent
+
+
+# Constant-perturbation (CPM) steps, after Ixaru (J. Comput. Appl. Math. 125,
+# 2000) and MATSLISE (Ledoux, Van Daele & Vanden Berghe, ACM TOMS 31, 2005),
+# in the Liouville variable x = int sqrt(Delta / p) dt, where u = m y with
+# m = (p Delta)^(1/4) solves -u'' + Q u = lambda u, Q = q / Delta + m_xx / m.
+_CPM_DEGREE = 6  # Legendre degree of the fit of Q - Qbar on a step
+_CPM_ORDER = 3  # perturbation corrections kept
+_CPM_MAX_STEPS = 1 << 10  # a piece that needs more keeps Magnus
+# (Qbar - lambda) h^2 per step at which the mesh test compares two meshes: a
+# step's error peaks near -50 to -150, where its oscillation meets the first
+# Legendre term the fit leaves out, and falls beyond
+_CPM_PROBES = np.array([0.0, -4.0, -16.0, -49.0, -100.0, -196.0, -400.0])
+# P_n(2s - 1), the Legendre polynomials on [0, 1], in powers of s: row k, column n
+_SHIFTED_LEGENDRE = np.array([[(-1) ** (n + k) * math.comb(n, k) * math.comb(n + k, k)
+                               for n in range(_CPM_DEGREE + 1)]
+                              for k in range(_CPM_DEGREE + 1)], dtype=float)
+
+
+@lru_cache(maxsize=64)
+def _derivatives(rule) -> tuple:
+    """Ascending power coefficients of a constant or poly rule and of its
+    first two derivatives."""
+    c = np.atleast_1d(np.asarray(rule.coeffs if isinstance(rule, PolyRule) else rule.value,
+                                 dtype=float))
+    out = tuple(P.polyder(c, k) for k in range(3))
+    for c in out:
+        c.setflags(write=False)  # shared by every caller of the cache
+    return out
+
+
+def _cpm_takes(rules, t0: float, t1: float) -> bool:
+    """True where p and Delta are constant or poly rules with p Delta > 0 on
+    the closed piece: its minimum over t0, t1 and the real critical points
+    between them is positive."""
+    p_rule, _, d_rule = rules
+    if not all(isinstance(r, (ConstantRule, PolyRule)) for r in (p_rule, d_rule)):
+        return False
+    f = P.polymul(_derivatives(p_rule)[0], _derivatives(d_rule)[0])
+    crit = [r.real for r in P.polyroots(P.polyder(f)) if t0 < r.real < t1]
+    return bool(np.min(P.polyval(np.array([t0, t1, *crit]), f)) > 0.0)
+
+
+def _dx_dt(rules, t):
+    """g = dx/dt = sqrt(Delta / p) at t."""
+    p_rule, _, d_rule = rules
+    return np.sqrt(d_rule(t) / p_rule(t))
+
+
+def _values(rules, t):
+    """p, p', p'' and Delta, Delta', Delta'' at t, with w = f'/f for f = p Delta."""
+    p_rule, _, d_rule = rules
+    (p, p1, p2), (d, d1, d2) = ([P.polyval(t, c) for c in _derivatives(rule)]
+                                for rule in (p_rule, d_rule))
+    return (p, p1, p2), (d, d1, d2), (p1 * d + p * d1) / (p * d)
+
+
+def _liouville(rules, t):
+    """m = (p Delta)^(1/4) and m_x = dm/dx = (dt/dx) m f' / (4 f) at t, for
+    constant or poly p and Delta."""
+    (p, _, _), (d, _, _), w = _values(rules, t)
+    m = np.sqrt(np.sqrt(p * d))
+    return m, np.sqrt(p / d) * m * w / 4.0
+
+
+def _potential(rules, t):
+    """Q = q / Delta + m_xx / m at t, with m_xx / m = (p / Delta) ((p'/p -
+    Delta'/Delta) f' / (8 f) + f'' / (4 f) - 3 f'^2 / (16 f^2))."""
+    (p, p1, p2), (d, d1, d2), w = _values(rules, t)
+    f2 = (p2 * d + 2.0 * p1 * d1 + p * d2) / (p * d)  # f'' / f
+    return rules[1](t) / d + (p / d) * ((p1 / p - d1 / d) * w / 8.0 + f2 / 4.0 - 3.0 * w * w / 16.0)
+
+
+def _dx(rules, a, b):
+    """x(b) - x(a) = int_a^b g dt by the 21-point Gauss rule."""
+    half = 0.5 * (b - a)
+    return half * (_dx_dt(rules, (a + half)[..., None] + half[..., None] * _x_high) @ _w_high)
+
+
+def _sder2(a):
+    """d^2/ds^2 of polynomials in s, coefficient rows ascending (columns apart)."""
+    k = np.arange(2.0, len(a))[:, None]
+    return a[2:] * (k * (k - 1.0)) if len(a) > 2 else np.zeros_like(a[:1])
+
+
+def _cpm_correction(src_xi, src) -> list:
+    """F_0, F_1, ... of one perturbation correction p = sum_m F_m(s)
+    s^(2m+1) eta_m(Z) on a step scaled to s in [0, 1], where p'' = (Qbar -
+    lambda) h^2 p + W p_prev with p(0) = p'(0) = 0 and the source W p_prev =
+    src_xi eta_-1 + sum_m src[m] s^(2m+1) eta_m (Ixaru 2000): F_0 = 1/2
+    int_0^s src_xi and F_m = s^-m / 2 int_0^s s^(m-1) (src[m-1] - F_(m-1)'').
+    Each is an array of ascending coefficients in s, a column per step."""
+    F = [np.vstack([np.zeros_like(src_xi[:1]),
+                    src_xi / (2.0 * np.arange(1.0, len(src_xi) + 1.0))[:, None]])]
+    m = 1
+    while m <= len(src) or len(F[-1]) > 2:  # beyond, every F_m is zero
+        a = -_sder2(F[-1])
+        if m <= len(src):
+            b = src[m - 1]
+            a, b = (a, b) if len(a) >= len(b) else (b, a)
+            a = a.copy()
+            a[: len(b)] += b
+        F.append(a / (2.0 * (np.arange(len(a)) + m))[:, None])
+        m += 1
+    return F
+
+
+def _cpm_tables(W) -> np.ndarray:
+    """Polynomial tables T, shape (4, M + 2, J, steps), of the step entries
+    (u, v, u_s, v_s) in s = (x - x_k) / h for the scaled perturbation W(s) =
+    h^2 (Q - Qbar) (ascending rows, a column per step): entry e is sum_m
+    T[e, m + 1](s) eta_m(Z), Z = (Qbar - lambda) h^2 s^2, m = -1 ... M, and
+    u_s has (Qbar - lambda) h^2 s eta_0 besides.  Zeroth order u = eta_-1,
+    v = s eta_0, v_s = eta_-1; each correction p = sum_m F_m s^(2m+1) eta_m
+    adds p_s = F_0 eta_-1 + sum_m (F_m' + s F_(m+1)) s^(2m+1) eta_m.  The
+    corrections of u (source W eta_-1) and of v (source W s eta_0) run as
+    the two halves of one set of columns."""
+    n = W.shape[1]
+    zero = np.zeros_like(W)
+    src_xi, src, WW = np.hstack([W, zero]), [np.hstack([zero, W])], np.hstack([W, W])
+    orders = []
+    for _ in range(_CPM_ORDER):
+        F = _cpm_correction(src_xi, src)
+        orders.append(F)
+        src_xi, src = np.zeros_like(WW[:1]), []
+        for Fm in F:  # W F_m
+            out = np.zeros((len(Fm) + len(W) - 1, 2 * n))
+            for j, wj in enumerate(WW):
+                out[j : j + len(Fm)] += Fm * wj
+            src.append(out)
+    M = max(len(F) for F in orders) - 1
+    J = max(2 * m + 2 + len(Fm) for F in orders for m, Fm in enumerate(F))
+    T = np.zeros((2, M + 2, J, 2 * n))  # (p, p_s) of the u and v columns
+    for F in orders:
+        T[1, 0, : len(F[0])] += F[0]
+        for m, Fm in enumerate(F):
+            T[0, m + 1, 2 * m + 1 : 2 * m + 1 + len(Fm)] += Fm
+            T[1, m + 1, 2 * m + 1 : 2 * m + len(Fm)] += Fm[1:] * np.arange(1.0, len(Fm))[:, None]
+            if m + 1 < len(F):
+                T[1, m + 1, 2 * m + 2 : 2 * m + 2 + len(F[m + 1])] += F[m + 1]
+    T = np.concatenate([T[..., :n], T[..., n:]])  # u, u_s, v, v_s
+    T = T[[0, 2, 1, 3]]
+    T[0, 0, 0] += 1.0  # zeroth order
+    T[1, 1, 1] += 1.0
+    T[3, 0, 0] += 1.0
+    return T
+
+
+@lru_cache(maxsize=8)
+def _eta_series(M: int) -> np.ndarray:
+    """Power-series coefficients, shape (K, 2, 1), of eta_(M-1) and eta_M:
+    eta_m(Z) = sum_k c_k Z^k with c_0 = 1 / (2m + 1)!! and c_(k+1) = c_k /
+    (2 (k + 1) (2k + 2m + 3)), cut where c_K (M + 1)^(2K) < 1e-17 c_0."""
+    c = [[1.0 / math.prod(range(1, 2 * m + 2, 2)) for m in (M - 1, M)]]
+    while c[-1][0] * (M + 1) ** (2 * len(c)) >= 1e-17 * c[0][0]:
+        k = len(c) - 1
+        c.append([ck / (2.0 * (k + 1) * (2 * k + 2 * m + 3)) for ck, m in zip(c[-1], (M - 1, M))])
+    return np.array(c)[:, :, None]
+
+
+def _eta(Z: np.ndarray, M: int) -> np.ndarray:
+    """eta_-1(Z), ..., eta_M(Z) stacked on a new first axis, M >= 2: eta_-1 =
+    cosh sqrt(Z), eta_0 = sinh sqrt(Z) / sqrt(Z) and eta_m = (eta_(m-2) -
+    (2m - 1) eta_(m-1)) / Z.  The recursion runs upward where |Z| > (M + 1)^2
+    and elsewhere downward from the power series of eta_M and eta_(M-1), the
+    stable direction on each side.  Each is entire in Z, so a complex step in
+    lambda stays a complex step."""
+    out = np.empty((M + 2,) + Z.shape, Z.dtype)
+    out[0], out[1] = _cosh_sinhc(Z)
+    up = np.abs(Z) > (M + 1) ** 2
+    if np.any(up):
+        z = Z[up]
+        e = [out[0][up], out[1][up]]
+        for m in range(1, M + 1):
+            e.append((e[m - 1] - (2 * m - 1) * e[m]) / z)
+        out[2:, up] = e[2:]
+    if not np.all(up):
+        z = Z[~up]
+        series = _eta_series(M)
+        e = series[-1] * z
+        for c in series[-2:0:-1]:  # Horner, elementwise, so no batch changes a digit
+            e = (e + c) * z
+        e = list(e + series[0])  # eta_(M-1), eta_M
+        for m in range(M, 2, -1):  # e[0], e[1] = eta_(m-1), eta_m
+            e.insert(0, z * e[1] + (2 * m - 1) * e[0])
+        out[2:, ~up] = e
+    return out
+
+
+class _CPMMesh:
+    """n uniform steps of the piece [t0, t1] in t: per step its length h in
+    x, its reference potential qbar (the mean of Q in x) and the tables of
+    _cpm_tables for the Legendre fit of degree _CPM_DEGREE to Q - qbar, with
+    the v row scaled by h and the u' row by 1/h, so that the entries act on
+    (u, u'), and the maps into = (y, y^[1]) -> (u, u') at t0 and out = its
+    inverse at t1."""
+
+    def __init__(self, rules, t0: float, t1: float, n: int):
+        self.rules, self.n, self.k = rules, n, np.arange(n)
+        self.t = np.linspace(t0, t1, n + 1)
+        left = self.t[:-1, None]
+        half = 0.5 * (self.t[1:, None] - left)
+        tau = left + half * (1.0 + _x_high)  # Gauss nodes of each step in t
+        w = half * _w_high * _dx_dt(rules, tau)  # their weights in x
+        self.h = np.sum(w, axis=1)
+        s = _dx(rules, left, tau) / self.h[:, None]
+        legendre = (s[..., None] ** np.arange(_CPM_DEGREE + 1)) @ _SHIFTED_LEGENDRE
+        norm = (2.0 * np.arange(_CPM_DEGREE + 1) + 1.0) / self.h[:, None]
+        V = np.einsum("kg,kgn->kn", w * _potential(rules, tau), legendre) * norm
+        self.qbar = V[:, 0]
+        self.tables = _cpm_tables(self.h**2 * (_SHIFTED_LEGENDRE[:, 1:] @ V[:, 1:].T))
+        self.tables[1] *= self.h
+        self.tables[2] /= self.h
+        self.full = self.tables.sum(axis=2)  # the tables at s = 1
+        for arr in (self.t, self.h, self.qbar, self.tables, self.full):
+            arr.setflags(write=False)  # _cpm_mesh shares the mesh with every caller
+        (m0, m1), (mx0, mx1) = _liouville(rules, np.array([t0, t1]))
+        self.into, self.out = (m0, 0.0, mx0, 1.0 / m0), (1.0 / m1, 0.0, -mx1, m1)
+
+    @cached_property
+    def reference(self):
+        """The steps at lambda = 0, the right factors of each level of their
+        pairwise product, and that product on (y, y^[1])."""
+        C = S0 = self.steps(np.zeros(1))
+        levels = []
+        while C[0].shape[-1] > 1:
+            levels.append([e[..., ::2] for e in C])
+            C = _mul([e[..., 1::2] for e in C], [e[..., ::2] for e in C])
+        return S0, levels, _mul(self.out, _mul([e[..., 0] for e in C], self.into))
+
+    def steps(self, lams: np.ndarray, k=None, delta=None):
+        """Transfers on (u, u') over [x_k, x_k + delta] (every full step by
+        default) for every lambda, as components of shape (4, len(lams),
+        len(k)).  Every sum is elementwise, so a lambda's steps do not depend
+        on the batch it came in."""
+        if k is None:
+            k, delta, K = self.k, self.h, self.full
+        else:
+            s, T = delta / self.h[k], self.tables[..., k]
+            K = T[:, :, -1]
+            for j in range(T.shape[2] - 2, -1, -1):
+                K = K * s + T[:, :, j]
+        c = self.qbar[k] - lams[:, None]
+        eta = _eta(c * delta * delta, K.shape[1] - 2)
+        E = K[:, 0, None] * eta[0]
+        for m in range(1, K.shape[1]):
+            E += K[:, m, None] * eta[m]
+        E[2] += c * delta * eta[1]
+        return E
+
+
+@lru_cache(maxsize=32)  # a 128-step mesh holds about 1.3 MB
+def _cpm_mesh(rules, t0: float, t1: float, tol: float):
+    """The lambda-free mesh of the CPM segment on a piece, or None where the
+    segment does not take it (_cpm_takes) or no mesh of at most
+    _CPM_MAX_STEPS steps passes: the mesh of 2n steps for the first n = 1, 2,
+    4, ... whose transfers at the _CPM_PROBES differ from those on 2n steps
+    by at most tol max(1, |T|).  The error of the 2n steps is far below
+    that, and it falls as lambda grows."""
+    if not _cpm_takes(rules, t0, t1):
+        return None
+    mesh = _CPMMesh(rules, t0, t1, 1)
+    with np.errstate(all="ignore"):
+        while mesh.n < _CPM_MAX_STEPS:
+            fine = _CPMMesh(rules, t0, t1, 2 * mesh.n)
+            lams = np.mean(mesh.qbar) - _CPM_PROBES / np.mean(mesh.h) ** 2
+            T, T2 = (np.array(_chain(m.steps(lams))) for m in (mesh, fine))
+            scale = np.maximum(1.0, np.max(np.abs(T2), axis=0))
+            if np.all(np.max(np.abs(T - T2), axis=0) <= tol * scale):
+                return fine
+            mesh = fine
+    return None
 
 
 def _apply(M, state):
@@ -380,11 +681,7 @@ class _MagnusSegment(_Segment):
         if self._nodes[0] != i:
             n = self._n[i]
             E = _magnus_steps(_magnus_samples(self._rules, self.t0, self.t1, n), self._lams[i])
-            k = 1
-            while k < n:
-                for e, prod in zip(E, _mul([e[k:] for e in E], [e[:-k] for e in E])):
-                    e[k:] = prod
-                k *= 2
+            _prefix(E)
             y0 = self.start[:, :, i, None]
             self._nodes = (i, np.concatenate([y0, _apply(E, y0)], axis=2))
         return self._nodes[1]
@@ -402,6 +699,47 @@ class _MagnusSegment(_Segment):
         if self._ref is not None:
             out[:, :, self._spent] = self._ref.sol(t)
         return out
+
+
+class _CPMSegment(_Segment):
+    """CPM transfers across one variable piece on its lambda-free _cpm_mesh:
+    (u, u') = (m y, y^[1] / m + m_x y) at t0, one product of the mesh's steps
+    for the whole batch, and y = u / m, y^[1] = m u' - m_x u at t1 (both maps
+    have determinant 1).  The product on (y, y^[1]) is its value at lambda = 0
+    (the mesh's reference) plus the rest, the corner of the product of the
+    block steps [[S, S - S(0)], [0, S(0)]] mapped out: near lambda = 0, where
+    y^[1] is small against m_x y, the rounding of the first part is the same
+    for every lambda, and the second keeps its relative accuracy.  The node
+    states, which sol(t) takes one partial step from, come from one prefix
+    product on first use."""
+
+    def __init__(self, t0, t1, start, mesh: _CPMMesh, lams):
+        self.t0, self.t1, self.start = t0, t1, start
+        self._mesh, self._lams = mesh, lams
+        S0, levels, ref_end = mesh.reference
+        A = self._steps = mesh.steps(lams)
+        B = [e - e0 for e, e0 in zip(A, S0)]
+        for C0 in levels:
+            (A1, A0), (B1, B0) = ([[e[..., 1::2] for e in X], [e[..., ::2] for e in X]]
+                                  for X in (A, B))
+            B = [x + y for x, y in zip(_mul(A1, B0), _mul(B1, C0))]
+            A = _mul(A1, A0)
+        X = _mul(mesh.out, _mul([e[..., 0] for e in B], mesh.into))
+        self.end = _apply([r + x for r, x in zip(ref_end, X)], start)
+        self._u0 = _apply(mesh.into, start)
+        self._nodes = None
+
+    def sol(self, t: np.ndarray) -> np.ndarray:
+        mesh = self._mesh
+        if self._nodes is None:
+            E = [e.copy() for e in self._steps]
+            _prefix(E)
+            u0 = self._u0[..., None]
+            self._nodes = np.concatenate([u0, _apply(E, u0)], axis=-1)
+        k = np.clip(np.searchsorted(mesh.t, t, side="right") - 1, 0, mesh.n - 1)
+        E = mesh.steps(self._lams, k, _dx(mesh.rules, mesh.t[k], t))
+        m, mx = _liouville(mesh.rules, t)
+        return _apply((1.0 / m, 0.0, -mx, m), _apply(E, self._nodes[..., k]))
 
 
 def _piece_rhs(p_rule, q_rule, d_rule, lam):
@@ -498,6 +836,8 @@ def _walk(problem: SLProblem, lams: np.ndarray, inits: np.ndarray) -> list:
         for k, (t0, t1, rules, constant) in enumerate(pieces):
             if exact and constant:
                 seg = _ExactSegment(t0, t1, state, *next(closed))
+            elif exact and (mesh := _cpm_mesh(rules, t0, t1, rtol)) is not None:
+                seg = _CPMSegment(t0, t1, state, mesh, lams)
             else:
                 engine = _MagnusSegment if exact else _ReferenceSegment
                 seg = engine(t0, t1, state, rules, lams, rtol, atol, (problem, k))
@@ -525,7 +865,8 @@ def _locate(problem: SLProblem, ends: np.ndarray, t) -> tuple[np.ndarray, np.nda
 
 class Trajectory:
     """The segments of one walk over [a, b]: per piece an _ExactSegment,
-    _MagnusSegment or _ReferenceSegment, with no per-lambda fallback.  eval
+    _CPMSegment, _MagnusSegment or _ReferenceSegment, chosen by the piece's
+    rules, with no per-lambda fallback besides Magnus's step budget.  eval
     dispatches points to the owning segments; for a batch (lam an array) it
     returns arrays of shape (columns, lambdas, len(t)), for one solution (lam
     a scalar, from propagate) complex arrays of shape (len(t),), and

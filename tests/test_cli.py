@@ -274,7 +274,7 @@ def test_console_script_help():
         assert name in proc.stdout
 
 
-# Closed-form and Magnus propagation, the eigenvalue search, spectral
+# Closed-form, CPM and Magnus propagation, the eigenvalue search, spectral
 # assembly and the transform run without scipy; a table rule and the DOP853
 # reference engine load it when they are used.
 SCIPY_FREE = """

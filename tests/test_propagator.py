@@ -29,7 +29,8 @@ from slspectra import (
     sqrt_param,
     wronskian,
 )
-from slspectra import propagator, transform
+from slspectra import propagator, spectral, transform
+from test_transform import POLY_P_INI
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,7 +53,7 @@ pieces =
     0.0, 1.0, constant:1.0
 """
 
-# every coefficient varies, so the commutator term of the Magnus step is live
+# every coefficient varies, so every term of the CPM corrections is live
 POLY_INI = """
 [interval]
 a = 0.0
@@ -71,6 +72,10 @@ pieces =
 pieces =
     0.0, 1.0, poly:1.0,1.0
 """
+
+# as POLY_INI, with a weight that vanishes at t = 0: the CPM segment does not
+# take the piece, so it runs the Magnus engine
+VANISHING_INI = POLY_INI.replace("0.0, 1.0, poly:1.0,1.0", "0.0, 1.0, poly:0.0,2.0")
 
 # a closed-form piece followed by a spline piece, with a weight jump
 TABLE_INI = """
@@ -253,6 +258,25 @@ def table():
     return loads_problem(TABLE_INI)
 
 
+@pytest.fixture(scope="module")
+def vanishing():
+    return loads_problem(VANISHING_INI)
+
+
+@pytest.fixture(scope="module")
+def linear_p():
+    return loads_problem(LINEAR_P_INI)
+
+
+@pytest.fixture(scope="module")
+def two_poly():
+    """Two poly pieces of p, which jumps at t = 0.37."""
+    return loads_problem(POLY_P_INI)
+
+
+VARIABLE = ["poly", "table", "vanishing", "linear_p", "two_poly"]
+
+
 def _transfer(problem, lam):
     """Endpoint transfer matrix, columns propagated from (1, 0) and (0, 1)."""
     cols = [propagate(problem, lam, init).endpoint for init in ((1.0, 0.0), (0.0, 1.0))]
@@ -260,18 +284,23 @@ def _transfer(problem, lam):
 
 
 class TestMagnusEngine:
-    """Variable-coefficient pieces, checked against the DOP853 reference."""
+    """Variable-coefficient pieces, checked against the DOP853 reference: the
+    CPM segment (poly, linear_p, two_poly) and the Magnus engine (table,
+    vanishing).  The lambda lie on both sides of the reference potentials of
+    the CPM steps, so Z changes sign, and two carry the imaginary parts of the
+    complex-step residue and of the smallest epsilon of the spectral limits."""
 
-    LAMBDAS = [-300.0, 0.0, 37.0, 1e4, -1e4, 1e4j, 500.0 + 3.0j, -2e3 - 50.0j]
+    LAMBDAS = [-300.0, 0.0, 37.0, 1e4, -1e4, 1e4j, 500.0 + 3.0j, -2e3 - 50.0j,
+               0.5, 37.0 + 1e-20 * 38.0j, 600.0 + 1j * float(spectral._EPS[0])]
 
-    def test_variable_pieces_avoid_dop853(self, poly, monkeypatch):
+    def test_variable_pieces_avoid_dop853(self, vanishing, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("DOP853 ran on the fast path")
 
         monkeypatch.setattr(propagator, "solve_ivp", refuse)
-        propagate(poly, 250.0 + 1.0j, (1.0, 0.0))
+        propagate(vanishing, 250.0 + 1.0j, (1.0, 0.0))
 
-    @pytest.mark.parametrize("name", ["poly", "table"])
+    @pytest.mark.parametrize("name", ["poly", "table", "vanishing"])
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_matches_reference_engine(self, request, name, lam):
         prob = request.getfixturevalue(name)
@@ -288,7 +317,23 @@ class TestMagnusEngine:
         assert abs(end.y - end_ref.y) <= 1e-9 * np.max(np.abs(z))
         assert abs(end.y1 - end_ref.y1) <= 1e-9 * np.max(np.abs(z1))
 
-    @pytest.mark.parametrize("name", ["poly", "table"])
+    @pytest.mark.parametrize("name", ["linear_p", "poly", "two_poly"])
+    def test_cpm_matches_reference_engine(self, request, name):
+        # with q = 0 the quasi-derivative of phi vanishes at lambda = 0, so the
+        # states at b are compared entrywise on the scale max(1, |state|) and
+        # the rows inside the pieces on their own scale
+        prob = request.getfixturevalue(name)
+        assert any(isinstance(seg, propagator._CPMSegment)
+                   for seg in propagator._walk(prob, np.array([1.0]), np.eye(2)))
+        ref = rk_variant(prob, ode_tol=1e-12)
+        got, want = (propagator.endpoint_states(p, self.LAMBDAS) for p in (prob, ref))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        real = [lam for lam in self.LAMBDAS if not isinstance(lam, complex)]
+        t = np.linspace(0.0, 1.0, 29)[1:-1]
+        got, want = (propagator.phi_rows(p, real, t) for p in (prob, ref))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.max(np.abs(want), axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("name", VARIABLE)
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_unit_determinant(self, request, name, lam):
         T = _transfer(request.getfixturevalue(name), lam)
@@ -296,22 +341,23 @@ class TestMagnusEngine:
         assert abs(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0] - 1.0) <= 1e-12 * scale
 
     @pytest.mark.parametrize("lam", [0.0, 37.0, 1e4, 500.0 + 3.0j, -300.0])
-    def test_wronskian_to_rounding(self, poly, lam):
+    def test_wronskian_to_rounding(self, poly, vanishing, lam):
         ts = np.linspace(0.0, 1.0, 17)
-        phi = propagator.fundamental_trajectory(poly, lam, "phi")
-        psi = propagator.fundamental_trajectory(poly, lam, "psi")
-        py, py1 = phi.eval(ts)
-        sy, sy1 = psi.eval(ts)
-        scale = np.abs(py * sy1) + np.abs(py1 * sy)
-        assert np.all(np.abs(py * sy1 - py1 * sy - 1.0) <= 1e-12 * scale)
+        for prob in (poly, vanishing):  # CPM, Magnus
+            phi = propagator.fundamental_trajectory(prob, lam, "phi")
+            psi = propagator.fundamental_trajectory(prob, lam, "psi")
+            py, py1 = phi.eval(ts)
+            sy, sy1 = psi.eval(ts)
+            scale = np.abs(py * sy1) + np.abs(py1 * sy)
+            assert np.all(np.abs(py * sy1 - py1 * sy - 1.0) <= 1e-12 * scale)
 
-    def test_coarse_tolerance_degrades_accuracy(self, poly):
+    def test_coarse_tolerance_degrades_accuracy(self, vanishing):
         # ode_tol sets the Magnus step count: a coarse value must cost accuracy
         lam = 40.0
-        ref = propagate(rk_variant(poly, ode_tol=1e-12), lam, (1.0, 0.0)).endpoint
+        ref = propagate(rk_variant(vanishing, ode_tol=1e-12), lam, (1.0, 0.0)).endpoint
         errs = []
         for tol in (1e-2, 1e-11):
-            prob = replace(poly, quad=replace(poly.quad, ode_tol=tol))
+            prob = replace(vanishing, quad=replace(vanishing.quad, ode_tol=tol))
             errs.append(abs(propagate(prob, lam, (1.0, 0.0)).endpoint.y1 - ref.y1))
         assert errs[1] < 1e-10
         assert errs[0] > 100.0 * errs[1]
@@ -329,9 +375,9 @@ class TestMagnusEngine:
             assert np.allclose(C, np.cosh(r), rtol=1e-14, atol=0.0)
             assert np.allclose(S, S_ref, rtol=1e-14, atol=0.0)
 
-    def test_step_budget_exhaustion_falls_back_to_reference(self, poly, monkeypatch):
+    def test_step_budget_exhaustion_falls_back_to_reference(self, vanishing, monkeypatch):
         lam = 1e4
-        want = propagate(rk_variant(poly), lam, (1.0, 0.0)).endpoint
+        want = propagate(rk_variant(vanishing), lam, (1.0, 0.0)).endpoint
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
         propagator.clear_cache()
         runs = []
@@ -339,7 +385,7 @@ class TestMagnusEngine:
         monkeypatch.setattr(
             propagator, "solve_ivp", lambda *a, **k: runs.append(1) or solve_ivp(*a, **k)
         )
-        traj = propagate(poly, lam, (1.0, 0.0))
+        traj = propagate(vanishing, lam, (1.0, 0.0))
         assert traj.endpoint.y == pytest.approx(want.y, rel=1e-9)
         assert traj.endpoint.y1 == pytest.approx(want.y1, rel=1e-9)
         assert runs  # DOP853 ran, not a Magnus segment
@@ -379,7 +425,7 @@ class TestEndpointStates:
         fast = propagator.endpoint_states(poly, lams)
         assert np.all(np.abs(got - fast) <= 1e-9 * np.maximum(1.0, np.abs(got)))
 
-    def test_step_budget_exhaustion_falls_back_to_reference(self, poly, monkeypatch):
+    def test_step_budget_exhaustion_falls_back_to_reference(self, vanishing, monkeypatch):
         dop853 = []
         solve_ivp = propagator.solve_ivp
         monkeypatch.setattr(
@@ -388,11 +434,11 @@ class TestEndpointStates:
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
         propagator.clear_cache()
         try:
-            got = propagator.endpoint_states(poly, [37.0, 1e4])
+            got = propagator.endpoint_states(vanishing, [37.0, 1e4])
         finally:
             propagator.clear_cache()
         assert dop853
-        want = _per_lambda_endpoints(rk_variant(poly, ode_tol=1e-12), [37.0, 1e4])
+        want = _per_lambda_endpoints(rk_variant(vanishing, ode_tol=1e-12), [37.0, 1e4])
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
     def test_overflow_is_typed_error(self, free):
@@ -482,11 +528,13 @@ class TestPhiSums:
 
     LAMBDAS = [-1e4, -300.0, -1e-3, 0.0, 1e-9, 2e-6, 37.0, 1e4]  # series branch at 0, 1e-9
 
-    @pytest.mark.parametrize("name", ["free", "mid", "linear_p", "table", "rk"])
+    @pytest.mark.parametrize(
+        "name", ["free", "mid", "linear_p", "table", "rk", "poly", "two_poly", "vanishing"]
+    )
     @pytest.mark.parametrize("squared", [False, True])
     def test_matches_rows_times_weights(self, request, name, squared):
         if name == "linear_p":
-            prob = load_problem(CONFIGS / "linear_p.ini")  # Magnus default
+            prob = load_problem(CONFIGS / "linear_p.ini")  # CPM default
         elif name == "rk":
             prob = rk_variant(request.getfixturevalue("mid"))  # DOP853 default
         else:
@@ -509,16 +557,31 @@ class TestPhiSums:
             got = propagator.phi_sums(prob, self.LAMBDAS, grids, False)
             assert np.all(np.abs(got - whole) <= 1e-14 * np.maximum(1.0, np.abs(whole)))
 
-    def test_one_sol_per_piece_for_all_grids(self, monkeypatch):
-        # the default reduce builds each lambda's Magnus mesh once, not once per grid
-        prob = load_problem(CONFIGS / "linear_p.ini")
-        grids = [(sets, c) for sets, _, c in _panel_grids(prob, self.LAMBDAS)]
-        calls = []
-        sol = propagator._MagnusSegment.sol
-        monkeypatch.setattr(propagator._MagnusSegment, "sol",
-                            lambda seg, t: calls.append(t.size) or sol(seg, t))
-        propagator.phi_sums(prob, self.LAMBDAS, grids, False)
-        assert calls == [sum(c.size for _, c in grids)]
+    def test_one_sol_per_piece_for_all_grids(self, vanishing, monkeypatch):
+        # the default reduce builds the node states of a CPM or Magnus piece
+        # once, not once per grid
+        for prob, engine in ((load_problem(CONFIGS / "linear_p.ini"), propagator._CPMSegment),
+                             (vanishing, propagator._MagnusSegment)):
+            grids = [(sets, c) for sets, _, c in _panel_grids(prob, self.LAMBDAS)]
+            calls = []
+            sol = engine.sol
+            monkeypatch.setattr(engine, "sol", lambda seg, t: calls.append(t.size) or sol(seg, t))
+            propagator.phi_sums(prob, self.LAMBDAS, grids, False)
+            assert calls == [sum(c.size for _, c in grids)]
+
+    @pytest.mark.parametrize("name", ["linear_p", "poly", "two_poly"])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_cpm_matches_reference_engine(self, request, name, squared):
+        # the CPM sums against those of DOP853 (closed_form_pieces = false)
+        prob = request.getfixturevalue(name)
+        lams = [-300.0, 0.0, 0.5, 37.0, 600.0]
+        grids = _panel_grids(prob, lams)
+        got = propagator.phi_sums(prob, lams, [(sets, c) for sets, _, c in grids], squared)
+        ref = rk_variant(prob, ode_tol=1e-12)
+        want = propagator.phi_sums(ref, lams, [(sets, c) for sets, _, c in grids], squared)
+        for g, (_, t, c) in enumerate(grids):
+            rows = propagator.phi_rows(ref, lams, t) ** (2 if squared else 1)
+            assert np.all(np.abs(got[g] - want[g]) <= 1e-9 * (np.abs(rows) @ np.abs(c)))
 
     def test_overflow_refused(self, free):
         grids = [(sets, c) for sets, _, c in _panel_grids(free, [1.0, -1e6])]
@@ -559,7 +622,7 @@ class TestWalkOracles:
         want = np.array([[oracles.phi_free(lam, s)[0].real for s in t] for lam in self.LAMBDAS])
         assert np.all(np.abs(rows - want) <= 1e-12 * np.max(np.abs(want), axis=1, keepdims=True))
 
-    def test_linear_p_rows_inside_the_magnus_piece(self, monkeypatch):
+    def test_linear_p_rows_inside_the_variable_piece(self, monkeypatch):
         prob = load_problem(CONFIGS / "linear_p.ini")
         assert not propagator._pieces(prob)[0][3]  # one variable piece
         monkeypatch.setattr(propagator, "solve_ivp", _refuse)
@@ -587,22 +650,22 @@ class TestWalkOracles:
 class TestOneWalk:
     """Every propagation is the one walk: batches, budgets and point sets."""
 
-    def test_mixed_step_budget_batch(self, poly, monkeypatch):
-        # 1e4 runs out of Magnus steps and takes DOP853; 37 needs 128 steps at
-        # ode_tol 1e-11 and stays on Magnus
+    def test_mixed_step_budget_batch(self, vanishing, monkeypatch):
+        # 1e4 runs out of Magnus steps and takes DOP853; 37 needs at most 128
+        # steps at ode_tol 1e-11 and stays on Magnus
         t = np.linspace(0.0, 1.0, 9)
-        ends_37 = propagator.endpoint_states(poly, [37.0])
-        rows_37 = propagator.phi_rows(poly, [37.0], t)
+        ends_37 = propagator.endpoint_states(vanishing, [37.0])
+        rows_37 = propagator.phi_rows(vanishing, [37.0], t)
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 128)
         propagator.clear_cache()
         try:
-            ends = propagator.endpoint_states(poly, [37.0, 1e4])
-            rows = propagator.phi_rows(poly, [37.0, 1e4], t)
+            ends = propagator.endpoint_states(vanishing, [37.0, 1e4])
+            rows = propagator.phi_rows(vanishing, [37.0, 1e4], t)
         finally:
             propagator.clear_cache()
         np.testing.assert_array_equal(ends[0], ends_37[0])
         np.testing.assert_array_equal(rows[0], rows_37[0])
-        ref = rk_variant(poly, ode_tol=1e-12)
+        ref = rk_variant(vanishing, ode_tol=1e-12)
         want = propagator.endpoint_states(ref, [1e4])[0]
         want_rows = propagator.phi_rows(ref, [1e4], t)[0]
         assert np.all(np.abs(ends[1] - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
@@ -765,6 +828,79 @@ class TestSixthOrderMagnus:
         monkeypatch.setattr(propagator, "solve_ivp", refuse)
         propagator.clear_cache()  # a cached DOP853 trajectory would hide a fallback
         assert np.isfinite(propagator.endpoint_states(prob, [3e7])).all()
+
+
+class TestConstantPerturbation:
+    """The CPM segment: which pieces it takes, one lambda-free mesh per piece
+    at every lambda, and its eta functions."""
+
+    @pytest.mark.parametrize("lam", [1e4, 1e6, 1e7, 1e8, 1e9])
+    def test_large_lambda_without_dop853(self, lam, monkeypatch):
+        # with the Magnus engine, 1e9 ran out of steps and two DOP853 runs
+        # took 61 s; the tolerance is that of the Bessel test above
+        prob = load_problem(CONFIGS / "linear_p.ini")
+        monkeypatch.setattr(propagator, "solve_ivp", _refuse)
+        propagator.clear_cache()
+        got = propagator.endpoint_states(prob, [lam])[0]
+        want = oracles.linear_p_endpoints(lam)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_one_mesh_for_every_lambda(self, linear_p):
+        # no more steps at 1e7 than at 1e4: the same cached mesh
+        meshes = [propagator._walk(linear_p, np.array([lam]), np.eye(2))[0]._mesh
+                  for lam in (1e4, 1e7)]
+        assert meshes[0] is meshes[1]
+        t0, t1, rules, _ = propagator._pieces(linear_p)[0]
+        tol = max(linear_p.quad.ode_tol, propagator._MIN_RTOL)
+        assert propagator._cpm_mesh(rules, t0, t1, tol) is meshes[0]
+        assert meshes[0].n <= 4
+
+    @pytest.mark.parametrize("name,engine", [
+        ("linear_p", "_CPMSegment"), ("poly", "_CPMSegment"), ("two_poly", "_CPMSegment"),
+        ("vanishing", "_MagnusSegment"), ("table", "_MagnusSegment"),
+    ])
+    def test_engine_from_the_rules(self, request, name, engine):
+        # CPM where p and Delta are constant or poly with p Delta > 0 on the
+        # closed piece; Magnus where Delta vanishes at a point or p is a table
+        prob = request.getfixturevalue(name)
+        segments = propagator._walk(prob, np.array([1.0]), np.eye(2))
+        kinds = {type(seg).__name__ for seg, (*_, const) in zip(segments, propagator._pieces(prob))
+                 if not const}
+        assert kinds == {engine}
+        rk = propagator._walk(rk_variant(prob), np.array([1.0]), np.eye(2))
+        assert {type(seg).__name__ for seg in rk} == {"_ReferenceSegment"}
+
+    def test_corrections_to_fourth_order(self):
+        # one step in s with a polynomial perturbation W: three corrections
+        # leave an error of order W^4, measured against DOP853 at 1e-13
+        from scipy.integrate import solve_ivp
+
+        zeta, shape = -20.0, np.array([0.3, -1.0, 0.5, 2.0, -1.5, 0.4, 0.2])
+        errs = []
+        for eps in (0.2, 0.1):
+            w = eps * shape
+            T = propagator._cpm_tables(w[:, None])[..., 0]
+            eta = propagator._eta(np.array([zeta]), T.shape[1] - 2)[:, 0]
+            got = T.sum(axis=2) @ eta  # u, v, u_s, v_s at s = 1
+            got[2] += zeta * eta[1]
+            rhs = lambda s, y: (y[1], (zeta + np.polynomial.polynomial.polyval(s, w)) * y[0])
+            (u, u_s), (v, v_s) = (solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13,
+                                            atol=1e-15).y[:, -1] for y0 in ((1.0, 0.0), (0.0, 1.0)))
+            errs.append(np.max(np.abs(got - [u, v, u_s, v_s])))
+        assert errs[1] <= 1e-10 and errs[0] / errs[1] >= 12.0, errs
+
+    def test_eta_against_spherical_bessel(self):
+        # eta_m(-x^2) = j_m(x) / x^m and eta_m(x^2) = i_m(x) / x^m, on both
+        # sides of the switch between the series and the upward recursion
+        from scipy.special import spherical_in, spherical_jn
+
+        M = 8
+        x = np.array([1e-3, 0.5, 3.0, 8.9, 9.1, 30.0])
+        for sign, bessel in ((-1.0, spherical_jn), (1.0, spherical_in)):
+            eta = propagator._eta(sign * x * x, M)
+            np.testing.assert_allclose(eta[0], np.cos(x) if sign < 0 else np.cosh(x), rtol=1e-14)
+            for m in range(M + 1):
+                np.testing.assert_allclose(eta[m + 1], bessel(m, x) / x**m, rtol=1e-12)
 
 
 def test_fundamental_trajectory_rejects_unknown_solution(free):

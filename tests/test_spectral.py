@@ -493,7 +493,7 @@ class TestBatchedMatchesPerLambda:
         assert spectral._winding_confirms(free, SQRT, pole)
 
 
-# p = 1 + t/2, so every scan evaluation runs a Magnus transfer
+# p = 1 + t/2, so every scan evaluation runs the CPM transfer of a variable piece
 VARCOEF_INI = """
 [interval]
 a = 0.0

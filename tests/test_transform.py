@@ -192,7 +192,7 @@ class TestSharedGrid:
         assert_matches_adaptive(mid, lambda t: t, sig, yhat)
 
     def test_variable_p_with_jump(self, hat_calls):
-        # Magnus segments, and a kink of phi inside the single Delta piece
+        # CPM segments, and a kink of phi inside the single Delta piece
         problem = loads_problem(POLY_P_INI)
         sig = build_spectral_function(problem, SQRT, (-200.0, 2000.0), ac_nodes=24)
         yhat = fourier_transform(problem, quartic, sig)
