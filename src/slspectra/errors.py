@@ -30,7 +30,7 @@ class UnresolvedAsymptoticsError(SLSpectraError):
 
 
 class DoubleRootError(SLSpectraError):
-    """Eigenvalue search found evidence of a multiple root it cannot split."""
+    """Eigenvalue search found two zeros it cannot split at rounding width."""
 
 
 class CrossCheckError(SLSpectraError):

@@ -89,6 +89,11 @@ class TableRule:
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.points_v)
 
+    @property
+    def knots(self) -> tuple[float, ...]:
+        """The spline's distinct knots; its derivatives may jump at the inner ones."""
+        return tuple(np.unique(self._spline.t).tolist())
+
 
 Rule = ConstantRule | PolyRule | TableRule
 

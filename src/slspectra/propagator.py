@@ -40,7 +40,8 @@ its kind; there are four:
   meets quad.ode_tol, for the whole batch in one _magnus_transfers call.
   sol(t) is one partial step from the mesh node below t.
 * _ReferenceSegment: DOP853, adaptive Runge-Kutta of order 8(5,3) with
-  dense output, one run per (lambda, column), kept in _cache.  It covers
+  dense output, one run per (lambda, column), restarted at the interior
+  knots of table: rules and kept in _cache.  It covers
   every piece when quad.closed_form_pieces = False (the CLI's --ode-tol
   sets that) and the lambda whose Magnus step count would pass
   _MAGNUS_MAX_STEPS, and is the oracle of the other three.  scipy is
@@ -72,7 +73,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import ConfigError, PropagationError
-from .problem import ConstantRule, PolyRule, SLProblem
+from .problem import ConstantRule, PolyRule, SLProblem, TableRule
 from .quadrature import _w_high, _x_high
 
 _MIN_RTOL = 2.5e-14  # DOP853 rejects tolerances at rounding level
@@ -766,15 +767,19 @@ def _piece_rhs(p_rule, q_rule, d_rule, lam):
 
 class _ReferenceSegment(_Segment):
     """DOP853 across one piece, one dense run per (column, lambda), in real
-    arithmetic for a real lambda and start state.  The runs are kept in _cache
-    under key, lambda, start state and atol, so later walks reuse them; a
-    non-finite start state raises PropagationError before any run."""
+    arithmetic for a real lambda and start state, restarted at the interior
+    knots of the piece's table: rules, where the spline's derivatives jump.
+    The runs are kept in _cache under key, lambda, start state and atol, so
+    later walks reuse them; a non-finite start state raises PropagationError
+    before any run."""
 
     def __init__(self, t0, t1, start, rules, lams, rtol, atol, key):
         self.t0, self.t1, self.start = t0, t1, start
+        knots = {x for r in rules if isinstance(r, TableRule) for x in r.knots}
+        self._edges = [t0, *sorted(x for x in knots if t0 < x < t1), t1]
         self.end = np.empty_like(start)
-        self._runs = np.empty(start.shape[1:], object)
-        for j, i in np.ndindex(self._runs.shape):
+        self._runs = {}
+        for j, i in np.ndindex(start.shape[1:]):
             lam, y0 = lams[i].item(), start[:, j, i]
             if not np.isfinite(y0).all():
                 raise PropagationError(
@@ -783,22 +788,29 @@ class _ReferenceSegment(_Segment):
             if lam.imag == 0.0 and not np.any(np.imag(y0)):
                 lam, y0 = lam.real, y0.real
             run_key = (*key, lam, tuple(y0.tolist()), atol[j])
-            run = _cache.get(run_key)
-            if run is None:
-                run = solve_ivp(_piece_rhs(*rules, lam), (t0, t1), y0, method="DOP853",
-                                rtol=rtol, atol=atol[j], dense_output=True)
-                if not run.success:
-                    raise PropagationError(
-                        f"integration failed on [{t0:.6g}, {t1:.6g}] at lambda={lam}: {run.message}"
-                    )
-                _cache.put(run_key, run)
-            self._runs[j, i] = run
-            self.end[:, j, i] = run.y[:, -1]
+            runs = _cache.get(run_key)
+            if runs is None:
+                runs = []
+                for a, b in zip(self._edges[:-1], self._edges[1:]):
+                    run = solve_ivp(_piece_rhs(*rules, lam), (a, b), y0, method="DOP853",
+                                    rtol=rtol, atol=atol[j], dense_output=True)
+                    if not run.success:
+                        raise PropagationError(
+                            f"integration failed on [{a:.6g}, {b:.6g}] at lambda={lam}: "
+                            f"{run.message}"
+                        )
+                    runs.append(run)
+                    y0 = run.y[:, -1]
+                _cache.put(run_key, runs)
+            self._runs[j, i] = runs
+            self.end[:, j, i] = runs[-1].y[:, -1]
 
     def sol(self, t: np.ndarray) -> np.ndarray:
         out = np.empty(self.start.shape + t.shape, self.start.dtype)
-        for j, i in np.ndindex(self._runs.shape):
-            out[:, j, i] = self._runs[j, i].sol(t)
+        part = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(self._edges) - 2)
+        for (j, i), runs in self._runs.items():
+            for k in np.unique(part).tolist():
+                out[:, j, i, part == k] = runs[k].sol(t[part == k])
         return out
 
 

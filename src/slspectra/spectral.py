@@ -29,8 +29,8 @@ a zero of D is a pole of m iff tau+ is real there and -N/D' > 0.
 Everything takes lambda in batches, with one call of endpoint_states and one
 of each tau closure per batch; endpoint_states reads phi and psi at b off
 the one lambda-batched walk of the pieces in slspectra.propagator, which
-takes each batch whole.  The eigenvalue scan makes one call per refinement
-level and one per refinement step.  Outside the scan,
+takes each batch whole.  The eigenvalue search makes one call for its scan
+grid, one per halving level and one per refinement step.  Outside it,
 build_spectral_function makes one such call for the pole test of all
 roots (_poles), one for all point masses (_point_masses) and one for the
 density.
@@ -63,7 +63,7 @@ _POLE_GUARD = 1e-14  # |D| below this fraction of |N| counts as "at a pole"
 _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
 _ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |lambda|
-_PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b (see _endpoints)
+_PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b and of the scan angle
 _COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 + |lambda|)
 _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2^-j, j = 7..12
 
@@ -224,37 +224,38 @@ def _ell(problem: SLProblem) -> float:
 
 
 def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
-    """(values, valid) of the rescaled denominator at the real points us.
-
-    Rescaling by max(1,|tau+|) keeps the scan bounded through large tau
-    without flipping signs.  Nodes where tau+ is genuinely complex (ac
-    spectrum) or near a tau pole are flagged invalid: no real m-pole there,
-    and no propagation either.  A Mobius tau = (a u + b)/(c u + d) instead
-    scans (c u + d) D = (a u + b) phi(b) - (c u + d) phi^[1](b), which is
-    entire in u and valid everywhere: W(phi, psi) = 1 and ad - bc > 0 leave
-    it no zero that is not a pole of m.
-    """
+    """(D, N, valid) at the real points us, both divided by max(1, |tau+|):
+    one positive scale, which bounds the scan through large tau and keeps
+    the angle of (D, N).  Nodes where tau+ is genuinely complex (ac
+    spectrum) are invalid, and so, for an analytic tau, are nodes next to a
+    pole of tau (|tau+| > 1e6), across which the scaled pair flips sign.  A
+    Mobius tau = (a u + b)/(c u + d) scans the pair times c u + d, (a u + b)
+    phi(b) - (c u + d) phi^[1](b) and the same with psi, entire in u and
+    valid everywhere: W(phi, psi) = 1 and ad - bc > 0 leave D no zero that
+    is not a pole of m."""
     us = np.asarray(us, dtype=float)
     if tau.mobius is not None:
         a, b, c, d = tau.mobius
-        (ph, _), (ph1, _) = _endpoints(problem, us).transpose(1, 2, 0)
-        return (a * us + b) * ph - (c * us + d) * ph1, np.ones(us.shape, bool)
+        (ph, ps), (ph1, ps1) = _endpoints(problem, us).transpose(1, 2, 0)
+        top, bottom = a * us + b, c * us + d
+        return top * ph - bottom * ph1, top * ps - bottom * ps1, np.ones(us.shape, bool)
     tv, inf = _tau_array(tau, us)
-    valid = inf | ((np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv))) & (np.abs(tv.real) <= 1e6))
-    vals = np.zeros(us.size)
+    cap = np.abs(tv.real) <= 1e6 if tau.kind == "analytic" else True
+    valid = inf | ((np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv))) & cap)
+    out = np.zeros((2, us.size))
     if np.any(valid):
         tr, inf = tv.real[valid], inf[valid]
-        _, den = _quotient(problem, us[valid], tr, inf)
-        vals[valid] = den / np.where(inf, 1.0, np.maximum(1.0, np.abs(tr)))
-    return vals, valid
+        scale = np.where(inf, 1.0, np.maximum(1.0, np.abs(tr)))
+        out[:, valid] = np.array(_quotient(problem, us[valid], tr, inf)) / scale
+    return out[1], out[0], valid
 
 
 def _scan_value(problem: SLProblem, tau: BoundaryParam, u: float):
     """(value, valid) of the scan function at one real u.  The package
     itself scans and refines in batches; perfbench/tracer.py counts calls to
     this name as scan evaluations."""
-    vals, valid = _scan_values(problem, tau, [u])
-    return float(vals[0]), bool(valid[0])
+    den, _, valid = _scan_values(problem, tau, [u])
+    return float(den[0]), bool(valid[0])
 
 
 def _s_of(u: float) -> float:
@@ -303,64 +304,45 @@ def _winding_confirms(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bo
     return round(total / (2 * math.pi)) >= 1
 
 
-def _scan_segment(
-    problem: SLProblem,
-    tau: BoundaryParam,
-    s_nodes: np.ndarray,
-    depth: int,
-    roots: list[float],
-    brackets: list[tuple[float, float, float, float]],
-) -> None:
-    """Roots of the scan function on the given s nodes: zeros at a node go
-    to roots, sign changes to brackets as (s_lo, s_hi, value_lo, value_hi)
-    for find_eigenvalues to refine.
+def _scan_segment(problem: SLProblem, tau: BoundaryParam, s_nodes: np.ndarray):
+    """(roots, brackets) of the scan function on the given s nodes: the
+    zeros at a node, and every cell holding one zero as (s_lo, s_hi, D_lo,
+    D_hi) for find_eigenvalues to refine.
 
-    Degenerating weights produce near-tangent eigenvalue pairs whose gap
-    shrinks with lambda; at the base resolution such a pair is just an
-    interior dip of |f| with no sign change, and whether three wide-spaced
-    samples reveal the notch depends on grid phase.  So every interior
-    same-sign dip triple is subdivided into 17 nodes unconditionally until
-    the depth budget runs out, and the brackets of every depth are
-    collected.  The subdivision is breadth-first: all subgrids of one depth
-    are rows of one array and take one _scan_values call.  A dip that
-    survives the full depth at rounding level is a suspected double root
-    and is an error, never merged.
+    A cell between valid nodes counts its zeros from the turn of (D, N).
+    m = N/D increases between its poles, so theta = atan2(N, D) only
+    increases, by pi from one zero of D to the next.  h counts the zeros of
+    D, the marks theta = -pi/2 and pi/2, in (-pi, theta], exactly from the
+    signs; a turn in [0, 2 pi) passes h1 - h0 of them, two more where it
+    wraps past pi, and a step back within _PHASE_ERR_CAP is a turn of 0 in
+    rounding.  So the count is exact while a cell turns less than 2 pi, and
+    a near-tangent pair with no sign change counts 2.  Cells holding two are
+    halved in s until each holds one, all of one level in one _scan_values
+    call; a cell with an invalid midpoint is dropped, and two zeros still
+    together at rounding width raise DoubleRootError.
     """
-    grids = np.atleast_2d(s_nodes)
+    roots, brackets, mid = [], [], np.asarray(s_nodes, dtype=float)
+    lo = hi = None
     while True:
-        vals, valid = (
-            a.reshape(grids.shape) for a in _scan_values(problem, tau, _u_of(grids).ravel())
-        )
-        pair = valid[:, :-1] & valid[:, 1:]
-        zero = np.column_stack([pair, valid[:, -1]]) & (vals == 0.0)
-        roots += _u_of(grids[zero]).tolist()
-        sign = np.sign(vals)
-        g, k = np.nonzero(pair & (sign[:, :-1] * sign[:, 1:] < 0.0))
-        brackets += zip(
-            *(a.tolist() for a in (grids[g, k], grids[g, k + 1], vals[g, k], vals[g, k + 1]))
-        )
-
-        # interior same-sign triples whose middle |value| is the smallest,
-        # strictly so on the left: of two adjacent dips with equal |value|
-        # only the first is subdivided, so no bracket is found twice
-        lo, mid, hi = vals[:, :-2], vals[:, 1:-1], vals[:, 2:]
-        dip = valid[:, :-2] & valid[:, 1:-1] & valid[:, 2:] & (mid != 0.0)
-        dip &= (sign[:, :-2] == sign[:, 1:-1]) & (sign[:, 2:] == sign[:, 1:-1])
-        dip &= (np.abs(mid) < np.abs(lo)) & (np.abs(mid) <= np.abs(hi))
-        g, i = np.nonzero(dip)
-        if depth == 0:
-            double = np.abs(mid[g, i]) < 1e-9 * np.maximum(np.abs(lo[g, i]), np.abs(hi[g, i]))
-            if np.any(double):
-                j = int(np.argmax(double))
-                raise DoubleRootError(
-                    f"denominator nearly vanishes without sign change near "
-                    f"lambda={_u_of(float(grids[g[j], i[j] + 1])):.8g}"
-                )
-            return
-        if g.size == 0:
-            return
-        grids = np.linspace(grids[g, i], grids[g, i + 2], 17, axis=1)
-        depth -= 1
+        nodes = np.stack([mid, *_scan_values(problem, tau, _u_of(mid))])
+        roots += _u_of(mid[(nodes[3] != 0.0) & (nodes[1] == 0.0)]).tolist()
+        if lo is None:  # the first level: the cells between the s nodes
+            lo, hi = nodes[:, :-1], nodes[:, 1:]
+        else:
+            lo, hi = np.concatenate([lo, nodes], axis=1), np.concatenate([nodes, hi], axis=1)
+        (_, d0, n0, v0), (_, d1, n1, v1) = lo, hi
+        h0, h1 = (np.where(d > 0.0, 1, 2 * (n >= 0.0) + ((d == 0.0) & (n < 0.0)))
+                  for d, n in ((d0, n0), (d1, n1)))
+        wrap = (h1 < h0) | ((h1 == h0) & (np.arctan2(n1, d1) < np.arctan2(n0, d0) - _PHASE_ERR_CAP))
+        count = np.where(v0 * v1 != 0.0, h1 - h0 + 2 * wrap - (d1 == 0.0), 0)
+        brackets += zip(*(x[count == 1].tolist() for x in (lo[0], hi[0], d0, d1)))
+        lo, hi = lo[:, count > 1], hi[:, count > 1]
+        if not lo.size:
+            return roots, brackets
+        mid = 0.5 * (lo[0] + hi[0])
+        if np.any(tight := (mid <= lo[0]) | (mid >= hi[0])):
+            at = _u_of(float(mid[np.argmax(tight)]))
+            raise DoubleRootError(f"two zeros of D within rounding of lambda={at:.8g}")
 
 
 def find_eigenvalues(
@@ -371,8 +353,9 @@ def find_eigenvalues(
 ) -> list[float]:
     """Real poles of m_tau in [lo, hi], ascending.
 
-    A scan in the variable s = sign(u) sqrt|u| brackets the sign changes of
-    the (rescaled) denominator (_scan_segment), and chandrupatla refines all
+    A scan in the variable s = sign(u) sqrt|u| brackets each zero of the
+    (rescaled) denominator, counted from the turn of (D, N) (_scan_segment);
+    chandrupatla refines all
     brackets together in lambda = s|s|, where the scan function is analytic
     (in s it is ~ s|s| at s = 0), with one _scan_values call per iteration.
     A bracket stops at width 2e-12 + 4e-14 |lambda|.  For an analytic tau
@@ -384,8 +367,8 @@ def find_eigenvalues(
     if max_count < 1:
         raise ConfigError("max_count must be >= 1")
     step = math.pi / (6.0 * max(_ell(problem), 0.1))
-    # one extra step of margin so a dip sitting on an interval edge still
-    # has both triple neighbours; margin finds are dropped below
+    # one step of margin, so a root at an interval end lies inside a cell;
+    # margin finds are dropped below
     s_lo, s_hi = _s_of(lo) - step, _s_of(hi) + step
     n = int(math.ceil((s_hi - s_lo) / step)) + 1
     if n > _SCAN_NODES:
@@ -396,19 +379,17 @@ def find_eigenvalues(
             f"{_SCAN_NODES}; the widest range allowed from {lo:g} is [{lo:g}, {widest:g}]"
         )
     s_grid = np.linspace(s_lo, s_hi, max(n, 8))
-    roots: list[float] = []
-    brackets: list[tuple[float, float, float, float]] = []
-    _scan_segment(problem, tau, s_grid, 3, roots, brackets)
+    roots, brackets = _scan_segment(problem, tau, s_grid)
     if brackets:
         s1, s2, f1, f2 = np.array(brackets).T
 
         def f(lams: np.ndarray) -> np.ndarray:
-            vals, valid = _scan_values(problem, tau, lams)
+            den, _, valid = _scan_values(problem, tau, lams)
             if not np.all(valid):
                 raise PoleProximityError(
                     f"scan function invalid inside bracket at lambda={lams[~valid][0]}"
                 )
-            return vals
+            return den
 
         found = chandrupatla(f, _u_of(s1), _u_of(s2), f1, f2, _ROOT_XTOL, _ROOT_RTOL, maxiter=200)
         roots += found.tolist()

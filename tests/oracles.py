@@ -195,19 +195,6 @@ def midthird_mass_tau0(lam: float) -> float:
     return 1.0 / norm_sq
 
 
-def mobius_poles_midthird(
-    a: float, b: float, c: float, d: float, lo: float, hi: float
-) -> list[float]:
-    """Poles of the middle-third m for tau = (a lam + b)/(c lam + d): the
-    zeros of (a lam + b) phi(1) - (c lam + d) phi'(1) (p = 1)."""
-
-    def den(u: float) -> float:
-        y, v = midthird_state(u, 1.0)
-        return ((a * u + b) * y - (c * u + d) * v).real
-
-    return _roots_in_s(den, lo, hi, 20000)
-
-
 # ---------------------------------------------------------------------------
 # vectorised closed-form denominators for lam > 0, where r = sqrt(lam) is
 # real and every expression stays real; their zeros are the poles of m
@@ -231,6 +218,49 @@ def sqrt_den_midthird_array(lams) -> np.ndarray:
     y, v = c, -r * s  # at t = 1/3
     y = y + v / 3.0  # at t = 2/3
     return r * (y * c + v * s / r) - (-r * y * s + v * c)
+
+
+def mobius_den_midthird_array(a: float, b: float, c: float, d: float, x) -> np.ndarray:
+    """(a lam + b) phi(1) - (c lam + d) phi'(1) of the middle-third problem at
+    lam = 9 x^2, x >= 0, with phi(1) = cos 2x - x sin x cos x and phi'(1) =
+    -3x sin x (2 cos x - x sin x), the pieces of midthird_state multiplied out."""
+    x = np.asarray(x, dtype=float)
+    lam, sn, cs = 9.0 * x * x, np.sin(x), np.cos(x)
+    y, v = cs * cs - sn * sn - x * sn * cs, -3.0 * x * sn * (2.0 * cs - x * sn)
+    return (a * lam + b) * y - (c * lam + d) * v
+
+
+def mobius_poles_midthird(
+    a: float, b: float, c: float, d: float, lo: float, hi: float
+) -> list[float]:
+    """Poles in [lo, hi], lam > 0, of the middle-third m for tau = (a lam +
+    b)/(c lam + d): the zeros of mobius_den_midthird_array, one period
+    k pi +- pi/2 of x = sqrt(lam)/3 at a time.  With t = tan x the
+    denominator times 1 + t^2 is A + x (6B - A) t - (A + 3 x^2 B) t^2 (A = a
+    lam + b, B = c lam + d): a quadratic in t whose coefficients hardly move
+    across a period, so its vertex x_v separates the two zeros of a pair near
+    k pi however close they are.  The period's brackets are its cells
+    between x_v and 64 uniform nodes, bisected together to rounding width."""
+    k = np.arange(int(math.sqrt(max(lo, 0.0)) / (3 * math.pi)),
+                  int(math.sqrt(max(hi, 0.0)) / (3 * math.pi)) + 2)
+    xv = k * math.pi
+    for _ in range(2):  # the vertex, with the coefficients at the last guess
+        A, B = a * 9.0 * xv * xv + b, c * 9.0 * xv * xv + d
+        q = 2.0 * (A + 3.0 * xv * xv * B)
+        xv = k * math.pi + np.arctan(np.divide(xv * (6.0 * B - A), q, out=np.zeros_like(q),
+                                               where=q != 0.0))
+    offsets = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 65)
+    x = np.sort(np.column_stack([k[:, None] * math.pi + offsets, xv]), axis=1)
+    x = np.maximum(x, 0.0)
+    f = mobius_den_midthird_array(a, b, c, d, x)
+    g, i = np.nonzero(np.sign(f[:, :-1]) * np.sign(f[:, 1:]) < 0.0)
+    x0, x1, f0 = x[g, i], x[g, i + 1], f[g, i]
+    for _ in range(80):  # a bracket of width pi/64 halves to one ulp in at most 60 steps
+        xm = 0.5 * (x0 + x1)
+        left = np.sign(mobius_den_midthird_array(a, b, c, d, xm)) == np.sign(f0)
+        x0, x1 = np.where(left, xm, x0), np.where(left, x1, xm)
+    roots = np.sort(9.0 * (0.5 * (x0 + x1)) ** 2)
+    return roots[(roots >= lo) & (roots <= hi)].tolist()
 
 
 def sign_change_cells(den, lo: float, hi: float, n: int, chunk: int = 1 << 18):

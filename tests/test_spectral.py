@@ -127,6 +127,45 @@ class TestEigenvalues:
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
+    # The members of a pair lie 18/sqrt(lambda) apart in s, so from lambda ~
+    # 1.4e8 on pairs share base cells that show no sign change; the turn of
+    # (D, N) across such a cell still counts two.
+    def test_pairs_above_the_dip_limit(self, mid):
+        got = find_eigenvalues(mid, C0, (1.4e8, 1.6e8))
+        want = [lam for lam in oracles.midthird_eigs_closed(1.6e8) if lam >= 1.4e8]
+        assert len(got) == len(want) == 174
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_every_pair_to_1e9(self, mid):
+        got = find_eigenvalues(mid, C0, (-1.0, 1e9))
+        want = oracles.midthird_eigs_closed(1e9)
+        assert len(got) == len(want) == 6712
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "tau,coefs,interval,count",
+        [("constant:3", (0.0, 3.0, 0.0, 1.0), (-1.0, 1e9), 6711),
+         ("mobius:1,0,-1,2", (1.0, 0.0, -1.0, 2.0), (2.2e9, 2.3e9), 224)],
+        ids=["constant-3", "mobius"],
+    )
+    def test_pairs_of_other_tau(self, mid, tau, coefs, interval, count):
+        got = find_eigenvalues(mid, parse_tau(tau), interval)
+        want = oracles.mobius_poles_midthird(*coefs, *interval)
+        assert len(got) == len(want) == count
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_large_constant_tau(self, free):
+        # the 1e6 cap on |tau| marks nodes next to a pole of an analytic tau;
+        # a constant tau has none, however large
+        theta = 2e6
+        got = find_eigenvalues(free, constant(theta), (-1e4, 200.0))
+        want = oracles._roots_in_s(
+            lambda u: theta * math.cos(math.sqrt(u)) + math.sqrt(u) * math.sin(math.sqrt(u)),
+            1e-6, 200.0, 2000,
+        )
+        assert len(got) == len(want) == 5
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
     def test_empty_interval_rejected(self, free):
         with pytest.raises(ConfigError):
             find_eigenvalues(free, C0, (5.0, 5.0))
@@ -336,18 +375,23 @@ def _endpoints(problem, lam):
 
 
 def _scan_values_per_lambda(problem, tau, us):
-    vals, valid = np.zeros(len(us)), np.zeros(len(us), dtype=bool)
+    den, num, valid = np.zeros(len(us)), np.zeros(len(us)), np.zeros(len(us), dtype=bool)
     for i, u in enumerate(us):
         tv = _tau_value(tau, complex(u))
-        if tv is not INF_FLAG and (abs(tv.imag) > 1e-12 * (1.0 + abs(tv)) or abs(tv.real) > 1e6):
+        if tv is not INF_FLAG and (
+            abs(tv.imag) > 1e-12 * (1.0 + abs(tv))
+            or (tau.kind == "analytic" and abs(tv.real) > 1e6)
+        ):
             continue
-        ph, _ = _endpoints(problem, float(u))
+        ph, ps = _endpoints(problem, float(u))
         if tv is INF_FLAG:
-            vals[i] = ph.y.real
+            den[i], num[i] = ph.y.real, ps.y.real
         else:
-            vals[i] = (ph.y.real * tv.real - ph.y1.real) / max(1.0, abs(tv.real))
+            scale = max(1.0, abs(tv.real))
+            den[i] = (ph.y.real * tv.real - ph.y1.real) / scale
+            num[i] = (ps.y.real * tv.real - ps.y1.real) / scale
         valid[i] = True
-    return vals, valid
+    return den, num, valid
 
 
 def _quotient_per_lambda(problem, lams, tv, inf):
@@ -441,14 +485,16 @@ class TestBatchedMatchesPerLambda:
         prob, tau = request.getfixturevalue(name), self.TAUS[tau]
         s = np.linspace(-10.0, 60.0, 301)
         us = s * np.abs(s)
-        vals, valid = spectral._scan_values(prob, tau, us)
+        den, num, valid = spectral._scan_values(prob, tau, us)
         eigs = find_eigenvalues(prob, tau, interval)
         masses = [point_mass(prob, tau, lam) for lam in eigs]
         per_lambda()
-        want_vals, want_valid = spectral._scan_values(prob, tau, us)
+        want_den, want_num, want_valid = spectral._scan_values(prob, tau, us)
         np.testing.assert_array_equal(valid, want_valid)
-        scale = [max(abs(ph.y), abs(ph.y1)) for ph, _ in (_endpoints(prob, u) for u in us)]
-        assert np.all(np.abs(vals - want_vals) <= 1e-13 * np.maximum(1.0, scale))
+        for got, want, w in ((den, want_den, 0), (num, want_num, 1)):
+            ends = [_endpoints(prob, u)[w] for u in us]
+            scale = [max(abs(e.y), abs(e.y1)) for e in ends]
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, scale))
         want_eigs = find_eigenvalues(prob, tau, interval)
         assert len(eigs) == len(want_eigs) > 3
         assert _rel(eigs, want_eigs) <= 1e-13
@@ -603,8 +649,8 @@ class TestBracketRefinement:
         refining = []
 
         def invalid_once_refining(problem, tau, us):
-            vals, valid = scan_values(problem, tau, us)
-            return vals, valid & (not refining)
+            den, num, valid = scan_values(problem, tau, us)
+            return den, num, valid & (not refining)
 
         monkeypatch.setattr(spectral, "_scan_values", invalid_once_refining)
         monkeypatch.setattr(
@@ -614,112 +660,128 @@ class TestBracketRefinement:
             find_eigenvalues(free, C0, (0.0, 100.0))
 
 
-def _scan_segment_loops(problem, tau, s_nodes, depth, roots, brackets):
-    """_scan_segment as it was, with a Python loop over the scan nodes for
-    the zeros and sign changes and one for the dip triples (a dip's middle
-    |value| strictly below its left neighbour's)."""
-    n = s_nodes.size
-    vals, valid = spectral._scan_values(problem, tau, s_nodes * np.abs(s_nodes))
-    for i in range(n - 1):
-        if not (valid[i] and valid[i + 1]):
-            continue
-        if vals[i] == 0.0:
-            roots.append(spectral._u_of(float(s_nodes[i])))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            brackets.append((float(s_nodes[i]), float(s_nodes[i + 1]), vals[i], vals[i + 1]))
-    if valid[-1] and vals[-1] == 0.0:
-        roots.append(spectral._u_of(float(s_nodes[-1])))
+def _cell_zeros(lo, hi):
+    """Zeros of D strictly inside the cell between the nodes lo, hi = (D, N):
+    the marks pi/2 + j pi strictly between the angle of (D, N) at lo and
+    that angle plus the turn mod 2 pi (a turn within _PHASE_ERR_CAP of 2 pi
+    is a step back in rounding; a zero of D at hi ends on its mark)."""
+    start = math.atan2(lo[1], lo[0])
+    turn = (math.atan2(hi[1], hi[0]) - start) % (2.0 * math.pi)
+    if turn > 2.0 * math.pi - spectral._PHASE_ERR_CAP:
+        turn = 0.0
+    end = start + turn
+    if hi[0] == 0.0:
+        end = math.pi / 2 + round((end - math.pi / 2) / math.pi) * math.pi
+    return sum(start < math.pi / 2 + j * math.pi < end for j in range(-2, 4))
 
-    for i in range(1, n - 1):
-        if not (valid[i - 1] and valid[i] and valid[i + 1]):
-            continue
-        trip = vals[i - 1 : i + 2]
-        if np.any(trip == 0.0) or len(set(np.sign(trip))) != 1:
-            continue
-        if not (abs(vals[i]) < abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1])):
-            continue
-        if depth == 0:
-            local = max(abs(vals[i - 1]), abs(vals[i + 1]))
-            if abs(vals[i]) < 1e-9 * local:
-                raise DoubleRootError(
-                    f"denominator nearly vanishes without sign change near "
-                    f"lambda={spectral._u_of(float(s_nodes[i])):.8g}"
-                )
-            continue
-        sub = np.linspace(float(s_nodes[i - 1]), float(s_nodes[i + 1]), 17)
-        _scan_segment_loops(problem, tau, sub, depth - 1, roots, brackets)
+
+def _scan_segment_loops(problem, tau, s_nodes):
+    """_scan_segment with a Python loop over the cells, each counted by
+    _cell_zeros and halved depth first, one _scan_values call per midpoint."""
+    roots, brackets = [], []
+
+    def values(s):
+        den, num, valid = spectral._scan_values(problem, tau, np.array([s * abs(s)]))
+        if valid[0] and den[0] == 0.0:
+            roots.append(spectral._u_of(s))
+        return (den[0], num[0]) if valid[0] else None
+
+    def cell(s0, s1, v0, v1):
+        count = _cell_zeros(v0, v1)
+        if count == 1:
+            brackets.append((s0, s1, v0[0], v1[0]))
+        elif count > 1:
+            mid = 0.5 * (s0 + s1)
+            if not s0 < mid < s1:
+                raise DoubleRootError(f"two zeros at {spectral._u_of(mid):.8g}")
+            vm = values(mid)
+            if vm is not None:
+                cell(s0, mid, v0, vm)
+                cell(mid, s1, vm, v1)
+
+    ends = [values(float(s)) for s in s_nodes]
+    for s0, s1, v0, v1 in zip(s_nodes[:-1], s_nodes[1:], ends[:-1], ends[1:]):
+        if v0 is not None and v1 is not None:
+            cell(float(s0), float(s1), v0, v1)
+    return roots, brackets
+
+
+def _rational_scan(zeros, valid=lambda s: np.ones(s.shape, bool)):
+    """A _scan_values whose m = N/D = -sum 1/(s - r) over the given zeros r
+    of D, with s = sign(u) sqrt|u|: m increases between its poles, so the
+    angle of (D, N) turns as the package's does."""
+
+    def scan_values(problem, tau, us):
+        s = np.sign(us) * np.sqrt(np.abs(us))
+        terms = s[:, None] - np.array(zeros)
+        num = -sum(np.prod(np.delete(terms, i, axis=1), axis=1) for i in range(len(zeros)))
+        return np.prod(terms, axis=1), num, valid(s)
+
+    return scan_values
 
 
 class TestScanSegment:
-    """The array masks of _scan_segment against the node loops they replace."""
+    """_scan_segment's batched count and halving against the cell loops."""
 
     CASES = [("free", SQRT, (0.0, 1000.0)), ("mid", C0, (-1.0, 3000.0)),
-             ("mid", C0, (6.0e4, 7.8e4)), ("varcoef", C0, (-20.0, 1100.0))]
-
-    @staticmethod
-    def _both(problem, tau, s_nodes, depth):
-        got, want = ([], []), ([], [])
-        spectral._scan_segment(problem, tau, s_nodes, depth, *got)
-        _scan_segment_loops(problem, tau, s_nodes, depth, *want)
-        return got, want
+             ("mid", C0, (6.0e4, 7.8e4)), ("varcoef", C0, (-20.0, 1100.0)),
+             ("mid", C0, (1.4e8, 1.6e8))]
 
     @pytest.mark.parametrize(
-        "name,tau,interval", CASES, ids=["free-sqrt", "mid-c0", "mid-close-pairs", "poly-c0"]
+        "name,tau,interval", CASES,
+        ids=["free-sqrt", "mid-c0", "mid-close-pairs", "poly-c0", "mid-high-pairs"],
     )
     def test_roots_and_brackets_equal_the_loops(self, request, monkeypatch, name, tau, interval):
         prob = request.getfixturevalue(name)
         calls = []
         scan = spectral._scan_segment
         monkeypatch.setattr(
-            spectral, "_scan_segment", lambda *a: calls.append(a[2:4]) or scan(*a)
+            spectral, "_scan_segment", lambda *a: calls.append(a[2]) or scan(*a)
         )
         find_eigenvalues(prob, tau, interval)
         monkeypatch.undo()
-        got, want = self._both(prob, tau, *calls[0])
+        got = spectral._scan_segment(prob, tau, calls[0])
+        want = _scan_segment_loops(prob, tau, calls[0])
         # the loops go depth first, the batches breadth first: same finds, other order
         assert [sorted(x) for x in got] == [sorted(x) for x in want] and len(got[1]) > 3
 
-    @pytest.mark.parametrize("floor", [0.1, 1e-30], ids=["shallow-dip", "double-root"])
-    def test_zeros_invalid_nodes_and_dips(self, free, monkeypatch, floor):
-        # f(s) = (s^2 - 1) ((s - 2.5)^2 + floor): zeros on the nodes s = -1
-        # and 1, a dip at s = 2.5, and invalid nodes below s = -3
+    # zeros of D: -3.2 among invalid nodes (s <= -3), pairs in the
+    # neighbouring cells [-2.5, -2] and [-2, -1.5], -1 and 1 on nodes, one in
+    # [0, 0.5] and a pair in [2, 2.5]; the nodes are -4, -3.5, ..., 4
+    ZEROS = [-3.2, -2.4, -2.3, -1.9, -1.6, -1.0, 0.4, 1.0, 2.1, 2.2]
+
+    @pytest.mark.parametrize("hole", [None, 2.25], ids=["all-valid", "invalid-midpoint"])
+    def test_counts_of_a_known_angle(self, free, monkeypatch, hole):
+        valid = lambda s: (s > -3.0) & (s != hole)  # noqa: E731
+        monkeypatch.setattr(spectral, "_scan_values", _rational_scan(self.ZEROS, valid))
+        s_nodes = np.linspace(-4.0, 4.0, 17)
+        roots, brackets = spectral._scan_segment(free, C0, s_nodes)
+        assert sorted(roots) == [-1.0, 1.0]
+        inside = [[lo < r < hi for r in self.ZEROS] for lo, hi, _, _ in sorted(brackets)]
+        assert all(sum(row) == 1 for row in inside)
+        found = [r for r, *hits in zip(self.ZEROS, *inside) if any(hits)]
+        # the midpoint 2.25 of the pair's cell is invalid, so the cell goes
+        assert found == [-2.4, -2.3, -1.9, -1.6, 0.4] + [2.1, 2.2] * (hole is None)
+        want = _scan_segment_loops(free, C0, s_nodes)
+        assert [sorted(x) for x in (roots, brackets)] == [sorted(x) for x in want]
+
+    def test_two_zeros_within_rounding(self, free, monkeypatch):
+        # D = (s - f1)(s - f2) + ulp^2/8 on the adjacent floats f1 < f2 has
+        # both zeros strictly between them, with N = -(2 s - f1 - f2)
+        f1 = 3.1
+        f2 = math.nextafter(f1, 4.0)
+        delta = (f2 - f1) ** 2 / 8.0
+
         def scan_values(problem, tau, us):
             s = np.sign(us) * np.sqrt(np.abs(us))
-            return (s * s - 1.0) * ((s - 2.5) ** 2 + floor), s > -3.0
+            return (s - f1) * (s - f2) + delta, -(2.0 * s - f1 - f2), np.ones(s.shape, bool)
 
         monkeypatch.setattr(spectral, "_scan_values", scan_values)
         s_nodes = np.linspace(-4.0, 4.0, 17)
-        for depth in range(3):
-            if floor < 1e-9:
-                with pytest.raises(DoubleRootError) as want:
-                    _scan_segment_loops(free, C0, s_nodes, depth, [], [])
-                with pytest.raises(DoubleRootError, match="^" + re.escape(str(want.value)) + "$"):
-                    spectral._scan_segment(free, C0, s_nodes, depth, [], [])
-            else:
-                for nodes in (s_nodes, s_nodes[:11]):  # the second ends on the zero at s = 1
-                    got, want = self._both(free, C0, nodes, depth)
-                    assert [sorted(x) for x in got] == [sorted(x) for x in want]
-                    assert sorted(got[0]) == [-1.0, 1.0]
-
-    def test_equal_adjacent_dips_bracket_once(self, free, monkeypatch):
-        # f(s) = (s - 1/2)^2 - 1/100 on integer nodes: f(0) = f(1), two dips
-        # of equal |value| around the root pair 0.4, 0.6.  Subdividing both
-        # would bracket each root twice.
-        def scan_values(problem, tau, us):
-            s = np.sign(us) * np.sqrt(np.abs(us))
-            return (s - 0.5) ** 2 - 0.01, np.ones(s.shape, bool)
-
-        monkeypatch.setattr(spectral, "_scan_values", scan_values)
-        s_nodes = np.arange(-3.0, 5.0)
-        for depth in (1, 2, 3):
-            got, want = self._both(free, C0, s_nodes, depth)
-            assert [sorted(x) for x in got] == [sorted(x) for x in want]
-            roots, brackets = got
-            assert roots == [] and len(brackets) == len(set(brackets)) == 2
-            assert [(lo < 0.4 < hi, lo < 0.6 < hi) for lo, hi, _, _ in sorted(brackets)] == [
-                (True, False), (False, True)
-            ]
+        # the count from the signs; the loops' lifted angle sits within
+        # rounding of a mark here, so they are not asked
+        with pytest.raises(DoubleRootError, match="within rounding of lambda=9.61"):
+            spectral._scan_segment(free, C0, s_nodes)
 
 
 class TestTauArray:
@@ -1074,11 +1136,13 @@ class TestMobiusScan:
     def test_scan_is_valid_across_the_tau_pole(self, free):
         tau = mobius(1.0, 0.0, -1.0, 2.0)  # tau = u / (2 - u), pole at u = 2
         us = np.linspace(1.0, 3.0, 9)
-        vals, valid = spectral._scan_values(free, tau, us)
-        assert np.all(valid) and np.all(np.isfinite(vals))
+        den, num, valid = spectral._scan_values(free, tau, us)
+        assert np.all(valid) and np.all(np.isfinite(den))
         r = np.sqrt(us)
         want = us * np.cos(r) + (2.0 - us) * r * np.sin(r)  # (2 - u) D, p = 1
-        np.testing.assert_allclose(vals, want, rtol=1e-13)
+        np.testing.assert_allclose(den, want, rtol=1e-13)
+        # (2 - u) N with psi = sin(r t) / r: the pair passes the pole of tau
+        np.testing.assert_allclose(num, us * np.sin(r) / r - (2.0 - us) * np.cos(r), rtol=1e-13)
 
     def test_coefficients_only_from_the_factory(self, free):
         # only mobius() sets the scanned coefficients: the constructor refuses
