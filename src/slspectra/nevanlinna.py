@@ -249,6 +249,13 @@ def _apply(tau: BoundaryParam, closure, x: np.ndarray) -> np.ndarray:
     raise ConfigError(f"parameter {tau.label()} does not evaluate arrays of lambda elementwise")
 
 
+def _boundary_values(tau: BoundaryParam, u: np.ndarray) -> np.ndarray:
+    """boundary_fn on the real array u, for an analytic tau that has it."""
+    if not tau.has_boundary_values:
+        raise _no_boundary_values(tau)
+    return _apply(tau, tau.boundary_fn, np.real(u).astype(float))
+
+
 def _tau_array(tau: BoundaryParam, lams):
     """tau at every lam as a complex array (0 where tau is infinite or not
     finite), and the mask of those values.  A constant or infinite tau needs
@@ -256,19 +263,25 @@ def _tau_array(tau: BoundaryParam, lams):
     one of boundary_fn on the real ones."""
     lams = np.asarray(lams)
     if tau.kind == "constant":
-        return np.full(lams.shape, complex(tau.theta)), np.zeros(lams.shape, bool)
+        tv = np.empty(lams.shape, complex)
+        tv.fill(tau.theta)
+        return tv, np.zeros(lams.shape, bool)
     if tau.kind == "infinity":
         return np.zeros(lams.shape, complex), np.ones(lams.shape, bool)
-    real = np.imag(lams) == 0.0
-    tv = np.empty(lams.shape, complex)
-    if not np.all(real):
+    n_real = np.count_nonzero(real := np.imag(lams) == 0.0)
+    if not lams.size:
+        tv = np.empty(lams.shape, complex)
+    elif n_real == lams.size:  # a batch of one kind takes one call on the whole array
+        tv = _boundary_values(tau, lams)
+    elif n_real == 0:
+        tv = _apply(tau, tau.fn, lams.astype(complex))
+    else:
+        tv = np.empty(lams.shape, complex)
         tv[~real] = _apply(tau, tau.fn, lams[~real].astype(complex))
-    if np.any(real):
-        if not tau.has_boundary_values:
-            raise _no_boundary_values(tau)
-        tv[real] = _apply(tau, tau.boundary_fn, np.real(lams[real]).astype(float))
+        tv[real] = _boundary_values(tau, lams[real])
     inf = ~np.isfinite(tv)
-    tv[inf] = 0.0
+    if np.count_nonzero(inf):
+        tv = np.where(inf, 0.0, tv)
     return tv, inf
 
 

@@ -190,25 +190,27 @@ def _cosh_sinhc(x):
     """cosh(s) and sinh(s)/s elementwise, with s^2 = x an array; real x stays real."""
     ax = np.abs(x)
     small = ax < _EXPM_SERIES_CUT
-    if np.iscomplexobj(x):
-        r = np.sqrt(np.where(small, 1.0, x))
+    any_small = np.count_nonzero(small)
+    complex_x = x.dtype.kind == "c"
+    r = np.sqrt(x if complex_x else ax)
+    if any_small:
+        np.putmask(r, small, 1.0)
+    if complex_x or not np.count_nonzero(x < 0.0):
         C, S = np.cosh(r), np.sinh(r)
+    elif not np.count_nonzero(pos := x > 0.0):  # s = i r
+        C, S = np.cos(r), np.sin(r)
     else:
-        r = np.sqrt(np.where(small, 1.0, ax))
-        if np.all(x <= 0.0):
-            C, S = np.cos(r), np.sin(r)
-        elif np.all(x >= 0.0):
-            C, S = np.cosh(r), np.sinh(r)
-        else:
-            pos = x > 0.0
-            rp, rn = np.where(pos, r, 0.0), np.where(pos, 0.0, r)
-            C = np.where(pos, np.cosh(rp), np.cos(rn))
-            S = np.where(pos, np.sinh(rp), np.sin(rn))
+        rp, rn = np.where(pos, r, 0.0), np.where(pos, 0.0, r)
+        C = np.where(pos, np.cosh(rp), np.cos(rn))
+        S = np.where(pos, np.sinh(rp), np.sin(rn))
     S = S / r
-    if np.any(small):  # the series only where it is used
+    if any_small:  # the series only where it is used
         xs = x[small]
-        C[small] = 1.0 + xs * (1 / 2 + xs * (1 / 24 + xs / 720))
-        S[small] = 1.0 + xs * (1 / 6 + xs * (1 / 120 + xs / 5040))
+        if np.count_nonzero(xs):
+            C[small] = 1.0 + xs * (1 / 2 + xs * (1 / 24 + xs / 720))
+            S[small] = 1.0 + xs * (1 / 6 + xs * (1 / 120 + xs / 5040))
+        else:  # x = 0 (Delta = q = 0 on the piece): the series is exactly 1
+            C[small] = S[small] = 1.0
     return C, S
 
 
@@ -610,9 +612,16 @@ def _apply(M, state):
 
 
 def _exact_step(state, p, coef, C, S):
-    """The closed-form transfer [[C, S/p], [coef S, C]] applied to state."""
-    y, y1 = state
-    return y * C + (y1 / p) * S, y * coef * S + y1 * C
+    """The closed-form transfer [[C, S/p], [coef S, C]] applied to state =
+    (y, y^[1]): (y C + (y^[1]/p) S, (y coef) S + y^[1] C), one array, in
+    five passes over the batch."""
+    out = state * C
+    part = np.empty_like(out)
+    np.divide(state[1], p, out=part[0])
+    np.multiply(state[0], coef, out=part[1])
+    part *= S
+    out += part
+    return out
 
 
 class _Segment:
@@ -637,7 +646,7 @@ class _ExactSegment(_Segment):
     def __init__(self, t0: float, t1: float, start: np.ndarray, p, coef, C, S):
         self.t0, self.t1, self.start = t0, t1, start
         self._p, self._coef = p, coef
-        self.end = np.array(_exact_step(start, p, coef, C, S))
+        self.end = _exact_step(start, p, coef, C, S)
 
     def sol(self, t: np.ndarray) -> np.ndarray:
         coef = self._coef[..., None]
@@ -828,34 +837,46 @@ def _pieces(problem: SLProblem):
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _constants(problem: SLProblem, dtype) -> tuple:
+    """h, p, q and Delta of the constant pieces in order, each of shape
+    (pieces, 1), and p of each piece as a 0-d array: the lambda-free inputs
+    of their closed forms, built once per problem and dtype beside _pieces.
+    They take the batch's dtype, so no operation with them casts; a float
+    cast to complex is v + 0i, the same operand either way."""
+    const = [(t1 - t0, *(r.value for r in rules)) for t0, t1, rules, c in _pieces(problem) if c]
+    out = np.array(const, dtype).reshape(-1, 4, 1).transpose(1, 0, 2)
+    out.setflags(write=False)  # shared by every walk of the problem
+    return (*out, tuple(out[1, k, 0, ...] for k in range(len(const))))
+
+
+@np.errstate(all="ignore")  # overflow is caught at b
 def _walk(problem: SLProblem, lams: np.ndarray, inits: np.ndarray) -> list:
     """The segments, one per piece, of the walk of the module docstring: the
     initial columns inits, shape (2, columns), carried from a to b for every
     lambda in lams.  A non-finite state stays non-finite on every later
     piece and never enters DOP853, so one check at b raises
     PropagationError for exactly the lambda that overflow."""
-    pieces = _pieces(problem)
     exact = problem.quad.closed_form_pieces
     rtol = max(problem.quad.ode_tol, _MIN_RTOL)
-    atol = [1e-3 * rtol * max(1.0, abs(y), abs(y1)) for y, y1 in inits.T.tolist()]
-    state = inits[..., None] * np.ones_like(lams)
+    state = np.empty(inits.shape + lams.shape, np.result_type(inits, lams))
+    state[...] = inits[..., None]
     segments = []
-    with np.errstate(all="ignore"):  # overflow is caught at b
-        const = [(t1 - t0, *(r.value for r in rules)) for t0, t1, rules, c in pieces if c]
-        h, p, q, d = np.array(const).reshape(-1, 4, 1, 1).transpose(1, 0, 2, 3)
-        coef = q - lams * d
-        closed = zip(p, coef, *_closed_form(coef / p, h))
-        for k, (t0, t1, rules, constant) in enumerate(pieces):
-            if exact and constant:
-                seg = _ExactSegment(t0, t1, state, *next(closed))
-            elif exact and (mesh := _cpm_mesh(rules, t0, t1, rtol)) is not None:
-                seg = _CPMSegment(t0, t1, state, mesh, lams)
-            else:
-                engine = _MagnusSegment if exact else _ReferenceSegment
-                seg = engine(t0, t1, state, rules, lams, rtol, atol, (problem, k))
-            segments.append(seg)
-            state = seg.end
-    if not np.isfinite(state).all():
+    h, p, q, d, p_pieces = _constants(problem, lams.dtype)
+    coef = q - lams * d
+    closed = zip(p_pieces, coef, *_closed_form(coef / p, h))
+    for k, (t0, t1, rules, constant) in enumerate(_pieces(problem)):
+        if exact and constant:
+            seg = _ExactSegment(t0, t1, state, *next(closed))
+        elif exact and (mesh := _cpm_mesh(rules, t0, t1, rtol)) is not None:
+            seg = _CPMSegment(t0, t1, state, mesh, lams)
+        else:
+            atol = [1e-3 * rtol * max(1.0, abs(y), abs(y1)) for y, y1 in inits.T.tolist()]
+            engine = _MagnusSegment if exact else _ReferenceSegment
+            seg = engine(t0, t1, state, rules, lams, rtol, atol, (problem, k))
+        segments.append(seg)
+        state = seg.end
+    if np.count_nonzero(np.isfinite(state)) < state.size:
         bad = ~np.isfinite(state).all(axis=(0, 1))
         raise PropagationError(
             f"non-finite state at t={problem.b:.6g}, lambda={lams[bad][0]}; solution overflow"
@@ -890,18 +911,20 @@ class Trajectory:
         self._segments = segments
         self._seg_ends = np.array([seg.t1 for seg in segments[:-1]])
 
+    @np.errstate(all="ignore")
     def eval(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Values (y, y^[1]) at the query points, as arrays."""
         t_arr, idx = _locate(self.problem, self._seg_ends, t)
         start = self._segments[0].start
         out = np.empty(start.shape + t_arr.shape, start.dtype)
-        with np.errstate(all="ignore"):
-            for i, seg in enumerate(self._segments):
-                sel = idx == i
-                if sel.size and sel.all():  # one piece holds every point: no gather
-                    out = seg.sol(t_arr)
-                elif sel.any():
-                    out[0][..., sel], out[1][..., sel] = seg.sol(t_arr[sel])
+        for i, seg in enumerate(self._segments):
+            sel = idx == i
+            if not (n := np.count_nonzero(sel)):
+                continue
+            if n == sel.size:  # one piece holds every point: no gather
+                out = seg.sol(t_arr)
+            else:
+                out[0][..., sel], out[1][..., sel] = seg.sol(t_arr[sel])
         y, y1 = out
         return (y, y1) if np.ndim(self.lam) else (y[0, 0].astype(complex), y1[0, 0].astype(complex))
 
@@ -995,11 +1018,18 @@ def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
     (len(lams), 2, 2); real when every lambda is real.  Overflow raises
     PropagationError."""
     lams = np.atleast_1d(np.asarray(lams))
-    if np.iscomplexobj(lams) and np.all(lams.imag == 0.0):
+    if lams.dtype.kind == "c" and not np.count_nonzero(lams.imag):
         lams = lams.real
-    lams = lams.astype(complex if np.iscomplexobj(lams) else float)
-    inits = np.array([_init(problem.alpha, "phi"), _init(problem.alpha, "psi")]).T
-    return _walk(problem, lams, inits)[-1].end.transpose(2, 0, 1)
+    lams = lams.astype(complex if lams.dtype.kind == "c" else float, copy=False)
+    return _walk(problem, lams, _fundamental_inits(problem.alpha))[-1].end.transpose(2, 0, 1)
+
+
+@lru_cache(maxsize=32)
+def _fundamental_inits(alpha: float) -> np.ndarray:
+    """The columns of phi and psi at a, shape (2, 2)."""
+    out = np.array([_init(alpha, "phi"), _init(alpha, "psi")]).T
+    out.setflags(write=False)  # shared by every endpoint_states call
+    return out
 
 
 def phi_rows(problem: SLProblem, lams, t) -> np.ndarray:

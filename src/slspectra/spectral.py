@@ -64,6 +64,7 @@ _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
 _ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |lambda|
 _PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b and of the scan angle
+_TAU_CAP = 1e6  # scan nodes of an analytic tau with |tau+| above this are invalid
 _COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 + |lambda|)
 _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2^-j, j = 7..12
 
@@ -73,7 +74,7 @@ def _endpoints(problem: SLProblem, lams) -> np.ndarray:
     sqrt|lam| ell, has a rounding error sqrt|lam| ell 2^-52 above
     _PHASE_ERR_CAP.  With ell = 1 that allows |lam| up to about 2e19; the
     scan's node cap keeps it below sqrt|lam| ell = 1e5."""
-    top = float(np.max(np.abs(lams), initial=0.0))
+    top = float(np.abs(lams).max(initial=0.0))
     if math.sqrt(top) * _ell(problem) * 2.0**-52 > _PHASE_ERR_CAP:
         raise ConfigError(
             f"|lambda| = {top:.3g} is too large: the phase at b would carry a rounding "
@@ -85,15 +86,9 @@ def _endpoints(problem: SLProblem, lams) -> np.ndarray:
 def _quotient(problem: SLProblem, lams, tv, inf):
     """N = psi tau - psi^[1] and D = phi tau - phi^[1] at b for every lam, from
     tau values tv; N = psi and D = phi where inf marks tau = infinity."""
-    (ph, ps), (ph1, ps1) = _endpoints(problem, lams).transpose(1, 2, 0)
-    return np.where(inf, ps, ps * tv - ps1), np.where(inf, ph, ph * tv - ph1)
-
-
-def _m_parts(problem: SLProblem, tau: BoundaryParam, lams):
-    """N and D of m = N/D at every lam, and the mask of lam at a pole."""
-    lams = np.asarray(lams, dtype=complex)
-    num, den = _quotient(problem, lams, *_tau_array(tau, lams))
-    return num, den, np.abs(den) <= _POLE_GUARD * np.abs(num)
+    y, y1 = _endpoints(problem, lams).transpose(1, 2, 0)  # columns phi, psi
+    den, num = np.where(inf, y, y * tv - y1) if np.count_nonzero(inf) else y * tv - y1
+    return num, den
 
 
 def _pole_error(lam, den) -> PoleProximityError:
@@ -105,8 +100,9 @@ def _pole_error(lam, den) -> PoleProximityError:
 def _m_values(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     """m_tau at every lam in lams; raises PoleProximityError if one is at a pole."""
     lams = np.asarray(lams, dtype=complex)
-    num, den, at_pole = _m_parts(problem, tau, lams)
-    if np.any(at_pole):
+    num, den = _quotient(problem, lams, *_tau_array(tau, lams))
+    at_pole = np.abs(den) <= _POLE_GUARD * np.abs(num)
+    if np.count_nonzero(at_pole):
         i = int(np.argmax(at_pole))
         raise _pole_error(lams[i], den[i])
     return num / den
@@ -126,12 +122,13 @@ def _density_boundary(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     tv, inf = _tau_array(tau, us)
     (ph, _), (ph1, _) = _endpoints(problem, us).transpose(1, 2, 0)
-    den = np.where(inf, ph, ph * tv - ph1)
-    scale = np.where(
-        inf, np.abs(ph) + np.abs(ph1), np.maximum(np.maximum(np.abs(ph * tv), np.abs(ph1)), 1e-300)
-    )
+    ph_tv = ph * tv
+    den = ph_tv - ph1
+    scale = np.maximum(np.maximum(np.abs(ph_tv), np.abs(ph1)), 1e-300)
+    if np.count_nonzero(inf):
+        den, scale = np.where(inf, ph, den), np.where(inf, np.abs(ph) + np.abs(ph1), scale)
     pole = np.abs(den) < 1e-10 * scale
-    if np.any(pole):
+    if np.count_nonzero(pole):
         raise PoleContaminatedError(
             f"boundary denominator vanishes at u={us[pole][0]}: point mass nearby"
         )
@@ -155,6 +152,9 @@ def _quadratic_fits(x: np.ndarray, ys: np.ndarray):
     per x: values at x and 0."""
     H, w = _quadratic_projection(tuple(x.tolist()))
     return ys @ H.T, ys @ w
+
+
+_EPS2 = tuple((_EPS**2).tolist())  # the x of the eps-limit of eps Im m at a pole
 
 
 def _extrapolated_densities(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
@@ -240,7 +240,7 @@ def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
         top, bottom = a * us + b, c * us + d
         return top * ph - bottom * ph1, top * ps - bottom * ps1, np.ones(us.shape, bool)
     tv, inf = _tau_array(tau, us)
-    cap = np.abs(tv.real) <= 1e6 if tau.kind == "analytic" else True
+    cap = np.abs(tv.real) <= _TAU_CAP if tau.kind == "analytic" else True
     valid = inf | ((np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv))) & cap)
     out = np.zeros((2, us.size))
     if np.any(valid):
@@ -271,10 +271,17 @@ def _complex_step(problem: SLProblem, tau: BoundaryParam, lams, eps=()):
     and at every lambda_k + i eps: (z, N, D, D' = Im D(z[:, 0]) / h, and the
     mask of lambda_k where tau(z[:, 0]) is not real to O(h), so tau+ is not)."""
     h = _COMPLEX_STEP * (1.0 + np.abs(lams))
-    z = lams[:, None] + 1j * np.column_stack([h, np.tile(eps, (lams.size, 1))])
+    im = np.empty((lams.size, 1 + len(eps)))
+    im[:, 0], im[:, 1:] = h, eps
+    z = lams[:, None] + 1j * im
     tv, inf = _tau_array(tau, z)
-    complex_tv = ~inf[:, 0] & (np.abs(tv[:, 0].imag) > 1e-12 * (1.0 + np.abs(tv[:, 0])))
-    num, den = (a.reshape(z.shape) for a in _quotient(problem, z.ravel(), tv.ravel(), inf.ravel()))
+    if tau.kind == "analytic":
+        tv0 = tv[:, 0]
+        complex_tv = ~inf[:, 0] & (np.abs(tv0.imag) > 1e-12 * (1.0 + np.abs(tv0)))
+    else:  # a constant or infinite tau is real
+        complex_tv = np.zeros(lams.size, bool)
+    num, den = _quotient(problem, z.ravel(), tv.ravel(), inf.ravel())
+    num, den = num.reshape(z.shape), den.reshape(z.shape)
     return z, num, den, den[:, 0].imag / h, complex_tv
 
 
@@ -292,9 +299,13 @@ def _is_pole(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
 
 
 def _winding_confirms(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bool:
-    """Winding number of D(lambda) on a small rectangle around lam0 (argument
-    principle; D must be analytic there).  No package path calls it;
-    perfbench/tracer.py counts calls to this name."""
+    """Winding number of D(lambda) on a rectangle around lam0 (argument
+    principle; D must be analytic there).  The rectangle's half-width
+    1e-2 (1 + |lam0|) grows like lambda while the spacing of the poles grows
+    like sqrt(lambda) (2 pi sqrt(lambda) / ell), so at large lambda it holds
+    many poles: about 150 at lambda = 2.2e9 on the free problem, where it
+    answers True between poles too.  No package path calls it; it stays
+    because perfbench/tracer.py counts calls to this name."""
     h, v = 1e-2 * (1.0 + abs(lam0)), 1e-2
     c = np.array([complex(lam0 + x, y) for x, y in ((-h, -v), (h, -v), (h, v), (-h, v), (-h, -v))])
     z = (c[:-1, None] + (c[1:] - c[:-1])[:, None] * np.linspace(0.0, 1.0, 50, endpoint=False)).ravel()
@@ -320,29 +331,50 @@ def _scan_segment(problem: SLProblem, tau: BoundaryParam, s_nodes: np.ndarray):
     halved in s until each holds one, all of one level in one _scan_values
     call; a cell with an invalid midpoint is dropped, and two zeros still
     together at rounding width raise DoubleRootError.
+
+    A real analytic tau (not Mobius, whose scan is entire) also increases
+    between its own poles, so a cell where tau+ falls holds one.  Across it
+    the scaled pair flips sign and the count is off by one, so the cell is
+    halved with the rest instead.  The half holding the pole falls again,
+    and it is dropped once a midpoint lands next to the pole (|tau+| >
+    _TAU_CAP, invalid) or it reaches rounding width: D ~ phi(b) tau has no
+    zero that close unless phi(b) vanishes at the pole too.  A node at the
+    pole reads tau = +inf, its limit from the left.
     """
     roots, brackets, mid = [], [], np.asarray(s_nodes, dtype=float)
     lo = hi = None
+    track_poles = tau.kind == "analytic" and tau.mobius is None
     while True:
-        nodes = np.stack([mid, *_scan_values(problem, tau, _u_of(mid))])
+        us = _u_of(mid)
+        taus = np.zeros(us.shape)
+        if track_poles:
+            tv, inf = _tau_array(tau, us)
+            taus = np.where(inf, 2.0 * _TAU_CAP, tv.real)  # above every valid node
+        nodes = np.stack([mid, *_scan_values(problem, tau, us), taus])
         roots += _u_of(mid[(nodes[3] != 0.0) & (nodes[1] == 0.0)]).tolist()
         if lo is None:  # the first level: the cells between the s nodes
             lo, hi = nodes[:, :-1], nodes[:, 1:]
         else:
             lo, hi = np.concatenate([lo, nodes], axis=1), np.concatenate([nodes, hi], axis=1)
-        (_, d0, n0, v0), (_, d1, n1, v1) = lo, hi
+        (_, d0, n0, v0, t0), (_, d1, n1, v1, t1) = lo, hi
         h0, h1 = (np.where(d > 0.0, 1, 2 * (n >= 0.0) + ((d == 0.0) & (n < 0.0)))
                   for d, n in ((d0, n0), (d1, n1)))
         wrap = (h1 < h0) | ((h1 == h0) & (np.arctan2(n1, d1) < np.arctan2(n0, d0) - _PHASE_ERR_CAP))
-        count = np.where(v0 * v1 != 0.0, h1 - h0 + 2 * wrap - (d1 == 0.0), 0)
-        brackets += zip(*(x[count == 1].tolist() for x in (lo[0], hi[0], d0, d1)))
-        lo, hi = lo[:, count > 1], hi[:, count > 1]
-        if not lo.size:
-            return roots, brackets
+        valid = v0 * v1 != 0.0
+        count = np.where(valid, h1 - h0 + 2 * wrap - (d1 == 0.0), 0)
+        # a fall beyond rounding of tau+ marks a pole of tau
+        falls = valid & (t1 < t0 - 1e-12 * (np.abs(t0) + np.abs(t1)))
+        brackets += zip(*(x[(count == 1) & ~falls].tolist() for x in (lo[0], hi[0], d0, d1)))
+        split = (count > 1) | falls
+        lo, hi, falls = lo[:, split], hi[:, split], falls[split]
         mid = 0.5 * (lo[0] + hi[0])
         if np.any(tight := (mid <= lo[0]) | (mid >= hi[0])):
-            at = _u_of(float(mid[np.argmax(tight)]))
-            raise DoubleRootError(f"two zeros of D within rounding of lambda={at:.8g}")
+            if np.any(pair := tight & ~falls):
+                at = _u_of(float(mid[np.argmax(pair)]))
+                raise DoubleRootError(f"two zeros of D within rounding of lambda={at:.8g}")
+            lo, hi, mid = lo[:, ~tight], hi[:, ~tight], mid[~tight]  # a pole of tau cut off
+        if not lo.size:
+            return roots, brackets
 
 
 def find_eigenvalues(
@@ -405,6 +437,18 @@ def find_eigenvalues(
 # point masses
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _jumps(num, den, d_prime):
+    """(jump_res, jump_lim, crossed) of _point_masses from the N and D of
+    _complex_step: the residue -N/D', the eps-limit of eps Im m and where
+    they differ by more than 1e-3 jump_res.  Where D' = 0 or D = 0 at an eps
+    sample they are not read: the caller reports those lambda_k."""
+    jump_res = -num[:, 0].real / d_prime
+    # eps * Im m = sigma_k + c1 eps^2 + c2 eps^4 near a simple pole in a gap
+    jump_lim = (_EPS * (num[:, 1:] / den[:, 1:]).imag) @ _quadratic_projection(_EPS2)[1]
+    return jump_res, jump_lim, np.abs(jump_res - jump_lim) > 1e-3 * jump_res
+
+
 def _point_masses(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     """point_mass at every lambda_k in lams, from one _complex_step walk of
     every lambda_k + i h and lambda_k + i eps.  The first failing lambda_k
@@ -414,23 +458,19 @@ def _point_masses(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     if lams.size == 0:
         return np.zeros(0)
     z, num, den, d_prime, complex_tv = _complex_step(problem, tau, lams, _EPS)
-    if np.any(complex_tv):
+    if np.count_nonzero(complex_tv):
         raise ConfigError(f"tau+({lams[complex_tv][0]}) is not real; no real pole possible here")
-    num_eps, den_eps = num[:, 1:], den[:, 1:]
-    at_pole = np.abs(den_eps) <= _POLE_GUARD * np.abs(num_eps)
-    with np.errstate(divide="ignore", invalid="ignore"):  # D' = 0 is reported below
-        jump_res = -num[:, 0].real / d_prime
-        m = np.divide(num_eps, den_eps, out=np.zeros_like(num_eps), where=~at_pole)
-        # eps * Im m = sigma_k + c1 eps^2 + c2 eps^4 near a simple pole in a gap
-        _, jump_lim = _quadratic_fits(_EPS**2, _EPS * m.imag)
-        crossed = np.abs(jump_res - jump_lim) > 1e-3 * np.abs(jump_res)
-    near = at_pole.any(axis=1)
-    bad = np.flatnonzero((d_prime == 0.0) | near | (jump_res <= 0.0) | crossed)
-    if bad.size:
-        i, lam_k = bad[0], float(lams[bad[0]])
+    at_pole = np.abs(den[:, 1:]) <= _POLE_GUARD * np.abs(num[:, 1:])
+    jump_res, jump_lim, crossed = _jumps(num, den, d_prime)
+    bad = (d_prime == 0.0) | (jump_res <= 0.0) | crossed
+    if np.count_nonzero(at_pole):
+        bad |= at_pole.any(axis=1)
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        lam_k = float(lams[i])
         if d_prime[i] == 0.0:
             raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
-        if near[i]:
+        if at_pole[i].any():
             j = int(np.argmax(at_pole[i])) + 1
             raise _pole_error(z[i, j], den[i, j])
         if jump_res[i] <= 0.0:

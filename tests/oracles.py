@@ -122,6 +122,31 @@ def mobius_mass_free(a: float, b: float, c: float, d: float, lam: float) -> floa
     return (-num / d_den).real
 
 
+# tau = lam - 1/(lam - p) = A/B with A = lam^2 - p lam - 1, B = lam - p: a
+# Nevanlinna parameter with a real pole at lam = p.  Scaled by B, D = A phi(1)
+# - B phi^[1](1) and N = A psi(1) - B psi^[1](1) are entire, and the jump at
+# a pole of m is -N/D' as for the Mobius parameters.
+
+
+def pole_tau_poles_free(p: float, lo: float, hi: float) -> list[float]:
+    def den(u: float) -> float:
+        r = cmath.sqrt(u)
+        return ((u * u - p * u - 1.0) * cmath.cos(r) + (u - p) * r * cmath.sin(r)).real
+
+    return _roots_in_s(den, lo, hi, 20000)
+
+
+def pole_tau_mass_free(p: float, lam: float) -> float:
+    """-N/D' at a pole lam != 0 of the free problem's m for tau = A/B, with
+    dD/dlam = A' cos r - A sin(r)/(2r) + B' r sin r + B (sin r + r cos r)/(2r)."""
+    r = cmath.sqrt(lam)
+    cos, sin = cmath.cos(r), cmath.sin(r)
+    a, b = lam * lam - p * lam - 1.0, lam - p
+    num = a * sin / r - b * cos
+    d_den = (2.0 * lam - p) * cos - a * sin / (2 * r) + r * sin + b * (sin + r * cos) / (2 * r)
+    return (-num / d_den).real
+
+
 # hand-computed integrals used by the transform tests
 INNER_COS_3PI4 = 0.5 - 1.0 / (3.0 * math.pi)  # int_0^1 cos^2(3 pi t/4) dt
 CROSS_A1_A2 = 1.0 / (5.0 * math.pi)  # int_0^1 cos(3 pi t/4) cos(7 pi t/4) dt
@@ -261,6 +286,28 @@ def mobius_poles_midthird(
         x0, x1 = np.where(left, xm, x0), np.where(left, x1, xm)
     roots = np.sort(9.0 * (0.5 * (x0 + x1)) ** 2)
     return roots[(roots >= lo) & (roots <= hi)].tolist()
+
+
+def pole_tau_poles_midthird(p: float, lo: float, hi: float) -> list[float]:
+    """Poles in [lo, hi], 0 <= lo, of the middle-third m for tau = lam - 1/(lam
+    - p): the zeros of A phi(1) - B phi^[1](1) (A = lam^2 - p lam - 1, B = lam
+    - p), from its sign changes on 256 nodes per period pi of x = sqrt(lam)/3,
+    bisected to rounding width."""
+    def den(x):
+        lam, sn, cs = 9.0 * x * x, np.sin(x), np.cos(x)
+        y, v = cs * cs - sn * sn - x * sn * cs, -3.0 * x * sn * (2.0 * cs - x * sn)
+        return (lam * lam - p * lam - 1.0) * y - (lam - p) * v
+
+    x_lo, x_hi = math.sqrt(lo) / 3.0, math.sqrt(hi) / 3.0
+    x = np.linspace(x_lo, x_hi, int(256 * (x_hi - x_lo) / math.pi) + 2)
+    f = den(x)
+    i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
+    x0, x1, f0 = x[i], x[i + 1], f[i]
+    for _ in range(80):
+        xm = 0.5 * (x0 + x1)
+        left = np.sign(den(xm)) == np.sign(f0)
+        x0, x1 = np.where(left, xm, x0), np.where(left, x1, xm)
+    return (9.0 * (0.5 * (x0 + x1)) ** 2).tolist()
 
 
 def sign_change_cells(den, lo: float, hi: float, n: int, chunk: int = 1 << 18):

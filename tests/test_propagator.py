@@ -413,6 +413,17 @@ class TestMagnusEngine:
             assert np.allclose(C, np.cosh(r), rtol=1e-14, atol=0.0)
             assert np.allclose(S, S_ref, rtol=1e-14, atol=0.0)
 
+    def test_step_exponential_at_exact_zero(self):
+        # where every small s^2 is exactly 0 (Delta = q = 0 on a piece) the
+        # series is not evaluated; its value there is exactly 1
+        for x in (np.array([0.0, -0.0, 0.5, -4.0]), np.array([0.0, -0.0, 0.5, -4.0]) * (1.0 - 2.0j),
+                  np.array([complex(-0.0, -0.0), complex(0.0, -0.0), 3.0 - 1e-5j])):
+            C, S = propagator._cosh_sinhc(x)
+            z = x[:2]
+            np.testing.assert_array_equal(C[:2], 1.0 + z * (1 / 2 + z * (1 / 24 + z / 720)))
+            np.testing.assert_array_equal(S[:2], 1.0 + z * (1 / 6 + z * (1 / 120 + z / 5040)))
+            assert not np.signbit(np.imag(C[:2])).any() and not np.signbit(np.imag(S[:2])).any()
+
     def test_step_budget_exhaustion_falls_back_to_reference(self, vanishing, monkeypatch):
         lam = 1e4
         want = propagate(rk_variant(vanishing), lam, (1.0, 0.0)).endpoint

@@ -793,11 +793,13 @@ class TestTauArray:
 
     @pytest.mark.parametrize("tau", TAUS, ids=["constant", "zero", "infinity", "sqrt", "mobius"])
     def test_matches_per_lambda_values(self, tau):
-        for lams in (self.REAL, self.COMPLEX, self.REAL[:0]):
+        # real, mixed, empty, and all non-real in one and two dimensions
+        off_axis = self.COMPLEX[self.COMPLEX.imag != 0.0]
+        for lams in (self.REAL, self.COMPLEX, self.REAL[:0], off_axis, off_axis[[0, 1, 2, 0]].reshape(2, 2)):
             tv, inf = spectral._tau_array(tau, lams)
-            want = [_tau_value(tau, complex(lam)) for lam in lams]
-            np.testing.assert_array_equal(inf, [w is INF_FLAG for w in want])
-            np.testing.assert_array_equal(tv, [0.0 if w is INF_FLAG else w for w in want])
+            want = [_tau_value(tau, complex(lam)) for lam in lams.ravel()]
+            np.testing.assert_array_equal(inf.ravel(), [w is INF_FLAG for w in want])
+            np.testing.assert_array_equal(tv.ravel(), [0.0 if w is INF_FLAG else w for w in want])
             assert tv.dtype == complex and inf.dtype == bool and tv.shape == lams.shape
 
 
@@ -1106,6 +1108,46 @@ class TestComplexStepResidue:
         )
 
 
+class TestBatchInvariance:
+    """A one-lambda call gives the bits of its entry in a batch, on each of
+    the four engines: point_mass against _point_masses, m_function against
+    _m_values, _is_pole against _poles."""
+
+    @pytest.fixture(params=["closed-form", "cpm", "magnus", "dop853"])
+    def engine(self, request, mid, varcoef):
+        if request.param == "closed-form":
+            return mid, (-1.0, 3000.0)
+        if request.param == "cpm":  # p = 1 + t/2, as in configs/linear_p.ini
+            return varcoef, (-20.0, 1100.0)
+        if request.param == "magnus":
+            return loads_problem(FREE_TABLE_INI), (-1.0, 1000.0)
+        return replace(varcoef, quad=replace(varcoef.quad, closed_form_pieces=False)), (-20.0, 120.0)
+
+    def test_point_mass(self, engine):
+        prob, interval = engine
+        roots = find_eigenvalues(prob, C0, interval)
+        assert len(roots) >= 4
+        batch = spectral._point_masses(prob, C0, roots)
+        np.testing.assert_array_equal([point_mass(prob, C0, lam) for lam in roots], batch)
+
+    @pytest.mark.parametrize("tau", [C0, SQRT], ids=["c0", "sqrt"])
+    def test_m_function(self, engine, tau):
+        # a real lambda walks in real arithmetic, so real ones form their own
+        # batch (in a complex batch they take complex steps)
+        prob, (lo, hi) = engine
+        for lams in (np.linspace(lo, hi, 5) + 0.5j, [3.0 + 40.0j, -7.0 - 2.0j], [2.5, 0.3]):
+            batch = spectral._m_values(prob, tau, lams)
+            np.testing.assert_array_equal([m_function(prob, tau, lam) for lam in lams], batch)
+
+    @pytest.mark.parametrize("tau", [C0, SQRT], ids=["c0", "sqrt"])
+    def test_is_pole(self, engine, tau):
+        prob, interval = engine
+        roots = find_eigenvalues(prob, C0, interval)
+        candidates = np.concatenate([roots, [-0.5, 0.5 * (roots[1] + roots[2])]])
+        batch = spectral._poles(prob, tau, candidates)
+        assert [spectral._is_pole(prob, tau, lam) for lam in candidates] == batch.tolist()
+
+
 class TestMobiusScan:
     """A real Mobius tau scans (c u + d) D, which has no pole where tau has
     one; the poles and jumps match the closed forms."""
@@ -1158,6 +1200,63 @@ class TestMobiusScan:
         np.testing.assert_array_equal(
             spectral._scan_values(free, swapped, us)[0], spectral._scan_values(free, SQRT, us)[0]
         )
+
+
+def _pole_tau(p: float) -> BoundaryParam:
+    """tau = lambda - 1/(lambda - p): analytic, not Mobius, with a real pole at p."""
+
+    def fn(lam):
+        lam = np.asarray(lam, dtype=complex)
+        return lam - 1.0 / (lam - p)
+
+    def boundary(u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore"):
+            return (u - 1.0 / (u - p)).astype(complex)
+
+    return BoundaryParam(kind="analytic", fn=fn, boundary_fn=boundary, name=f"pole-at-{p:g}")
+
+
+class TestTauPoleScan:
+    """A scan cell where an analytic tau+ falls holds a pole of tau, across
+    which the scaled pair flips sign; the search halves such cells until
+    the pole is cut off and finds every eigenvalue beside it."""
+
+    @pytest.mark.parametrize("interval,n", [((-3.0, 40.0), 4), ((3.0, 40.0), 2)])
+    def test_free_problem(self, free, interval, n):
+        # (3, 40): the scan's one-step margin reaches the pole at 2
+        got = find_eigenvalues(free, _pole_tau(2.0), interval)
+        want = oracles.pole_tau_poles_free(2.0, *interval)
+        assert len(got) == len(want) == n
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        masses = spectral._point_masses(free, _pole_tau(2.0), got)
+        np.testing.assert_allclose(masses, [oracles.pole_tau_mass_free(2.0, lam) for lam in got],
+                                   rtol=1e-10)
+
+    def test_free_values(self, free):
+        tau = _pole_tau(2.0)
+        got = find_eigenvalues(free, tau, (-3.0, 40.0))
+        np.testing.assert_allclose(got, [-0.2322169, 2.0762812, 4.2676041, 24.1428031],
+                                   atol=1e-7)
+        np.testing.assert_allclose([point_mass(free, tau, lam) for lam in got],
+                                   [0.387, 0.290, 1.496, 1.923], atol=1e-3)
+
+    def test_middle_third(self, mid):
+        got = find_eigenvalues(mid, _pole_tau(2.0), (0.0, 1e5))
+        want = oracles.pole_tau_poles_midthird(2.0, 0.0, 1e5)
+        assert len(got) == len(want) >= 60
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    def test_scan_node_at_the_pole(self, free):
+        # tau = lambda - 1/lambda is +inf at the node s = 0, its limit from the
+        # left: the cell to its right flips sign and is halved away
+        s = np.linspace(-3.0, 3.0, 13)
+        assert 0.0 in s
+        roots, brackets = spectral._scan_segment(free, _pole_tau(0.0), s)
+        want = oracles.pole_tau_poles_free(0.0, -9.0, 9.0)
+        assert roots == [] and len(brackets) == len(want) == 3
+        for (s_lo, s_hi, _, _), lam in zip(brackets, want):
+            assert s_lo * abs(s_lo) < lam < s_hi * abs(s_hi)
 
 
 class TestTauArrayClosures:
