@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,34 @@ TOOL_VERSION = "0.1.0"
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
+
+
+def _col(values) -> list[str]:
+    """A column of floats, each formatted once by _fmt."""
+    return list(map(_fmt, np.asarray(values, dtype=float).tolist()))
+
+
+# json.dumps of the spectral document, compact and with indent=2, from _fmt
+# text, which needs no JSON escaping: (document, window, (pair list open,
+# between pairs, inside a pair, close)).  An empty pair list is "[]".
+_SPECTRAL_JSON = {
+    False: ('{"ac": %s, "masses": %s, "window": %s}', '["%s", "%s"]',
+            ('[["', '"], ["', '", "', '"]]')),
+    True: ('{\n  "ac": %s,\n  "masses": %s,\n  "window": %s\n}', '[\n    "%s",\n    "%s"\n  ]',
+           ('[\n    [\n      "', '"\n    ],\n    [\n      "', '",\n      "', '"\n    ]\n  ]')),
+}
+
+
+def _spectral_json(ac, masses, window, indent: bool) -> str:
+    """The spectral document {"ac": [[u, rho], ...], "masses": [[s, jump], ...],
+    "window": [lo, hi]} as json.dumps writes it, from _fmt columns ac = (u, rho)
+    and masses = (s, jump) and the _fmt pair window."""
+    doc, win, (open_, between, inside, close) = _SPECTRAL_JSON[indent]
+
+    def pairs(a, b):
+        return open_ + between.join(map(inside.join, zip(a, b))) + close if a else "[]"
+
+    return doc % (pairs(*ac), pairs(*masses), win % window)
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -139,11 +167,11 @@ def _write_manifest(args, config_text: str, outputs: list[Path]) -> None:
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(path: Path, header: list[str], columns: Sequence[list[str]]) -> str:
+    """Write the header row and the rows of the formatted columns; returns the text."""
+    text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+    path.write_text(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +183,9 @@ def cmd_eig(args) -> int:
     tau = parse_tau(args.tau)
     lo, hi = _parse_pair(args.range, "range")
     eigs = find_eigenvalues(problem, tau, (lo, hi), max_count=args.max_count)
-    print("k,lambda")
-    for k, lam in enumerate(eigs, start=1):
-        print(f"{k},{_fmt(lam)}")
     out = _out_dir(args) / "eig.csv"
-    _write_table(out, ["k", "lambda"], [(k, lam) for k, lam in enumerate(eigs, 1)])
+    ks = list(map(str, range(1, len(eigs) + 1)))
+    print(_write_table(out, ["k", "lambda"], [ks, _col(eigs)]), end="")
     _write_manifest(args, cfg, [out])
     return 0
 
@@ -187,10 +213,9 @@ def cmd_mfun(args) -> int:
     if args.trace:
         ts = np.linspace(problem.a, problem.b, 201)
         y, y1 = fundamental_trajectory(problem, lam, "phi").eval(ts)
-        rows = [(t, v.real, v.imag, w.real, w.imag)
-                for t, v, w in zip(ts.tolist(), y.tolist(), y1.tolist())]
+        columns = [_col(v) for v in (ts, y.real, y.imag, y1.real, y1.imag)]
         trace_path = _out_dir(args) / "mfun_trace.csv"
-        _write_table(trace_path, ["t", "re_y", "im_y", "re_y1", "im_y1"], rows)
+        _write_table(trace_path, ["t", "re_y", "im_y", "re_y1", "im_y1"], columns)
         print(f"trace written to {trace_path}")
         outputs.append(trace_path)
     _write_manifest(args, cfg, outputs)
@@ -202,23 +227,18 @@ def cmd_spectral(args) -> int:
     tau = parse_tau(args.tau)
     window = _parse_pair(args.window, "window")
     sigma = build_spectral_function(problem, tau, window, ac_nodes=args.nodes)
-    doc = {
-        "ac": [[_fmt(float(u)), _fmt(float(r))] for u, r in zip(sigma.ac_grid, sigma.ac_density)],
-        "masses": [[_fmt(s), _fmt(j)] for s, j in sigma.point_masses],
-        "window": [_fmt(window[0]), _fmt(window[1])],
-    }
-    print(json.dumps(doc))
+    ac = _col(sigma.ac_grid), _col(sigma.ac_density)
+    s, jump = np.array(sigma.point_masses, dtype=float).reshape(-1, 2).T
+    masses = _col(s), _col(jump)
+    window = _fmt(window[0]), _fmt(window[1])
+    print(_spectral_json(ac, masses, window, indent=False))
     out = _out_dir(args)
     j_path = out / "spectral.json"
-    j_path.write_text(json.dumps(doc, indent=2) + "\n")
+    j_path.write_text(_spectral_json(ac, masses, window, indent=True) + "\n")
     ac_path = out / "spectral_ac.csv"
-    _write_table(
-        ac_path,
-        ["u", "rho"],
-        [(float(u), float(r)) for u, r in zip(sigma.ac_grid, sigma.ac_density)],
-    )
+    _write_table(ac_path, ["u", "rho"], ac)
     m_path = out / "spectral_masses.csv"
-    _write_table(m_path, ["s", "jump"], list(sigma.point_masses))
+    _write_table(m_path, ["s", "jump"], masses)
     _write_manifest(args, cfg, [j_path, ac_path, m_path])
     return 0
 
@@ -245,10 +265,11 @@ def cmd_expand(args) -> int:
     outputs = [out / "expand.json"]
     outputs[0].write_text(json.dumps(doc, indent=2) + "\n")
     y_ref = np.asarray(y(t_grid), dtype=float)
+    t_col, y_col = _col(t_grid), _col(y_ref)
     for i, vals in enumerate(rep.values):
         path = out / f"expand_trunc{i}.csv"
-        rows = zip(t_grid, y_ref, vals.real, np.abs(vals - y_ref))
-        _write_table(path, ["t", "y_true", "y_reconstructed", "abs_error"], rows)
+        columns = [t_col, y_col, _col(vals.real), _col(np.abs(vals - y_ref))]
+        _write_table(path, ["t", "y_true", "y_reconstructed", "abs_error"], columns)
         outputs.append(path)
     _write_manifest(args, cfg, outputs)
     return 0

@@ -109,6 +109,8 @@ _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
 _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
 _MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
 _ROW_BATCH = 1 << 15  # most lambda x t (or panel) entries of phi held at once
+_UNIFORM_ULPS = 16  # most ulps a midpoint may move in _ExactSegment.mid_states
+_MID_SAVED_MIN = 2048  # fewer closed-form entries saved do not pay for mid_states' step
 
 
 def _pmul(x, y):
@@ -653,13 +655,35 @@ class _ExactSegment(_Segment):
         C, S = _closed_form(coef / self._p, t - self.t0)
         return _exact_step(self.start[..., None], self._p, coef, C, S)
 
+    def mid_states(self, mids: np.ndarray) -> np.ndarray:
+        """sol(mids) for M panel midpoints.  With B = ceil(sqrt(M)), the state at
+        m_(aB+b) is taken at m_(aB) + b d, d = (m_(M-1) - m_0) / (M - 1): one
+        _closed_form for the A = ceil(M/B) anchors and the B offsets, and one
+        broadcast step, instead of one _closed_form per midpoint.  Midpoints go
+        to sol when that saves fewer than _MID_SAVED_MIN closed-form entries, or
+        when they are not uniform: a point taken more than _UNIFORM_ULPS off."""
+        M = mids.size
+        B = math.isqrt(M - 1) + 1
+        A = -(-M // B)
+        if self._coef.size * (M - A - B) < _MID_SAVED_MIN:
+            return self.sol(mids)
+        anchors, offsets = mids[::B], (mids[-1] - mids[0]) / (M - 1) * np.arange(B)
+        taken = (anchors[:, None] + offsets).ravel()[:M]
+        if np.max(np.abs(taken - mids)) > _UNIFORM_ULPS * np.spacing(np.max(np.abs(mids))):
+            return self.sol(mids)
+        coef = self._coef[..., None]
+        C, S = _closed_form(coef / self._p, np.concatenate([anchors - self.t0, offsets]))
+        y = _exact_step(self.start[..., None], self._p, coef, C[:, :A], S[:, :A])
+        y = _exact_step(y[..., None], self._p, coef[..., None], C[:, None, A:], S[:, None, A:])
+        return y.reshape(*y.shape[:-2], -1)[..., :M]
+
     def reduce(self, sets, squared: bool) -> np.ndarray:
         """exp((m + x) A) = exp(x A) exp(m A): y = C Y + S Z with (Y, Z) = (y,
         y^[1]/p) at the midpoints and (C, S) the steps by the offsets, so sums
         over x are matmuls; cancelling terms lose up to exp(2|s|) in rounding."""
         out = []
         for mids, x, c in sets:
-            (Y, Z), (C, S) = self.sol(mids), _closed_form(self._coef[..., None] / self._p, x)
+            (Y, Z), (C, S) = self.mid_states(mids), _closed_form(self._coef[..., None] / self._p, x)
             Z = Z / self._p
             terms = ([(Y * Y, C * C), (2 * Y * Z, C * S), (Z * Z, S * S)] if squared
                      else [(Y, C), (Z, S)])
@@ -863,8 +887,9 @@ def _walk(problem: SLProblem, lams: np.ndarray, inits: np.ndarray) -> list:
     state[...] = inits[..., None]
     segments = []
     h, p, q, d, p_pieces = _constants(problem, lams.dtype)
-    coef = q - lams * d
-    closed = zip(p_pieces, coef, *_closed_form(coef / p, h))
+    if exact and p_pieces:  # else no piece takes a closed form
+        coef = q - lams * d
+        closed = zip(p_pieces, coef, *_closed_form(coef / p, h))
     for k, (t0, t1, rules, constant) in enumerate(_pieces(problem)):
         if exact and constant:
             seg = _ExactSegment(t0, t1, state, *next(closed))

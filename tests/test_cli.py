@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -203,6 +204,94 @@ class TestExpand:
                    "--schedule", "1:-1,1", "--window=-1,1")
         assert code == 2
         assert "builtins" in capsys.readouterr().err
+
+
+def _reference_table(header, rows):
+    """A table rendered row by row: _fmt for a float cell, str for any other."""
+    lines = [",".join(header)]
+    lines += [",".join(cli._fmt(x) if isinstance(x, float) else str(x) for x in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _recording(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that keeps each return value."""
+    results = []
+    fn = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: results.append(fn(*a, **k)) or results[-1])
+    return results
+
+
+class TestWriterBytes:
+    """Each number is formatted once, and the artifacts carry the bytes that
+    json.dumps and a row-by-row _fmt rendering of the same values give."""
+
+    @pytest.mark.parametrize("tau, window, masses", [("constant:0", "12,35", 0),
+                                                     ("sqrt", "-10,40", 2)])
+    def test_spectral_artifacts(self, tmp_path, capsys, monkeypatch, tau, window, masses):
+        built = _recording(monkeypatch, "build_spectral_function")
+        assert run(tmp_path, "spectral", "--tau", tau, f"--window={window}", "--nodes", "32") == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert len(doc["masses"]) == masses
+        assert out == json.dumps(doc) + "\n"
+        assert (tmp_path / "spectral.json").read_text() == json.dumps(doc, indent=2) + "\n"
+        sigma = built[0]
+        assert doc["ac"] == [[cli._fmt(u), cli._fmt(r)]
+                             for u, r in zip(sigma.ac_grid, sigma.ac_density)]
+        assert doc["masses"] == [[cli._fmt(s), cli._fmt(j)] for s, j in sigma.point_masses]
+        ac_rows = zip(sigma.ac_grid.tolist(), sigma.ac_density.tolist())
+        assert (tmp_path / "spectral_ac.csv").read_text() == _reference_table(["u", "rho"], ac_rows)
+        assert (tmp_path / "spectral_masses.csv").read_text() == _reference_table(
+            ["s", "jump"], sigma.point_masses)
+
+    @pytest.mark.parametrize("masses", [[], [(-0.0, 1e-17), (math.inf, -math.inf)]])
+    def test_spectral_json_special_values(self, masses):
+        values = [-0.0, 1e-17, math.inf, -math.inf, math.nan, 5e-324, -1.7976931348623157e308]
+        ac = cli._col(values), cli._col(values[::-1])
+        mass_cols = tuple(cli._col(c) for c in zip(*masses)) if masses else ([], [])
+        window = cli._fmt(-0.0), cli._fmt(1e-17)
+        doc = {"ac": [list(p) for p in zip(*ac)], "masses": [list(p) for p in zip(*mass_cols)],
+               "window": list(window)}
+        assert ac[0][:3] == ["-0", "1.0000000000000001e-17", "inf"]
+        for indent in (False, True):
+            want = json.dumps(doc, indent=2 if indent else None)
+            assert cli._spectral_json(ac, mass_cols, window, indent) == want
+        empty = {"ac": [], "masses": [], "window": list(window)}
+        for indent in (False, True):
+            assert cli._spectral_json(([], []), ([], []), window, indent) == json.dumps(
+                empty, indent=2 if indent else None)
+
+    def test_eig_table(self, tmp_path, capsys, monkeypatch):
+        found = _recording(monkeypatch, "find_eigenvalues")
+        assert run(tmp_path, "eig", "--tau", "sqrt", "--range", "0,1000") == 0
+        want = _reference_table(["k", "lambda"], enumerate(found[0], 1))
+        assert (tmp_path / "eig.csv").read_text() == want
+        assert capsys.readouterr().out == want
+
+    def test_mfun_trace_table(self, tmp_path, capsys, monkeypatch):
+        traj = _recording(monkeypatch, "fundamental_trajectory")
+        assert run(tmp_path, "mfun", "--tau", "sqrt", "--lambda", "4,-1", "--trace") == 0
+        capsys.readouterr()
+        ts = np.linspace(0.0, 1.0, 201)
+        y, y1 = traj[0].eval(ts)
+        rows = [(t, v.real, v.imag, w.real, w.imag)
+                for t, v, w in zip(ts.tolist(), y.tolist(), y1.tolist())]
+        assert (tmp_path / "mfun_trace.csv").read_text() == _reference_table(
+            ["t", "re_y", "im_y", "re_y1", "im_y1"], rows)
+
+    def test_expand_tables(self, tmp_path, capsys, monkeypatch):
+        reports = _recording(monkeypatch, "uniform_convergence_profile")
+        assert run(tmp_path, "expand", "--tau", "constant:0", "--y", "quartic",
+                   "--schedule", "1:-1,1;3:-10,50", "--window=-10,50",
+                   "--nodes", "32", "--t-points", "11") == 0
+        capsys.readouterr()
+        t = np.linspace(0.0, 1.0, 11)
+        y = cli._BUILTIN_Y["quartic"](t)
+        for i, vals in enumerate(reports[0].values):
+            rows = zip(t, y, vals.real, np.abs(vals - y))
+            assert (tmp_path / f"expand_trunc{i}.csv").read_text() == _reference_table(
+                ["t", "y_true", "y_reconstructed", "abs_error"], rows)
 
 
 class TestClassify:

@@ -640,6 +640,50 @@ class TestPhiSums:
                 propagator.phi_sums(free, [1.0, -1e6], grids, False)
 
 
+class TestMidStates:
+    """_ExactSegment.mid_states, the states at uniform panel midpoints from a
+    step by each offset off every B-th midpoint, against sol at each one."""
+
+    LAMBDAS = np.array([-1e4, -300.0, -1e-3, 0.0, 1e-9, 37.0, 1e4])
+
+    @staticmethod
+    def _segments(problem):
+        inits = np.array(propagator._init(problem.alpha, "phi"))[:, None]
+        walk = propagator._walk(problem, TestMidStates.LAMBDAS, inits)
+        assert all(isinstance(seg, propagator._ExactSegment) for seg in walk)
+        return walk
+
+    @pytest.mark.parametrize("M", [1, 2, 9, 10, 49, 50])
+    @pytest.mark.parametrize("name", ["free", "mid"])
+    def test_matches_sol(self, request, monkeypatch, name, M):
+        monkeypatch.setattr(propagator, "_MID_SAVED_MIN", 1)  # wherever it saves a closed form
+        sols = []
+        sol = propagator._ExactSegment.sol
+        monkeypatch.setattr(propagator._ExactSegment, "sol",
+                            lambda seg, t: sols.append(t.size) or sol(seg, t))
+        for seg in self._segments(request.getfixturevalue(name)):
+            half = 0.5 * (seg.t1 - seg.t0) / M
+            mids = seg.t0 + half * (2.0 * np.arange(M) + 1.0)
+            got = seg.mid_states(mids)
+            want = sol(seg, mids)
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert sols == ([M] * len(sols) if M <= 2 else [])  # 1 and 2 save nothing
+
+    def test_non_uniform_midpoints_go_to_sol(self, free, monkeypatch):
+        monkeypatch.setattr(propagator, "_MID_SAVED_MIN", 1)
+        seg = self._segments(free)[0]
+        mids = (np.arange(49) + 0.5) / 49
+        mids[20] += 1e-9
+        np.testing.assert_array_equal(seg.mid_states(mids), seg.sol(mids))
+
+    def test_small_sets_go_to_sol(self, free):
+        seg = self._segments(free)[0]
+        mids = (np.arange(49) + 0.5) / 49  # 7 lambda save 7 (49 - 14) < _MID_SAVED_MIN
+        np.testing.assert_array_equal(seg.mid_states(mids), seg.sol(mids))
+
+
 def test_equal_problems_hash_equal_and_share_the_piece_cache():
     one, two = (load_problem(CONFIGS / "middle_third.ini") for _ in range(2))
     assert one == two and one is not two and hash(one) == hash(two)
