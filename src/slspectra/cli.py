@@ -32,7 +32,6 @@ from .problem import QuadConfig, SLProblem, constant_coefficient_problem, loads_
 from .propagator import fundamental_trajectory
 from .spectral import build_spectral_function, find_eigenvalues, m_function
 from .transform import Truncation, fourier_transform, uniform_convergence_profile
-from . import verify
 
 TOOL_VERSION = "0.1.0"
 
@@ -301,6 +300,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_example(args) -> int:
+    from . import verify  # only this command needs it
+
     results = verify.run_all(
         ode_tol=args.ode_tol,
         k_max=args.k_max,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,10 +49,7 @@ class BoundaryParam:
     the same shape, and called with a scalar they return a scalar.  The
     spectral routines call each closure once per batch of lambda, and a
     closure that cannot take an array makes them raise ConfigError.  A
-    non-finite value stands for the point at infinity.  A parameter made by
-    mobius() keeps its coefficients (a, b, c, d) in the field mobius, so the
-    eigenvalue scan can clear its pole; the field cannot be passed to the
-    constructor or to dataclasses.replace, so it never disagrees with fn.
+    non-finite value stands for the point at infinity.
     """
 
     kind: str
@@ -60,7 +57,6 @@ class BoundaryParam:
     fn: Callable[[complex], complex] | None = None
     boundary_fn: Callable[[float], complex] | None = None
     name: str = ""
-    mobius: tuple[float, float, float, float] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "infinity", "analytic"):
@@ -140,11 +136,9 @@ def mobius(a: float, b: float, c: float, d: float) -> BoundaryParam:
         with np.errstate(divide="ignore"):
             return np.where(den == 0.0, INF_FLAG, (a * u + b) / den).astype(complex)[()]
 
-    tau = BoundaryParam(
+    return BoundaryParam(
         kind="analytic", fn=fn, boundary_fn=boundary, name=f"mobius:{a:g},{b:g},{c:g},{d:g}"
     )
-    object.__setattr__(tau, "mobius", (float(a), float(b), float(c), float(d)))
-    return tau
 
 
 def _cdiv(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -37,15 +37,15 @@ its kind; there are four:
   each the exponential of a traceless 2x2 matrix, so det = 1 too.  Its
   entries are polynomials in lambda with lambda-free coefficients cached
   per (piece, n); n doubles until the Richardson estimate |T_2n - T_n| / 63
-  meets quad.ode_tol, for the whole batch in one _magnus_transfers call.
-  sol(t) is one partial step from the mesh node below t.
+  meets quad.ode_tol, for the whole batch in one _magnus_transfers call;
+  a lambda that needs more than _MAGNUS_MAX_STEPS steps raises
+  PropagationError.  sol(t) is one partial step from the mesh node below t.
 * _ReferenceSegment: DOP853, adaptive Runge-Kutta of order 8(5,3) with
   dense output, one run per (lambda, column), restarted at the interior
-  knots of table: rules and kept in _cache.  It covers
-  every piece when quad.closed_form_pieces = False (the CLI's --ode-tol
-  sets that) and the lambda whose Magnus step count would pass
-  _MAGNUS_MAX_STEPS, and is the oracle of the other three.  scipy is
-  imported on its first use.
+  knots of table: rules and kept in _cache.  It covers every piece when
+  quad.closed_form_pieces = False (the CLI's --ode-tol sets that), and
+  nothing else: it is the oracle of the other three.  scipy is imported on
+  its first use.
 
 Complex lambda propagate a complex state; real ones stay real.  A
 Trajectory holds the segments of a walk.  endpoint_states reads phi, psi
@@ -104,7 +104,7 @@ class StateVec:
 # h (1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10).
 _GAUSS_OFF = math.sqrt(15.0) / 10.0
 _MAGNUS_MIN_STEPS = 8
-_MAGNUS_MAX_STEPS = 1 << 16  # beyond this the piece falls back to DOP853
+_MAGNUS_MAX_STEPS = 1 << 20  # beyond this a Magnus piece raises PropagationError
 _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
 _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
 _MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
@@ -177,7 +177,7 @@ def _magnus_parts(rules, left: np.ndarray, h):
     return tuple(tuple(c) for c in _lin((1, a1), (1 / 12, a3), (1 / 240, W)))
 
 
-@lru_cache(maxsize=64)  # a 2^16-step level holds 5.2 MB
+@lru_cache(maxsize=64)  # a 2^20-step level holds 84 MB
 def _magnus_samples(rules, t0: float, t1: float, n: int):
     """_magnus_parts on n uniform steps of [t0, t1], cached per (piece, n)."""
     h = (t1 - t0) / n
@@ -294,12 +294,18 @@ def _start_steps(rules, t0: float, t1: float, lams: np.ndarray) -> np.ndarray:
     return n
 
 
+def _step_cap_error(t0: float, t1: float, lam) -> PropagationError:
+    return PropagationError(
+        f"Magnus steps on [{t0:.6g}, {t1:.6g}] would pass {_MAGNUS_MAX_STEPS} at "
+        f"lambda={lam}; closed_form_pieces = false (--ode-tol) runs the DOP853 reference engine"
+    )
+
+
 def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float):
-    """(n, T, spent) for every lambda in lams: the transfer matrix T[i] over
-    [t0, t1] on n[i] steps, with n[i] doubled until the Richardson estimate
-    |T_2n - T_n| / 63 <= tol max(1, |T_2n|).  spent marks the lambda for
-    which that takes more than _MAGNUS_MAX_STEPS steps; their n is 0 and
-    their T is zero.  Overflow raises PropagationError.
+    """(n, T) for every lambda in lams: the transfer matrix T[i] over [t0, t1]
+    on n[i] steps, with n[i] doubled until the Richardson estimate
+    |T_2n - T_n| / 63 <= tol max(1, |T_2n|).  A lambda for which that takes
+    more than _MAGNUS_MAX_STEPS steps, and overflow, raise PropagationError.
 
     lambda sharing a starting step count go through the doublings as one
     (rows, n) step array on the cached _magnus_samples, and only the rows
@@ -307,8 +313,9 @@ def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float)
     """
     n_out = np.zeros(lams.shape, int)
     T_out = np.zeros((4, lams.size), lams.dtype)
-    spent = np.zeros(lams.shape, bool)
     start = _start_steps(rules, t0, t1, lams)
+    if np.any(full := start == _MAGNUS_MAX_STEPS):  # no level is left for the estimate
+        raise _step_cap_error(t0, t1, lams[full][0])
     with np.errstate(all="ignore"):
         for n in np.unique(start).tolist():
             idx = np.flatnonzero(start == n)
@@ -321,8 +328,7 @@ def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float)
                         f"lambda={lams[idx[bad][0]]}; solution overflow"
                     )
                 if 2 * n > _MAGNUS_MAX_STEPS:
-                    spent[idx] = True
-                    break
+                    raise _step_cap_error(t0, t1, lams[idx[0]])
                 n *= 2
                 T2 = _products(_magnus_samples(rules, t0, t1, n), lams[idx])
                 err = np.max(np.abs(T2 - T), axis=0) / 63.0  # 2^6 - 1, sixth order
@@ -330,7 +336,7 @@ def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float)
                 n_out[idx[done]] = n
                 T_out[:, idx[done]] = T2[:, done]
                 idx, T = idx[~done], T2[:, ~done]
-    return n_out, T_out.T.reshape(-1, 2, 2), spent
+    return n_out, T_out.T.reshape(-1, 2, 2)
 
 
 # Constant-perturbation (CPM) steps, after Ixaru (J. Comput. Appl. Math. 125,
@@ -693,21 +699,16 @@ class _ExactSegment(_Segment):
 
 class _MagnusSegment(_Segment):
     """Magnus transfers across one variable piece from one _magnus_transfers
-    batch; the lambda whose step budget ran out go to a _ReferenceSegment.
-    The n + 1 mesh-node states of a lambda, which sol(t) steps from, come
-    from a prefix product on first use; only the last lambda's are kept, so
-    endpoint-only walks never build them and a batch holds one mesh at a time."""
+    batch.  The n + 1 mesh-node states of a lambda, which sol(t) steps from,
+    come from a prefix product on first use; only the last lambda's are kept,
+    so endpoint-only walks never build them and a batch holds one mesh at a
+    time."""
 
-    def __init__(self, t0, t1, start, rules, lams, rtol, atol, key):
+    def __init__(self, t0, t1, start, rules, lams, rtol):
         self.t0, self.t1, self.start = t0, t1, start
         self._rules, self._lams = rules, lams
-        self._n, T, self._spent = _magnus_transfers(rules, t0, t1, lams, rtol)
+        self._n, T = _magnus_transfers(rules, t0, t1, lams, rtol)
         self.end = _apply(T.transpose(1, 2, 0).reshape(4, 1, -1), start)
-        self._ref = None
-        if np.any(spent := self._spent):
-            sub = (start[:, :, spent], rules, lams[spent])
-            self._ref = _ReferenceSegment(t0, t1, *sub, rtol, atol, key)
-            self.end[:, :, spent] = self._ref.end
         self._nodes = (None, None)
 
     def _node_states(self, i: int) -> np.ndarray:
@@ -722,7 +723,7 @@ class _MagnusSegment(_Segment):
 
     def sol(self, t: np.ndarray) -> np.ndarray:
         out = np.empty(self.start.shape + t.shape, self.start.dtype)
-        for n in np.unique(self._n[~self._spent]).tolist():
+        for n in np.unique(self._n).tolist():
             h = (self.t1 - self.t0) / n
             k = np.clip(np.floor((t - self.t0) / h).astype(int), 0, n - 1)
             left = self.t0 + h * k
@@ -730,8 +731,6 @@ class _MagnusSegment(_Segment):
             for i in np.flatnonzero(self._n == n).tolist():
                 E = np.array(_magnus_steps(parts, self._lams[i]))[:, None]
                 out[:, :, i] = _apply(E, self._node_states(i)[:, :, k])
-        if self._ref is not None:
-            out[:, :, self._spent] = self._ref.sol(t)
         return out
 
 
@@ -895,10 +894,11 @@ def _walk(problem: SLProblem, lams: np.ndarray, inits: np.ndarray) -> list:
             seg = _ExactSegment(t0, t1, state, *next(closed))
         elif exact and (mesh := _cpm_mesh(rules, t0, t1, rtol)) is not None:
             seg = _CPMSegment(t0, t1, state, mesh, lams)
+        elif exact:
+            seg = _MagnusSegment(t0, t1, state, rules, lams, rtol)
         else:
             atol = [1e-3 * rtol * max(1.0, abs(y), abs(y1)) for y, y1 in inits.T.tolist()]
-            engine = _MagnusSegment if exact else _ReferenceSegment
-            seg = engine(t0, t1, state, rules, lams, rtol, atol, (problem, k))
+            seg = _ReferenceSegment(t0, t1, state, rules, lams, rtol, atol, (problem, k))
         segments.append(seg)
         state = seg.end
     if np.count_nonzero(np.isfinite(state)) < state.size:
@@ -924,7 +924,7 @@ def _locate(problem: SLProblem, ends: np.ndarray, t) -> tuple[np.ndarray, np.nda
 class Trajectory:
     """The segments of one walk over [a, b]: per piece an _ExactSegment,
     _CPMSegment, _MagnusSegment or _ReferenceSegment, chosen by the piece's
-    rules, with no per-lambda fallback besides Magnus's step budget.  eval
+    rules and quad.closed_form_pieces alone, never per lambda.  eval
     dispatches points to the owning segments; for a batch (lam an array) it
     returns arrays of shape (columns, lambdas, len(t)), for one solution (lam
     a scalar, from propagate) complex arrays of shape (len(t),), and

@@ -64,7 +64,7 @@ _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
 _ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |lambda|
 _PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b and of the scan angle
-_TAU_CAP = 1e6  # scan nodes of an analytic tau with |tau+| above this are invalid
+_TAU_CAP = 1e6  # scan nodes of an analytic tau with |tau+| above this times 1 + |u| are invalid
 _COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 + |lambda|)
 _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2^-j, j = 7..12
 
@@ -228,19 +228,12 @@ def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
     one positive scale, which bounds the scan through large tau and keeps
     the angle of (D, N).  Nodes where tau+ is genuinely complex (ac
     spectrum) are invalid, and so, for an analytic tau, are nodes next to a
-    pole of tau (|tau+| > 1e6), across which the scaled pair flips sign.  A
-    Mobius tau = (a u + b)/(c u + d) scans the pair times c u + d, (a u + b)
-    phi(b) - (c u + d) phi^[1](b) and the same with psi, entire in u and
-    valid everywhere: W(phi, psi) = 1 and ad - bc > 0 leave D no zero that
-    is not a pole of m."""
+    pole of tau, |tau+(u)| > _TAU_CAP (1 + |u|), across which the scaled pair
+    flips sign.  A Nevanlinna tau grows at most like B u, so the cap is
+    relative to 1 + |u| and no node far from a pole of tau is lost at large u."""
     us = np.asarray(us, dtype=float)
-    if tau.mobius is not None:
-        a, b, c, d = tau.mobius
-        (ph, ps), (ph1, ps1) = _endpoints(problem, us).transpose(1, 2, 0)
-        top, bottom = a * us + b, c * us + d
-        return top * ph - bottom * ph1, top * ps - bottom * ps1, np.ones(us.shape, bool)
     tv, inf = _tau_array(tau, us)
-    cap = np.abs(tv.real) <= _TAU_CAP if tau.kind == "analytic" else True
+    cap = np.abs(tv.real) <= _TAU_CAP * (1.0 + np.abs(us)) if tau.kind == "analytic" else True
     valid = inf | ((np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv))) & cap)
     out = np.zeros((2, us.size))
     if np.any(valid):
@@ -332,24 +325,24 @@ def _scan_segment(problem: SLProblem, tau: BoundaryParam, s_nodes: np.ndarray):
     call; a cell with an invalid midpoint is dropped, and two zeros still
     together at rounding width raise DoubleRootError.
 
-    A real analytic tau (not Mobius, whose scan is entire) also increases
-    between its own poles, so a cell where tau+ falls holds one.  Across it
-    the scaled pair flips sign and the count is off by one, so the cell is
-    halved with the rest instead.  The half holding the pole falls again,
-    and it is dropped once a midpoint lands next to the pole (|tau+| >
-    _TAU_CAP, invalid) or it reaches rounding width: D ~ phi(b) tau has no
-    zero that close unless phi(b) vanishes at the pole too.  A node at the
-    pole reads tau = +inf, its limit from the left.
+    A real analytic tau also increases between its own poles, so a cell
+    where tau+ falls holds one.  Across it the scaled pair flips sign and
+    the count is off by one, so the cell is halved with the rest instead.
+    The half holding the pole falls again, and it is dropped once a midpoint
+    lands next to the pole (|tau+| > _TAU_CAP (1 + |u|), invalid) or it
+    reaches rounding width: D ~ phi(b) tau has no zero that close unless
+    phi(b) vanishes at the pole too.  A node at the pole reads tau = +inf,
+    its limit from the left.
     """
     roots, brackets, mid = [], [], np.asarray(s_nodes, dtype=float)
     lo = hi = None
-    track_poles = tau.kind == "analytic" and tau.mobius is None
     while True:
         us = _u_of(mid)
         taus = np.zeros(us.shape)
-        if track_poles:
+        if tau.kind == "analytic":
             tv, inf = _tau_array(tau, us)
-            taus = np.where(inf, 2.0 * _TAU_CAP, tv.real)  # above every valid node
+            cap = _TAU_CAP * (1.0 + np.abs(us))
+            taus = np.where(inf, 2.0 * cap, tv.real)  # above every valid node
         nodes = np.stack([mid, *_scan_values(problem, tau, us), taus])
         roots += _u_of(mid[(nodes[3] != 0.0) & (nodes[1] == 0.0)]).tolist()
         if lo is None:  # the first level: the cells between the s nodes

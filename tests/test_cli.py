@@ -400,3 +400,15 @@ def test_scipy_loaded_only_on_demand():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True True"]
+
+
+def test_verify_loaded_only_on_demand():
+    # the verification suite is imported by verify-example alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, slspectra.cli; print('slspectra.verify' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -53,6 +53,12 @@ pieces =
     0.0, 1.0, constant:1.0
 """
 
+# LINEAR_P_INI with p read from a cubic spline through nine samples of
+# 1 + t/2, which it reproduces exactly: the Magnus engine on the Bessel problem
+LINEAR_TABLE_INI = LINEAR_P_INI.replace(
+    "poly:1.0,0.5", "table:3:" + "; ".join(f"{k / 8} {1.0 + k / 16}" for k in range(9))
+)
+
 # every coefficient varies, so every term of the CPM corrections is live
 POLY_INI = """
 [interval]
@@ -424,20 +430,25 @@ class TestMagnusEngine:
             np.testing.assert_array_equal(S[:2], 1.0 + z * (1 / 6 + z * (1 / 120 + z / 5040)))
             assert not np.signbit(np.imag(C[:2])).any() and not np.signbit(np.imag(S[:2])).any()
 
-    def test_step_budget_exhaustion_falls_back_to_reference(self, vanishing, monkeypatch):
-        lam = 1e4
-        want = propagate(rk_variant(vanishing), lam, (1.0, 0.0)).endpoint
+    def test_step_cap_is_typed_error(self, vanishing, monkeypatch):
+        # a lambda past the step cap raises and names the reference engine;
+        # DOP853 never runs in its place
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
+        monkeypatch.setattr(propagator, "solve_ivp", _refuse)
         propagator.clear_cache()
-        runs = []
-        solve_ivp = propagator.solve_ivp
-        monkeypatch.setattr(
-            propagator, "solve_ivp", lambda *a, **k: runs.append(1) or solve_ivp(*a, **k)
-        )
-        traj = propagate(vanishing, lam, (1.0, 0.0))
-        assert traj.endpoint.y == pytest.approx(want.y, rel=1e-9)
-        assert traj.endpoint.y1 == pytest.approx(want.y1, rel=1e-9)
-        assert runs  # DOP853 ran, not a Magnus segment
+        with pytest.raises(PropagationError, match="closed_form_pieces = false"):
+            propagate(vanishing, 1e4, (1.0, 0.0))
+
+    def test_step_cap_cli_exit_code(self, tmp_path, monkeypatch, capsys):
+        from slspectra import cli
+
+        config = tmp_path / "vanishing.ini"
+        config.write_text(VANISHING_INI)
+        monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
+        argv = ["--config", str(config), "--out", str(tmp_path), "mfun", "--tau", "constant:0"]
+        assert cli.main([*argv, "--lambda", "1e4"]) == 3
+        assert "closed_form_pieces = false" in capsys.readouterr().err
+        assert cli.main([*argv, "--lambda", "2"]) == 0
 
 
 def _per_lambda_endpoints(problem, lams):
@@ -474,21 +485,11 @@ class TestEndpointStates:
         fast = propagator.endpoint_states(poly, lams)
         assert np.all(np.abs(got - fast) <= 1e-9 * np.maximum(1.0, np.abs(got)))
 
-    def test_step_budget_exhaustion_falls_back_to_reference(self, vanishing, monkeypatch):
-        dop853 = []
-        solve_ivp = propagator.solve_ivp
-        monkeypatch.setattr(
-            propagator, "solve_ivp", lambda *a, **k: dop853.append(1) or solve_ivp(*a, **k)
-        )
+    def test_step_cap_is_typed_error(self, vanishing, monkeypatch):
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
-        propagator.clear_cache()
-        try:
-            got = propagator.endpoint_states(vanishing, [37.0, 1e4])
-        finally:
-            propagator.clear_cache()
-        assert dop853
-        want = _per_lambda_endpoints(rk_variant(vanishing, ode_tol=1e-12), [37.0, 1e4])
-        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        monkeypatch.setattr(propagator, "solve_ivp", _refuse)
+        with pytest.raises(PropagationError, match="closed_form_pieces = false"):
+            propagator.endpoint_states(vanishing, [1e4])
 
     def test_overflow_is_typed_error(self, free):
         with warnings.catch_warnings():
@@ -744,25 +745,20 @@ class TestOneWalk:
     """Every propagation is the one walk: batches, budgets and point sets."""
 
     def test_mixed_step_budget_batch(self, vanishing, monkeypatch):
-        # 1e4 runs out of Magnus steps and takes DOP853; 37 needs at most 128
-        # steps at ode_tol 1e-11 and stays on Magnus
+        # 37 needs at most 128 steps at ode_tol 1e-11, 1e4 more: a batch
+        # holding 1e4 raises for the whole batch, with no DOP853 run, and 37
+        # alone is unchanged by the cap
         t = np.linspace(0.0, 1.0, 9)
         ends_37 = propagator.endpoint_states(vanishing, [37.0])
         rows_37 = propagator.phi_rows(vanishing, [37.0], t)
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 128)
-        propagator.clear_cache()
-        try:
-            ends = propagator.endpoint_states(vanishing, [37.0, 1e4])
-            rows = propagator.phi_rows(vanishing, [37.0, 1e4], t)
-        finally:
-            propagator.clear_cache()
-        np.testing.assert_array_equal(ends[0], ends_37[0])
-        np.testing.assert_array_equal(rows[0], rows_37[0])
-        ref = rk_variant(vanishing, ode_tol=1e-12)
-        want = propagator.endpoint_states(ref, [1e4])[0]
-        want_rows = propagator.phi_rows(ref, [1e4], t)[0]
-        assert np.all(np.abs(ends[1] - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
-        assert np.max(np.abs(rows[1] - want_rows)) <= 1e-9 * np.max(np.abs(want_rows))
+        monkeypatch.setattr(propagator, "solve_ivp", _refuse)
+        for read in (lambda lams: propagator.endpoint_states(vanishing, lams),
+                     lambda lams: propagator.phi_rows(vanishing, lams, t)):
+            with pytest.raises(PropagationError, match="lambda=10000"):
+                read([37.0, 1e4])
+        np.testing.assert_array_equal(propagator.endpoint_states(vanishing, [37.0]), ends_37)
+        np.testing.assert_array_equal(propagator.phi_rows(vanishing, [37.0], t), rows_37)
 
     @pytest.mark.parametrize("name", ["free", "mid"])
     def test_pointwise_and_batched_eval_agree(self, request, name):
@@ -843,14 +839,14 @@ class TestMagnusTransfers:
         tol = max(prob.quad.ode_tol, propagator._MIN_RTOL)
         for lams in (self.LAMBDAS, self.REAL, self.WIDE):
             lams = np.array(lams)
-            n, T, spent = propagator._magnus_transfers(rules, t0, t1, lams, tol)
-            assert T.shape == (lams.size, 2, 2) and not np.any(spent)
+            n, T = propagator._magnus_transfers(rules, t0, t1, lams, tol)
+            assert T.shape == (lams.size, 2, 2)
             assert np.iscomplexobj(T) == np.iscomplexobj(lams)
             for i, lam in enumerate(lams.tolist()):
                 want_n, want_T = _magnus_transfer_per_lambda(rules, t0, t1, lam, tol)
                 assert n[i] == want_n
                 np.testing.assert_array_equal(T[i], want_T)
-                one_n, one_T, _ = propagator._magnus_transfers(rules, t0, t1, np.array([lam]), tol)
+                one_n, one_T = propagator._magnus_transfers(rules, t0, t1, np.array([lam]), tol)
                 assert one_n[0] == want_n
                 np.testing.assert_array_equal(one_T[0], want_T)
         # the wide batch spans several start-step groups, and some group has
@@ -860,14 +856,18 @@ class TestMagnusTransfers:
         assert groups.size >= 3
         assert np.any(rows > propagator._MAGNUS_BATCH // groups)
 
-    def test_step_budget_mask(self, poly, monkeypatch):
+    def test_step_cap_raises(self, poly, monkeypatch):
         t0, t1, rules = _variable_piece(poly)
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
-        n, T, spent = propagator._magnus_transfers(rules, t0, t1, np.array([37.0, 1e4]), 1e-6)
-        assert propagator._magnus_transfers(rules, t0, t1, np.array([1e4]), 1e-6)[2][0]
-        np.testing.assert_array_equal(spent, [False, True])
+        # 1e4 starts at the cap, with no level left for the estimate; 37
+        # starts at 16 steps and at tol 1e-11 needs 128
+        for lams, tol, lam in (([37.0, 1e4], 1e-6, "10000"), ([1e4], 1e-6, "10000"),
+                               ([37.0], 1e-11, "37")):
+            with pytest.raises(PropagationError, match=f"pass 64 at lambda={lam}"):
+                propagator._magnus_transfers(rules, t0, t1, np.array(lams), tol)
+        n, T = propagator._magnus_transfers(rules, t0, t1, np.array([37.0]), 1e-6)
         want_n, want_T = _magnus_transfer_per_lambda(rules, t0, t1, 37.0, 1e-6)
-        assert n[0] == want_n <= 64 and n[1] == 0
+        assert n[0] == want_n <= 64
         np.testing.assert_array_equal(T[0], want_T)
 
     def test_overflow_is_typed_error(self, poly):
@@ -912,8 +912,8 @@ class TestSixthOrderMagnus:
         prob = request.getfixturevalue(name)
         t0, t1, rules = _variable_piece(prob)
         tol = max(prob.quad.ode_tol, propagator._MIN_RTOL)
-        n, _, spent = propagator._magnus_transfers(rules, t0, t1, np.array([1e4, 1e6, 3e7]), tol)
-        assert not np.any(spent) and np.all(n <= propagator._MAGNUS_MAX_STEPS // 2)
+        n, _ = propagator._magnus_transfers(rules, t0, t1, np.array([1e4, 1e6, 3e7]), tol)
+        assert np.all(n <= 1 << 15)
 
         def refuse(*args, **kwargs):
             raise AssertionError("DOP853 ran on the fast path")
@@ -921,6 +921,17 @@ class TestSixthOrderMagnus:
         monkeypatch.setattr(propagator, "solve_ivp", refuse)
         propagator.clear_cache()  # a cached DOP853 trajectory would hide a fallback
         assert np.isfinite(propagator.endpoint_states(prob, [3e7])).all()
+
+    def test_exact_table_spline_at_1e9(self, monkeypatch):
+        # 2^18 Magnus steps, well below the step cap, and no DOP853 run
+        prob = loads_problem(LINEAR_TABLE_INI)
+        segment = propagator._walk(prob, np.array([1.0]), np.eye(2))[0]
+        assert isinstance(segment, propagator._MagnusSegment)
+        monkeypatch.setattr(propagator, "solve_ivp", _refuse)
+        propagator.clear_cache()
+        got = propagator.endpoint_states(prob, [1e9])[0]
+        want = oracles.linear_p_endpoints(1e9)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestConstantPerturbation:

@@ -1149,8 +1149,8 @@ class TestBatchInvariance:
 
 
 class TestMobiusScan:
-    """A real Mobius tau scans (c u + d) D, which has no pole where tau has
-    one; the poles and jumps match the closed forms."""
+    """A real Mobius tau scans as any analytic tau, past its own pole; the
+    poles and jumps match the closed forms."""
 
     @pytest.mark.parametrize(
         "coefs,window",
@@ -1175,31 +1175,23 @@ class TestMobiusScan:
         assert len(got) == len(want) >= 10
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_scan_is_valid_across_the_tau_pole(self, free):
-        tau = mobius(1.0, 0.0, -1.0, 2.0)  # tau = u / (2 - u), pole at u = 2
+    def test_scan_values_across_the_tau_pole(self, free):
+        # tau = u / (2 - u) scans as any analytic tau: (D, N) over max(1,
+        # |tau+|), so (2 - u) D over max(|2 - u|, u), which flips sign across
+        # the pole; a node reads (phi, psi) at it and is invalid next to it,
+        # where |tau+| > _TAU_CAP (1 + |u|) = 3e6
+        tau = mobius(1.0, 0.0, -1.0, 2.0)
         us = np.linspace(1.0, 3.0, 9)
         den, num, valid = spectral._scan_values(free, tau, us)
-        assert np.all(valid) and np.all(np.isfinite(den))
-        r = np.sqrt(us)
-        want = us * np.cos(r) + (2.0 - us) * r * np.sin(r)  # (2 - u) D, p = 1
-        np.testing.assert_allclose(den, want, rtol=1e-13)
-        # (2 - u) N with psi = sin(r t) / r: the pair passes the pole of tau
-        np.testing.assert_allclose(num, us * np.sin(r) / r - (2.0 - us) * np.cos(r), rtol=1e-13)
-
-    def test_coefficients_only_from_the_factory(self, free):
-        # only mobius() sets the scanned coefficients: the constructor refuses
-        # them and replace() drops them, so the scan never searches another
-        # function than the one m uses
-        with pytest.raises(TypeError):
-            BoundaryParam(kind="constant", theta=1.0, mobius=(1.0, 0.0, 0.0, 1.0))
-        tau = mobius(1.0, 0.0, -1.0, 2.0)
-        assert tau.mobius == (1.0, 0.0, -1.0, 2.0)
-        swapped = replace(tau, fn=SQRT.fn, boundary_fn=SQRT.boundary_fn)
-        assert swapped.mobius is None
-        us = np.linspace(-3.0, -1.0, 5)
-        np.testing.assert_array_equal(
-            spectral._scan_values(free, swapped, us)[0], spectral._scan_values(free, SQRT, us)[0]
-        )
+        assert np.all(valid)
+        r, b = np.sqrt(us), 2.0 - us
+        scale = np.where(b == 0.0, 1.0, np.sign(b) * np.maximum(np.abs(b), us))
+        want = np.where(b == 0.0, np.cos(r), us * np.cos(r) + b * r * np.sin(r))
+        np.testing.assert_allclose(den, want / scale, rtol=1e-13)
+        want = np.where(b == 0.0, np.sin(r) / r, us * np.sin(r) / r - b * np.cos(r))
+        np.testing.assert_allclose(num, want / scale, rtol=1e-13)
+        valid = spectral._scan_values(free, tau, 2.0 + np.array([-1e-7, -1e-6, 1e-6, 1e-7]))[2]
+        np.testing.assert_array_equal(valid, [False, True, True, False])
 
 
 def _pole_tau(p: float) -> BoundaryParam:
@@ -1246,6 +1238,17 @@ class TestTauPoleScan:
         want = oracles.pole_tau_poles_midthird(2.0, 0.0, 1e5)
         assert len(got) == len(want) >= 60
         np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    @pytest.mark.parametrize("name,oracle,n", [
+        ("free", oracles.pole_tau_poles_free, 2), ("mid", oracles.pole_tau_poles_midthird, 1)],
+        ids=["free", "mid"])
+    def test_far_above_the_tau_cap(self, request, name, oracle, n):
+        # tau+ ~ lambda = 1e6 on the whole range: the cap on |tau+| is
+        # relative to 1 + |u|, so its nodes stay valid
+        got = find_eigenvalues(request.getfixturevalue(name), _pole_tau(2.0), (1e6, 1.01e6))
+        want = oracle(2.0, 1e6, 1.01e6)
+        assert len(got) == len(want) == n
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_scan_node_at_the_pole(self, free):
         # tau = lambda - 1/lambda is +inf at the node s = 0, its limit from the
