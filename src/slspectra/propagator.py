@@ -105,6 +105,7 @@ class StateVec:
 _GAUSS_OFF = math.sqrt(15.0) / 10.0
 _MAGNUS_MIN_STEPS = 8
 _MAGNUS_MAX_STEPS = 1 << 20  # beyond this a Magnus piece raises PropagationError
+_MAGNUS_CACHED_STEPS = 1 << 16  # larger Magnus sample levels are not cached
 _MAGNUS_STEPS_PER_OSC = 4  # starting steps per half-oscillation
 _EXPM_SERIES_CUT = 1e-3  # |s^2| below this: Taylor series for cosh s, sinh(s)/s
 _MAGNUS_BATCH = 1 << 13  # most rows x steps in one batched step array
@@ -177,15 +178,24 @@ def _magnus_parts(rules, left: np.ndarray, h):
     return tuple(tuple(c) for c in _lin((1, a1), (1 / 12, a3), (1 / 240, W)))
 
 
-@lru_cache(maxsize=64)  # a 2^20-step level holds 84 MB
-def _magnus_samples(rules, t0: float, t1: float, n: int):
-    """_magnus_parts on n uniform steps of [t0, t1], cached per (piece, n)."""
+def _sample_level(rules, t0: float, t1: float, n: int):
+    """_magnus_parts on n uniform steps of [t0, t1], read-only."""
     h = (t1 - t0) / n
     parts = _magnus_parts(rules, t0 + h * np.arange(n), h)
     for comp in parts:
         for arr in comp:
             arr.setflags(write=False)  # shared by every caller of the cache
     return parts
+
+
+_cached_levels = lru_cache(maxsize=64)(_sample_level)  # a 2^16-step level holds 5.3 MB
+
+
+def _magnus_samples(rules, t0: float, t1: float, n: int):
+    """_sample_level, cached per (piece, n) up to _MAGNUS_CACHED_STEPS steps.
+    A larger level (84 MB at 2^20 steps) is built on each use, so none stays
+    in memory for the life of the process."""
+    return (_cached_levels if n <= _MAGNUS_CACHED_STEPS else _sample_level)(rules, t0, t1, n)
 
 
 def _cosh_sinhc(x):
@@ -308,7 +318,7 @@ def _magnus_transfers(rules, t0: float, t1: float, lams: np.ndarray, tol: float)
     more than _MAGNUS_MAX_STEPS steps, and overflow, raise PropagationError.
 
     lambda sharing a starting step count go through the doublings as one
-    (rows, n) step array on the cached _magnus_samples, and only the rows
+    (rows, n) step array on the _magnus_samples levels, and only the rows
     that have not converged go on to the next doubling.
     """
     n_out = np.zeros(lams.shape, int)

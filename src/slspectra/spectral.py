@@ -64,7 +64,7 @@ _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
 _ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |lambda|
 _PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b and of the scan angle
-_TAU_CAP = 1e6  # scan nodes of an analytic tau with |tau+| above this times 1 + |u| are invalid
+_TAU_AT_POLE = 1e300  # tau+ of a scan node at a pole of tau: above every finite tau+
 _COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 + |lambda|)
 _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2^-j, j = 7..12
 
@@ -227,14 +227,12 @@ def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
     """(D, N, valid) at the real points us, both divided by max(1, |tau+|):
     one positive scale, which bounds the scan through large tau and keeps
     the angle of (D, N).  Nodes where tau+ is genuinely complex (ac
-    spectrum) are invalid, and so, for an analytic tau, are nodes next to a
-    pole of tau, |tau+(u)| > _TAU_CAP (1 + |u|), across which the scaled pair
-    flips sign.  A Nevanlinna tau grows at most like B u, so the cap is
-    relative to 1 + |u| and no node far from a pole of tau is lost at large u."""
+    spectrum) are invalid.  However large a real tau+ is, its node stays
+    valid: across a pole of tau the scaled pair flips sign, which
+    _scan_segment tracks from the fall of tau+."""
     us = np.asarray(us, dtype=float)
     tv, inf = _tau_array(tau, us)
-    cap = np.abs(tv.real) <= _TAU_CAP * (1.0 + np.abs(us)) if tau.kind == "analytic" else True
-    valid = inf | ((np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv))) & cap)
+    valid = inf | (np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv)))
     out = np.zeros((2, us.size))
     if np.any(valid):
         tr, inf = tv.real[valid], inf[valid]
@@ -328,11 +326,11 @@ def _scan_segment(problem: SLProblem, tau: BoundaryParam, s_nodes: np.ndarray):
     A real analytic tau also increases between its own poles, so a cell
     where tau+ falls holds one.  Across it the scaled pair flips sign and
     the count is off by one, so the cell is halved with the rest instead.
-    The half holding the pole falls again, and it is dropped once a midpoint
-    lands next to the pole (|tau+| > _TAU_CAP (1 + |u|), invalid) or it
-    reaches rounding width: D ~ phi(b) tau has no zero that close unless
-    phi(b) vanishes at the pole too.  A node at the pole reads tau = +inf,
-    its limit from the left.
+    The half holding the pole falls again, and it is dropped once it is no
+    wider than an eigenvalue bracket (_ROOT_XTOL + _ROOT_RTOL |u|): D ~
+    phi(b) tau has no zero that close unless phi(b) vanishes at the pole
+    too.  A node at the pole reads tau = +inf, its limit from the left,
+    marked _TAU_AT_POLE.
     """
     roots, brackets, mid = [], [], np.asarray(s_nodes, dtype=float)
     lo = hi = None
@@ -341,8 +339,7 @@ def _scan_segment(problem: SLProblem, tau: BoundaryParam, s_nodes: np.ndarray):
         taus = np.zeros(us.shape)
         if tau.kind == "analytic":
             tv, inf = _tau_array(tau, us)
-            cap = _TAU_CAP * (1.0 + np.abs(us))
-            taus = np.where(inf, 2.0 * cap, tv.real)  # above every valid node
+            taus = np.where(inf, _TAU_AT_POLE, tv.real)
         nodes = np.stack([mid, *_scan_values(problem, tau, us), taus])
         roots += _u_of(mid[(nodes[3] != 0.0) & (nodes[1] == 0.0)]).tolist()
         if lo is None:  # the first level: the cells between the s nodes
@@ -361,11 +358,12 @@ def _scan_segment(problem: SLProblem, tau: BoundaryParam, s_nodes: np.ndarray):
         split = (count > 1) | falls
         lo, hi, falls = lo[:, split], hi[:, split], falls[split]
         mid = 0.5 * (lo[0] + hi[0])
-        if np.any(tight := (mid <= lo[0]) | (mid >= hi[0])):
-            if np.any(pair := tight & ~falls):
-                at = _u_of(float(mid[np.argmax(pair)]))
-                raise DoubleRootError(f"two zeros of D within rounding of lambda={at:.8g}")
-            lo, hi, mid = lo[:, ~tight], hi[:, ~tight], mid[~tight]  # a pole of tau cut off
+        if np.any(pair := ~falls & ((mid <= lo[0]) | (mid >= hi[0]))):
+            at = _u_of(float(mid[np.argmax(pair)]))
+            raise DoubleRootError(f"two zeros of D within rounding of lambda={at:.8g}")
+        # a pole of tau is cut off once its cell is no wider than a bracket
+        wide = _u_of(hi[0]) - _u_of(lo[0]) > _ROOT_XTOL + _ROOT_RTOL * np.abs(_u_of(mid))
+        lo, hi, mid = lo[:, ~falls | wide], hi[:, ~falls | wide], mid[~falls | wide]
         if not lo.size:
             return roots, brackets
 

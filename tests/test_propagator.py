@@ -933,6 +933,20 @@ class TestSixthOrderMagnus:
         want = oracles.linear_p_endpoints(1e9)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
+    def test_large_levels_not_cached(self, table, monkeypatch):
+        # a level above _MAGNUS_CACHED_STEPS is built on each use and then
+        # freed; the smaller ones are built once
+        t0, t1, rules = _variable_piece(table)
+        built = []
+        parts = propagator._magnus_parts
+        monkeypatch.setattr(propagator, "_magnus_parts",
+                            lambda r, left, h: built.append(left.size) or parts(r, left, h))
+        propagator._cached_levels.cache_clear()
+        big, small = 2 * propagator._MAGNUS_CACHED_STEPS, 64
+        for n in (big, big, small, small):
+            propagator._magnus_samples(rules, t0, t1, n)
+        assert built == [big, big, small]
+
 
 class TestConstantPerturbation:
     """The CPM segment: which pieces it takes, one lambda-free mesh per piece
