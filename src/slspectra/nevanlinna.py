@@ -44,18 +44,23 @@ class BoundaryParam:
     boundary-value closure u -> tau(u + i0) used by density evaluation and
     real-axis pole search.
 
-    Both closures work elementwise on numpy arrays: called with an array of
-    lambda (complex for fn, real for boundary_fn) they return an array of
-    the same shape, and called with a scalar they return a scalar.  The
-    spectral routines call each closure once per batch of lambda, and a
-    closure that cannot take an array makes them raise ConfigError.  A
-    non-finite value stands for the point at infinity.
+    Both closures return tau as a finite pair (tau1, tau2) with tau =
+    tau1/tau2, stacked on a leading axis of length 2, so the boundary
+    condition reads tau2 y^[1](b) = tau1 y(b) and the point at infinity is
+    tau2 = 0.  A pole of tau must be a zero of tau2: a closure that lets
+    tau1 grow through one breaks the contract, as a closure that is not
+    Nevanlinna does.  Both work elementwise on numpy arrays: called with an
+    array of lambda (complex for fn, real for boundary_fn) they return an
+    array of shape (2, *lambda.shape), and called with a scalar one of
+    shape (2,).  The spectral routines call each closure once per batch of
+    lambda; a closure that cannot take an array, returns one value or
+    returns a non-finite pair makes them raise ConfigError.
     """
 
     kind: str
     theta: float = 0.0
-    fn: Callable[[complex], complex] | None = None
-    boundary_fn: Callable[[float], complex] | None = None
+    fn: Callable[[complex], np.ndarray] | None = None
+    boundary_fn: Callable[[float], np.ndarray] | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -76,7 +81,7 @@ class BoundaryParam:
             return complex(INF_FLAG)
         if self.boundary_fn is None:
             raise ConfigError(f"parameter {self.name or 'analytic'} has no boundary values")
-        return complex(self.boundary_fn(u))
+        return _ratio(_apply(self, self.boundary_fn, u))
 
     def label(self) -> str:
         if self.kind == "constant":
@@ -102,15 +107,19 @@ def sqrt_param() -> BoundaryParam:
     """tau(lambda) = principal sqrt(lambda), Im sqrt >= 0 on the upper half-plane."""
 
     def fn(lam):
-        return np.sqrt(np.asarray(lam, dtype=complex))  # the bits of cmath.sqrt
+        lam = np.asarray(lam, dtype=complex)
+        out = np.ones((2, *lam.shape), complex)
+        out[0] = np.sqrt(lam)  # the bits of cmath.sqrt
+        return out
 
     def boundary(u):
         u = np.asarray(u, dtype=float)
         pos = u >= 0.0
         root = np.sqrt(np.where(pos, u, -u))
-        out = np.empty(u.shape, complex)
-        out.real, out.imag = np.where(pos, root, 0.0), np.where(pos, 0.0, root)
-        return out[()]
+        out = np.zeros((2, *u.shape), complex)
+        out.real[0], out.imag[0] = np.where(pos, root, 0.0), np.where(pos, 0.0, root)
+        out.real[1] = 1.0
+        return out
 
     return BoundaryParam(kind="analytic", fn=fn, boundary_fn=boundary, name="sqrt")
 
@@ -126,36 +135,13 @@ def mobius(a: float, b: float, c: float, d: float) -> BoundaryParam:
             f"mobius({a},{b},{c},{d}) has ad-bc = {det:g} <= 0; not a Nevanlinna parameter"
         )
 
-    def fn(lam):
-        lam = np.asarray(lam, dtype=complex)
-        return _cdiv(a * lam + b, c * lam + d)
-
-    def boundary(u):
-        u = np.asarray(u, dtype=float)
-        den = c * u + d
-        with np.errstate(divide="ignore"):
-            return np.where(den == 0.0, INF_FLAG, (a * u + b) / den).astype(complex)[()]
+    def pair(lam):  # on and off the real axis
+        lam = np.asarray(lam)
+        return np.stack([a * lam + b, c * lam + d])
 
     return BoundaryParam(
-        kind="analytic", fn=fn, boundary_fn=boundary, name=f"mobius:{a:g},{b:g},{c:g},{d:g}"
+        kind="analytic", fn=pair, boundary_fn=pair, name=f"mobius:{a:g},{b:g},{c:g},{d:g}"
     )
-
-
-def _cdiv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x / y elementwise by Smith's method in the order of Python's complex
-    division, so an array of quotients has the bits of the scalar ones
-    (numpy's own complex division multiplies by a reciprocal).  No y is 0:
-    callers divide by c lambda + d off the real axis, and ad - bc > 0."""
-    yr, yi = y.real, y.imag
-    by_re = np.abs(yr) >= np.abs(yi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
-        ratio = np.where(by_re, yi / yr, yr / yi)
-        denom = np.where(by_re, yr + yi * ratio, yr * ratio + yi)
-        re = np.where(by_re, x.real + x.imag * ratio, x.real * ratio + x.imag) / denom
-        im = np.where(by_re, x.imag - x.real * ratio, x.imag * ratio - x.real) / denom
-    out = np.empty(re.shape, complex)
-    out.real, out.imag = re, im
-    return out[()]
 
 
 def parse_tau(spec: str) -> BoundaryParam:
@@ -201,7 +187,14 @@ def eval_param(tau: BoundaryParam, lam: complex) -> complex:
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ConfigError("analytic boundary parameter evaluated on the real axis")
-    return complex(tau.fn(lam))
+    return _ratio(_apply(tau, tau.fn, lam))
+
+
+def _ratio(pair) -> complex:
+    """tau = tau1/tau2 of one pair, by Python's complex division; the inf
+    flag where tau2 = 0."""
+    t1, t2 = complex(pair[0]), complex(pair[1])
+    return complex(INF_FLAG) if t2 == 0.0 else t1 / t2
 
 
 def _no_boundary_values(tau: BoundaryParam) -> ConfigError:
@@ -211,36 +204,24 @@ def _no_boundary_values(tau: BoundaryParam) -> ConfigError:
     )
 
 
-def _tau_value(tau: BoundaryParam, lam: complex):
-    """tau(lam) for complex lam, or the boundary value tau+(u) for real lam.
-
-    Non-finite values (the point at infinity) are normalized to INF_FLAG.
-    """
-    if tau.kind == "infinity":
-        return INF_FLAG
-    if tau.kind == "constant":
-        return complex(tau.theta)
-    if lam.imag != 0.0:
-        v = eval_param(tau, lam)
-    else:
-        if not tau.has_boundary_values:
-            raise _no_boundary_values(tau)
-        v = tau.boundary_value(lam.real)
-    v = complex(v)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        return INF_FLAG
-    return v
-
-
-def _apply(tau: BoundaryParam, closure, x: np.ndarray) -> np.ndarray:
-    """One of tau's closures on the whole array x (see BoundaryParam)."""
+def _apply(tau: BoundaryParam, closure, x) -> np.ndarray:
+    """One of tau's closures on the whole array (or scalar) x: the pair
+    (tau1, tau2) on a leading axis of length 2 (see BoundaryParam)."""
     try:
         out = np.asarray(closure(x), dtype=complex)
-        if out.shape == x.shape:
-            return out
     except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"parameter {tau.label()} does not evaluate arrays of lambda elementwise")
+        out = None
+    if out is None or out.shape != (2, *np.shape(x)):
+        raise ConfigError(
+            f"parameter {tau.label()} does not evaluate arrays of lambda elementwise "
+            "as a pair (tau1, tau2) on a leading axis of length 2"
+        )
+    if not np.isfinite(out).all():
+        raise ConfigError(
+            f"parameter {tau.label()} returned a non-finite pair (tau1, tau2); "
+            "a pole of tau must be a zero of tau2"
+        )
+    return out
 
 
 def _boundary_values(tau: BoundaryParam, u: np.ndarray) -> np.ndarray:
@@ -250,33 +231,26 @@ def _boundary_values(tau: BoundaryParam, u: np.ndarray) -> np.ndarray:
     return _apply(tau, tau.boundary_fn, np.real(u).astype(float))
 
 
-def _tau_array(tau: BoundaryParam, lams):
-    """tau at every lam as a complex array (0 where tau is infinite or not
-    finite), and the mask of those values.  A constant or infinite tau needs
-    no call; an analytic one takes one call of fn on the non-real lam and
-    one of boundary_fn on the real ones."""
+def _tau_array(tau: BoundaryParam, lams) -> np.ndarray:
+    """tau at every lam as the pair (tau1, tau2), a complex array of shape
+    (2, *lams.shape): (theta, 1) for a constant, (1, 0) for infinity.  A
+    constant or infinite tau needs no call; an analytic one takes one call
+    of fn on the non-real lam and one of boundary_fn on the real ones."""
     lams = np.asarray(lams)
-    if tau.kind == "constant":
-        tv = np.empty(lams.shape, complex)
-        tv.fill(tau.theta)
-        return tv, np.zeros(lams.shape, bool)
-    if tau.kind == "infinity":
-        return np.zeros(lams.shape, complex), np.ones(lams.shape, bool)
+    out = np.zeros((2, *lams.shape), complex)
+    if tau.kind != "analytic":
+        out[0], out[1] = (tau.theta, 1.0) if tau.kind == "constant" else (1.0, 0.0)
+        return out
     n_real = np.count_nonzero(real := np.imag(lams) == 0.0)
     if not lams.size:
-        tv = np.empty(lams.shape, complex)
-    elif n_real == lams.size:  # a batch of one kind takes one call on the whole array
-        tv = _boundary_values(tau, lams)
-    elif n_real == 0:
-        tv = _apply(tau, tau.fn, lams.astype(complex))
-    else:
-        tv = np.empty(lams.shape, complex)
-        tv[~real] = _apply(tau, tau.fn, lams[~real].astype(complex))
-        tv[real] = _boundary_values(tau, lams[real])
-    inf = ~np.isfinite(tv)
-    if np.count_nonzero(inf):
-        tv = np.where(inf, 0.0, tv)
-    return tv, inf
+        return out
+    if n_real == lams.size:  # a batch of one kind takes one call on the whole array
+        return _boundary_values(tau, lams)
+    if n_real == 0:
+        return _apply(tau, tau.fn, lams.astype(complex))
+    out[:, ~real] = _apply(tau, tau.fn, lams[~real].astype(complex))
+    out[:, real] = _boundary_values(tau, lams[real])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +315,7 @@ def asymptotics(
         raise ConfigError("asymptotics undefined for the infinite parameter")
 
     ys = y0 * np.exp2(np.arange(K + 1))
-    tv = np.array([tau.fn(1j * y) for y in ys], dtype=complex)
+    tv = np.array([_ratio(_apply(tau, tau.fn, 1j * y)) for y in ys])
     if not np.all(np.isfinite(tv)):
         raise UnresolvedAsymptoticsError("parameter evaluation not finite along iy")
 
@@ -470,8 +444,8 @@ def check_nevanlinna(
     for r in radii:
         for ang in args:
             lam = r * cmath.exp(1j * ang)
-            val = complex(tau.fn(lam))
-            mirror = complex(tau.fn(lam.conjugate()))
+            val = _ratio(_apply(tau, tau.fn, lam))
+            mirror = _ratio(_apply(tau, tau.fn, lam.conjugate()))
             if not (cmath.isfinite(val) and cmath.isfinite(mirror)):
                 raise UnresolvedAsymptoticsError(f"parameter not finite at {lam}")
             neg_im = -val.imag

@@ -2,12 +2,13 @@
 
 The central object is the Weyl-type quotient
 
-    m_tau(lambda) = (psi(b,lambda) tau(lambda) - psi^[1](b,lambda))
-                    / (phi(b,lambda) tau(lambda) - phi^[1](b,lambda))
+    m_tau(lambda) = (psi(b,lambda) tau1(lambda) - psi^[1](b,lambda) tau2(lambda))
+                    / (phi(b,lambda) tau1(lambda) - phi^[1](b,lambda) tau2(lambda))
 
-(tau = Infinity gives psi(b)/phi(b)).  m_tau is a Nevanlinna function; its
-boundary behaviour on the real axis encodes a non-decreasing spectral
-function sigma:
+with tau = tau1/tau2 carried as the finite pair (tau1, tau2) of
+nevanlinna._tau_array (tau = infinity is (1, 0) and gives psi(b)/phi(b)).
+m_tau is a Nevanlinna function; its boundary behaviour on the real axis
+encodes a non-decreasing spectral function sigma:
 
 * density of the absolutely continuous part: rho(u) = (1/pi) lim Im
   m(u + i eps);
@@ -16,10 +17,10 @@ function sigma:
 
 Two inversion routes are kept deliberately separate.  The boundary route
 evaluates tau's own boundary values tau+(u) and uses the exact identity
-Im m(u+i0) = Im tau+(u) / |phi(b,u) tau+(u) - phi^[1](b,u)|^2, valid for
-real coefficient problems where phi(b,u) is real.  The extrapolation route
-samples Im m(u + i eps) at the six fixed eps of _EPS and extrapolates
-polynomially to eps = 0.  Point masses are similarly computed by residue
+Im m(u+i0) = Im(tau1 conj(tau2)) / |phi(b,u) tau1 - phi^[1](b,u) tau2|^2,
+valid for real coefficient problems where phi(b,u) is real.  The
+extrapolation route samples Im m(u + i eps) at the six fixed eps of _EPS
+and extrapolates polynomially to eps = 0.  Point masses are similarly computed by residue
 and by the eps-limit of eps * Im m, and the two must agree; the residue
 takes D' from a complex step, Im D(lambda_k + i h) / h, which has no
 cancellation, so N, D' and the eps samples all come off one walk of
@@ -64,7 +65,6 @@ _EXCLUSION = 1e-3  # ac nodes keep |u - s_k| >= _EXCLUSION * (1 + |s_k|)
 _SCAN_NODES = 200_000  # most nodes find_eigenvalues lays on its scan grid
 _ROOT_XTOL, _ROOT_RTOL = 2e-12, 1e-14  # eigenvalue brackets: width <= 2e-12 + 4e-14 |lambda|
 _PHASE_ERR_CAP = 1e-6  # most rounding error, in rad, of the phase at b and of the scan angle
-_TAU_AT_POLE = 1e300  # tau+ of a scan node at a pole of tau: above every finite tau+
 _COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 + |lambda|)
 _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2^-j, j = 7..12
 
@@ -83,12 +83,20 @@ def _endpoints(problem: SLProblem, lams) -> np.ndarray:
     return endpoint_states(problem, lams)
 
 
-def _quotient(problem: SLProblem, lams, tv, inf):
-    """N = psi tau - psi^[1] and D = phi tau - phi^[1] at b for every lam, from
-    tau values tv; N = psi and D = phi where inf marks tau = infinity."""
+def _quotient(problem: SLProblem, lams, t):
+    """N = psi tau1 - psi^[1] tau2 and D = phi tau1 - phi^[1] tau2 at b for
+    every lam, from the pairs t = (tau1, tau2) of _tau_array."""
     y, y1 = _endpoints(problem, lams).transpose(1, 2, 0)  # columns phi, psi
-    den, num = np.where(inf, y, y * tv - y1) if np.count_nonzero(inf) else y * tv - y1
+    den, num = y * t[0] - y1 * t[1]
     return num, den
+
+
+def _complex_tau(t, rtol: float) -> np.ndarray:
+    """Where tau = tau1/tau2 is not real: |Im tau| > rtol (1 + |tau|)
+    multiplied through by |tau2|^2, |Im(tau1 conj(tau2))| > rtol (1 +
+    |tau1 conj(tau2)|), so a pole of tau needs no division."""
+    w = t[0] * t[1].conj()
+    return np.abs(w.imag) > rtol * (1.0 + np.abs(w))
 
 
 def _pole_error(lam, den) -> PoleProximityError:
@@ -100,7 +108,7 @@ def _pole_error(lam, den) -> PoleProximityError:
 def _m_values(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     """m_tau at every lam in lams; raises PoleProximityError if one is at a pole."""
     lams = np.asarray(lams, dtype=complex)
-    num, den = _quotient(problem, lams, *_tau_array(tau, lams))
+    num, den = _quotient(problem, lams, _tau_array(tau, lams))
     at_pole = np.abs(den) <= _POLE_GUARD * np.abs(num)
     if np.count_nonzero(at_pole):
         i = int(np.argmax(at_pole))
@@ -118,21 +126,21 @@ def m_function(problem: SLProblem, tau: BoundaryParam, lam: complex) -> complex:
 
 
 def _density_boundary(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
-    """(1/pi) Im m(u+i0) at every u from tau's boundary values; exact in eps."""
+    """(1/pi) Im m(u+i0) = Im(tau1 conj(tau2)) / (pi |D|^2) at every u from
+    tau's boundary values; exact in eps.  D is refused where it is below
+    1e-10 of its bound (|phi| + |phi^[1]|) (|tau1| + |tau2|), which for tau =
+    infinity, D = phi, compares phi with phi^[1]."""
     us = np.asarray(us, dtype=float)
-    tv, inf = _tau_array(tau, us)
+    t = _tau_array(tau, us)
     (ph, _), (ph1, _) = _endpoints(problem, us).transpose(1, 2, 0)
-    ph_tv = ph * tv
-    den = ph_tv - ph1
-    scale = np.maximum(np.maximum(np.abs(ph_tv), np.abs(ph1)), 1e-300)
-    if np.count_nonzero(inf):
-        den, scale = np.where(inf, ph, den), np.where(inf, np.abs(ph) + np.abs(ph1), scale)
-    pole = np.abs(den) < 1e-10 * scale
+    den = ph * t[0] - ph1 * t[1]
+    pole = np.abs(den) < 1e-10 * (np.abs(ph) + np.abs(ph1)) * (np.abs(t[0]) + np.abs(t[1]))
     if np.count_nonzero(pole):
         raise PoleContaminatedError(
             f"boundary denominator vanishes at u={us[pole][0]}: point mass nearby"
         )
-    return np.where(tv.imag == 0.0, 0.0, tv.imag / (math.pi * np.abs(den) ** 2))
+    im = (t[0] * t[1].conj()).imag  # |tau2|^2 Im tau
+    return np.where(im == 0.0, 0.0, im / (math.pi * np.abs(den) ** 2))
 
 
 @lru_cache(maxsize=8)
@@ -224,20 +232,18 @@ def _ell(problem: SLProblem) -> float:
 
 
 def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
-    """(D, N, valid) at the real points us, both divided by max(1, |tau+|):
-    one positive scale, which bounds the scan through large tau and keeps
-    the angle of (D, N).  Nodes where tau+ is genuinely complex (ac
-    spectrum) are invalid.  However large a real tau+ is, its node stays
-    valid: across a pole of tau the scaled pair flips sign, which
-    _scan_segment tracks from the fall of tau+."""
+    """(D, N, valid) at the real points us, both divided by max(|tau1|,
+    |tau2|): one positive scale, which bounds the scan through large tau
+    and keeps the angle of (D, N).  Nodes where tau+ is genuinely complex
+    (ac spectrum) are invalid.  A pole of tau is a zero of tau2, across
+    which the scaled pair stays continuous."""
     us = np.asarray(us, dtype=float)
-    tv, inf = _tau_array(tau, us)
-    valid = inf | (np.abs(tv.imag) <= 1e-12 * (1.0 + np.abs(tv)))
+    t = _tau_array(tau, us)
+    valid = ~_complex_tau(t, 1e-12)
     out = np.zeros((2, us.size))
     if np.any(valid):
-        tr, inf = tv.real[valid], inf[valid]
-        scale = np.where(inf, 1.0, np.maximum(1.0, np.abs(tr)))
-        out[:, valid] = np.array(_quotient(problem, us[valid], tr, inf)) / scale
+        t = t[:, valid].real
+        out[:, valid] = np.array(_quotient(problem, us[valid], t)) / np.maximum(*np.abs(t))
     return out[1], out[0], valid
 
 
@@ -265,15 +271,10 @@ def _complex_step(problem: SLProblem, tau: BoundaryParam, lams, eps=()):
     im = np.empty((lams.size, 1 + len(eps)))
     im[:, 0], im[:, 1:] = h, eps
     z = lams[:, None] + 1j * im
-    tv, inf = _tau_array(tau, z)
-    if tau.kind == "analytic":
-        tv0 = tv[:, 0]
-        complex_tv = ~inf[:, 0] & (np.abs(tv0.imag) > 1e-12 * (1.0 + np.abs(tv0)))
-    else:  # a constant or infinite tau is real
-        complex_tv = np.zeros(lams.size, bool)
-    num, den = _quotient(problem, z.ravel(), tv.ravel(), inf.ravel())
+    t = _tau_array(tau, z)
+    num, den = _quotient(problem, z.ravel(), t.reshape(2, -1))
     num, den = num.reshape(z.shape), den.reshape(z.shape)
-    return z, num, den, den[:, 0].imag / h, complex_tv
+    return z, num, den, den[:, 0].imag / h, _complex_tau(t[:, :, 0], 1e-12)
 
 
 def _poles(problem: SLProblem, tau: BoundaryParam, roots) -> np.ndarray:
@@ -300,7 +301,7 @@ def _winding_confirms(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bo
     h, v = 1e-2 * (1.0 + abs(lam0)), 1e-2
     c = np.array([complex(lam0 + x, y) for x, y in ((-h, -v), (h, -v), (h, v), (-h, v), (-h, -v))])
     z = (c[:-1, None] + (c[1:] - c[:-1])[:, None] * np.linspace(0.0, 1.0, 50, endpoint=False)).ravel()
-    _, samples = _quotient(problem, z, *_tau_array(tau, z))
+    _, samples = _quotient(problem, z, _tau_array(tau, z))
     q = np.roll(samples, -1) / samples
     total = float(np.sum(np.arctan2(q.imag, q.real)))
     return round(total / (2 * math.pi)) >= 1
@@ -313,59 +314,41 @@ def _scan_segment(problem: SLProblem, tau: BoundaryParam, s_nodes: np.ndarray):
 
     A cell between valid nodes counts its zeros from the turn of (D, N).
     m = N/D increases between its poles, so theta = atan2(N, D) only
-    increases, by pi from one zero of D to the next.  h counts the zeros of
-    D, the marks theta = -pi/2 and pi/2, in (-pi, theta], exactly from the
-    signs; a turn in [0, 2 pi) passes h1 - h0 of them, two more where it
-    wraps past pi, and a step back within _PHASE_ERR_CAP is a turn of 0 in
-    rounding.  So the count is exact while a cell turns less than 2 pi, and
-    a near-tangent pair with no sign change counts 2.  Cells holding two are
-    halved in s until each holds one, all of one level in one _scan_values
-    call; a cell with an invalid midpoint is dropped, and two zeros still
-    together at rounding width raise DoubleRootError.
-
-    A real analytic tau also increases between its own poles, so a cell
-    where tau+ falls holds one.  Across it the scaled pair flips sign and
-    the count is off by one, so the cell is halved with the rest instead.
-    The half holding the pole falls again, and it is dropped once it is no
-    wider than an eigenvalue bracket (_ROOT_XTOL + _ROOT_RTOL |u|): D ~
-    phi(b) tau has no zero that close unless phi(b) vanishes at the pole
-    too.  A node at the pole reads tau = +inf, its limit from the left,
-    marked _TAU_AT_POLE.
+    increases, by pi from one zero of D to the next.  The pair of
+    _scan_values is continuous where tau2 crosses 0, so this holds through
+    a pole of tau too (a real tau1/tau2 also increases between its poles).
+    h counts the zeros of D, the marks theta = -pi/2 and pi/2, in (-pi,
+    theta], exactly from the signs; a turn in [0, 2 pi) passes h1 - h0 of
+    them, two more where it wraps past pi, and a step back within
+    _PHASE_ERR_CAP is a turn of 0 in rounding.  So the count is exact while
+    a cell turns less than 2 pi, and a near-tangent pair with no sign
+    change counts 2.  Cells holding two are halved in s until each holds
+    one, all of one level in one _scan_values call; a cell with an invalid
+    midpoint is dropped, and two zeros still together at rounding width
+    raise DoubleRootError.
     """
     roots, brackets, mid = [], [], np.asarray(s_nodes, dtype=float)
     lo = hi = None
     while True:
-        us = _u_of(mid)
-        taus = np.zeros(us.shape)
-        if tau.kind == "analytic":
-            tv, inf = _tau_array(tau, us)
-            taus = np.where(inf, _TAU_AT_POLE, tv.real)
-        nodes = np.stack([mid, *_scan_values(problem, tau, us), taus])
+        nodes = np.stack([mid, *_scan_values(problem, tau, _u_of(mid))])
         roots += _u_of(mid[(nodes[3] != 0.0) & (nodes[1] == 0.0)]).tolist()
         if lo is None:  # the first level: the cells between the s nodes
             lo, hi = nodes[:, :-1], nodes[:, 1:]
         else:
             lo, hi = np.concatenate([lo, nodes], axis=1), np.concatenate([nodes, hi], axis=1)
-        (_, d0, n0, v0, t0), (_, d1, n1, v1, t1) = lo, hi
+        (_, d0, n0, v0), (_, d1, n1, v1) = lo, hi
         h0, h1 = (np.where(d > 0.0, 1, 2 * (n >= 0.0) + ((d == 0.0) & (n < 0.0)))
                   for d, n in ((d0, n0), (d1, n1)))
         wrap = (h1 < h0) | ((h1 == h0) & (np.arctan2(n1, d1) < np.arctan2(n0, d0) - _PHASE_ERR_CAP))
-        valid = v0 * v1 != 0.0
-        count = np.where(valid, h1 - h0 + 2 * wrap - (d1 == 0.0), 0)
-        # a fall beyond rounding of tau+ marks a pole of tau
-        falls = valid & (t1 < t0 - 1e-12 * (np.abs(t0) + np.abs(t1)))
-        brackets += zip(*(x[(count == 1) & ~falls].tolist() for x in (lo[0], hi[0], d0, d1)))
-        split = (count > 1) | falls
-        lo, hi, falls = lo[:, split], hi[:, split], falls[split]
-        mid = 0.5 * (lo[0] + hi[0])
-        if np.any(pair := ~falls & ((mid <= lo[0]) | (mid >= hi[0]))):
-            at = _u_of(float(mid[np.argmax(pair)]))
-            raise DoubleRootError(f"two zeros of D within rounding of lambda={at:.8g}")
-        # a pole of tau is cut off once its cell is no wider than a bracket
-        wide = _u_of(hi[0]) - _u_of(lo[0]) > _ROOT_XTOL + _ROOT_RTOL * np.abs(_u_of(mid))
-        lo, hi, mid = lo[:, ~falls | wide], hi[:, ~falls | wide], mid[~falls | wide]
+        count = np.where(v0 * v1 != 0.0, h1 - h0 + 2 * wrap - (d1 == 0.0), 0)
+        brackets += zip(*(x[count == 1].tolist() for x in (lo[0], hi[0], d0, d1)))
+        lo, hi = lo[:, count > 1], hi[:, count > 1]
         if not lo.size:
             return roots, brackets
+        mid = 0.5 * (lo[0] + hi[0])
+        if np.any(pair := (mid <= lo[0]) | (mid >= hi[0])):
+            at = _u_of(float(mid[np.argmax(pair)]))
+            raise DoubleRootError(f"two zeros of D within rounding of lambda={at:.8g}")
 
 
 def find_eigenvalues(
@@ -610,13 +593,11 @@ def build_spectral_function(
     nodes, lo, hi = nodes[keep], lo[keep], hi[keep]
 
     dens = np.zeros(nodes.size)
-    if tau.kind == "analytic":  # with boundary values, or find_eigenvalues had refused it
-        tv, inf = _tau_array(tau, nodes)
-        # real boundary value: Im m(u+i0) = 0 exactly off the poles, and pole
-        # neighbourhoods are already excluded above
-        need = ~inf & (np.abs(tv.imag) > 1e-14 * (1.0 + np.abs(tv)))
-        if np.any(need):
-            dens[need] = _density_boundary(problem, tau, nodes[need])
+    # real boundary value: Im m(u+i0) = 0 exactly off the poles, and pole
+    # neighbourhoods are already excluded above
+    need = _complex_tau(_tau_array(tau, nodes), 1e-14)
+    if np.any(need):
+        dens[need] = _density_boundary(problem, tau, nodes[need])
     return SpectralFunction(
         ac_grid=nodes,
         ac_density=dens,

@@ -26,6 +26,16 @@ from slspectra import (
 )
 
 
+def _pair_of(f):
+    """The closure returning the pair (f(lambda), 1)."""
+
+    def pair(lam):
+        lam = np.asarray(lam)
+        return np.stack([f(lam), np.ones_like(lam)])
+
+    return pair
+
+
 class TestEvalParam:
     def test_constant(self):
         assert eval_param(constant(3.0), 1j) == 3.0
@@ -62,7 +72,7 @@ class TestAsymptotics:
     @settings(max_examples=20, deadline=None)
     @given(c=st.floats(0.1, 50), theta=st.floats(-10, 10))
     def test_linear_slope_detected(self, c, theta):
-        tau = BoundaryParam(kind="analytic", fn=lambda lam: c * lam + theta)
+        tau = BoundaryParam(kind="analytic", fn=_pair_of(lambda lam: c * lam + theta))
         asym = asymptotics(tau)
         assert asym.B == pytest.approx(c, rel=1e-6)
 
@@ -118,7 +128,7 @@ class TestNevanlinnaCheck:
         assert check_nevanlinna(sqrt_param(), 50, 1e-9).ok
 
     def test_conjugate_rejected(self):
-        bad = BoundaryParam(kind="analytic", fn=lambda lam: lam.conjugate())
+        bad = BoundaryParam(kind="analytic", fn=_pair_of(np.conj))
         report = check_nevanlinna(bad, 50, 1e-9)
         assert not report.ok
         assert report.worst_im > 1e-9
@@ -162,7 +172,7 @@ class TestArgumentErrorsAreConfigErrors:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: BoundaryParam(kind="analytic", fn=lambda lam: lam).boundary_value(1.0),
+            lambda: BoundaryParam(kind="analytic", fn=_pair_of(lambda lam: lam)).boundary_value(1.0),
             lambda: eval_param(mobius(1.0, 0.0, 0.0, 1.0), 2.0),
             lambda: asymptotics(infinity()),
             lambda: EtaRelation(case="half"),
@@ -180,8 +190,9 @@ class TestArgumentErrorsAreConfigErrors:
 
 
 class TestArrayClosures:
-    """The built-in closures on arrays give the bits of the scalar formulas
-    they replaced, so batched and per-lambda evaluation agree exactly."""
+    """The built-in closures on arrays give the pairs (tau1, tau2) of the
+    scalar formulas, and eval_param and boundary_value divide them with the
+    bits of the one-value closures they replaced."""
 
     rng = np.random.default_rng(7)
     LAMS = (rng.standard_normal(4000) * 10.0 ** rng.integers(-6, 7, 4000)
@@ -190,20 +201,43 @@ class TestArrayClosures:
 
     def test_sqrt(self):
         tau = sqrt_param()
-        assert np.array_equal(tau.fn(self.LAMS), [cmath.sqrt(z) for z in map(complex, self.LAMS)])
+        t1, t2 = tau.fn(self.LAMS)
+        assert np.array_equal(t1, [cmath.sqrt(z) for z in map(complex, self.LAMS)])
+        assert np.array_equal(t2, np.ones(self.LAMS.shape))
         want = [complex(math.sqrt(u)) if u >= 0.0 else 1j * math.sqrt(-u) for u in self.US]
-        got = tau.boundary_fn(self.US)
+        (got, ones) = tau.boundary_fn(self.US)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got.real),
                                                             np.signbit(np.real(want)))
+        assert np.array_equal(ones, np.ones(self.US.shape))
+        assert [eval_param(tau, z) for z in self.LAMS[:300]] == [cmath.sqrt(z) for z in
+                                                                 map(complex, self.LAMS[:300])]
+        assert [tau.boundary_value(u) for u in self.US] == want
 
     @pytest.mark.parametrize("coef", [(1.0, 2.0, 0.0, 1.0), (1.0, 0.0, -1.0, 2.0),
                                       (2.0, -1.0, 3.0, 0.5), (0.3, -7.0, 1e-3, 5.0)])
     def test_mobius(self, coef):
         a, b, c, d = coef
         tau = mobius(*coef)
-        want = [(a * z + b) / (c * z + d) for z in map(complex, self.LAMS)]  # Python's division
+        lams = list(map(complex, self.LAMS))
+        want = [[a * z + b for z in lams], [c * z + d for z in lams]]
         assert np.array_equal(tau.fn(self.LAMS), want)
+        assert np.array_equal(tau.boundary_fn(self.US), [a * self.US + b, c * self.US + d])
+        # Python's division, as the one-value closure divided
+        assert [eval_param(tau, z) for z in lams[:300]] == [(a * z + b) / (c * z + d)
+                                                            for z in lams[:300]]
         want = [complex(math.inf) if c * u + d == 0.0 else complex((a * u + b) / (c * u + d))
                 for u in self.US]
-        assert np.array_equal(tau.boundary_fn(self.US), want)
-        assert complex(tau.fn(complex(self.LAMS[0]))) == complex(tau.fn(self.LAMS[:1])[0])
+        assert [tau.boundary_value(u) for u in self.US] == want
+        assert np.array_equal(tau.fn(complex(self.LAMS[0])), tau.fn(self.LAMS[:1])[:, 0])
+
+    def test_infinity_at_a_pole(self):
+        # tau2 = 0: the one-value closure's inf flag
+        assert eval_param(infinity(), 1j) == mobius(1.0, 0.0, -1.0, 2.0).boundary_value(2.0)
+        assert math.isinf(mobius(1.0, 0.0, -1.0, 2.0).boundary_value(2.0).real)
+
+    def test_one_value_closure_refused(self):
+        tau = BoundaryParam(kind="analytic", fn=lambda lam: lam)
+        for call in (lambda: eval_param(tau, 1j), lambda: asymptotics(tau),
+                     lambda: check_nevanlinna(tau, 4)):
+            with pytest.raises(ConfigError, match=r"pair \(tau1, tau2\)"):
+                call()

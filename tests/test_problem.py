@@ -82,6 +82,20 @@ class TestRules:
         r = TableRule(ts, vs, order=3)
         assert r(np.array([0.5]))[0] == pytest.approx(math.sin(0.5))
 
+    def test_table_rule_is_a_spline(self):
+        # one make_interp_spline of the given order through all samples, not
+        # local polynomial interpolation: its order-th derivative jumps at
+        # an inner knot
+        from scipy.interpolate import make_interp_spline
+
+        ts = (0.0, 0.25, 0.5, 0.75, 1.0)
+        vs = tuple(math.sin(3.0 * t) for t in ts)
+        x = np.linspace(0.0, 1.0, 41)
+        for order in (1, 3):
+            spline = make_interp_spline(ts, vs, k=order)
+            np.testing.assert_array_equal(TableRule(ts, vs, order=order)(x), spline(x))
+            assert abs(spline(0.5 + 1e-9, order) - spline(0.5 - 1e-9, order)) > 1e-3
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -142,6 +156,22 @@ class TestValidation:
             QuadConfig(abs_tol=-1.0)
         with pytest.raises(ConfigError):
             QuadConfig(max_subdivisions=2)
+
+
+def test_negative_p_accepted():
+    # p = -1: y'' = lambda y with y^[1] = -y', so tau = 0 keeps the Neumann
+    # eigenvalues -(k pi)^2 with masses 1, 2, 2, 2, and m is Nevanlinna
+    from slspectra import constant, find_eigenvalues, m_function, point_mass
+
+    prob = constant_coefficient_problem(p=-1.0)
+    tau = constant(0.0)
+    eigs = find_eigenvalues(prob, tau, (-100.0, 10.0))
+    want = [-(k * math.pi) ** 2 for k in (3, 2, 1, 0)]
+    np.testing.assert_allclose(eigs, want, rtol=1e-12, atol=1e-12)
+    masses = [point_mass(prob, tau, lam) for lam in eigs]
+    np.testing.assert_allclose(masses, [2.0, 2.0, 2.0, 1.0], rtol=1e-10)
+    for lam in (1j, -50.0 + 3.0j, 40.0 + 0.5j, -5.0 + 1e-2j, 1e3 + 10.0j):
+        assert m_function(prob, tau, lam).imag > 0.0
 
 
 class TestConfig:

@@ -988,6 +988,28 @@ class TestConstantPerturbation:
         rk = propagator._walk(rk_variant(prob), np.array([1.0]), np.eye(2))
         assert {type(seg).__name__ for seg in rk} == {"_ReferenceSegment"}
 
+    def test_magnus_past_the_step_cap(self, poly, monkeypatch):
+        # a piece whose CPM mesh would need more than _CPM_MAX_STEPS steps
+        # keeps the Magnus segment: with the cap at 8, the 16-step mesh of
+        # poly is refused, and the Magnus states match the CPM ones
+        lams = np.array([-50.0, 1.0, 100.0, 1e4])
+        t0, t1, rules, _ = propagator._pieces(poly)[0]
+        tol = max(poly.quad.ode_tol, propagator._MIN_RTOL)
+        propagator._cpm_mesh.cache_clear()
+        assert propagator._cpm_mesh(rules, t0, t1, tol).n == 16
+        want = propagator.endpoint_states(poly, lams)
+        monkeypatch.setattr(propagator, "_CPM_MAX_STEPS", 8)
+        propagator._cpm_mesh.cache_clear()
+        try:
+            assert propagator._cpm_mesh(rules, t0, t1, tol) is None
+            segments = propagator._walk(poly, lams, np.eye(2))
+            assert [type(seg).__name__ for seg in segments] == ["_MagnusSegment"]
+            got = propagator.endpoint_states(poly, lams)
+        finally:
+            propagator._cpm_mesh.cache_clear()
+        scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-9
+
     def test_corrections_to_fourth_order(self):
         # one step in s with a polynomial perturbation W: three corrections
         # leave an error of order W^4, measured against DOP853 at 1e-13

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import oracles
 from scipy.optimize import brentq as scipy_brentq
 from slspectra import loads_problem, spectral
-from slspectra.nevanlinna import INF_FLAG, _tau_value
 from slspectra.propagator import fundamental_trajectory
 from slspectra import (
     ConfigError,
@@ -26,6 +25,7 @@ from slspectra import (
     build_spectral_function,
     constant,
     find_eigenvalues,
+    infinity,
     m_function,
     mobius,
     parse_tau,
@@ -38,6 +38,21 @@ from slspectra import (
 
 C0 = constant(0.0)
 SQRT = sqrt_param()
+
+
+def _tau_pair(tau, lam):
+    """(tau1, tau2) at one lam from one scalar closure call: fn off the real
+    axis, boundary_fn on it."""
+    if tau.kind != "analytic":
+        return (complex(tau.theta), 1.0 + 0j) if tau.kind == "constant" else (1.0 + 0j, 0j)
+    t1, t2 = tau.fn(lam) if lam.imag else tau.boundary_fn(lam.real)
+    return complex(t1), complex(t2)
+
+
+def _opaque(lam):
+    """The pair (i lambda, 1), with no boundary values."""
+    lam = np.asarray(lam)
+    return np.stack([1.0j * lam, np.ones_like(lam)])
 
 
 class TestMFunction:
@@ -175,12 +190,12 @@ class TestEigenvalues:
         assert got == pytest.approx([0.0, math.pi**2], abs=1e-8)
 
     def test_analytic_tau_needs_boundary_values(self, free):
-        opaque = BoundaryParam(kind="analytic", fn=lambda lam: 1.0j * lam)
+        opaque = BoundaryParam(kind="analytic", fn=_opaque)
         with pytest.raises(ValueError):
             find_eigenvalues(free, opaque, (0.0, 10.0))
 
     def test_argument_errors_are_config_errors(self, free):
-        opaque = BoundaryParam(kind="analytic", fn=lambda lam: 1.0j * lam)
+        opaque = BoundaryParam(kind="analytic", fn=_opaque)
         with pytest.raises(ConfigError):
             find_eigenvalues(free, opaque, (0.0, 10.0))
         with pytest.raises(ConfigError):
@@ -377,25 +392,23 @@ def _endpoints(problem, lam):
 def _scan_values_per_lambda(problem, tau, us):
     den, num, valid = np.zeros(len(us)), np.zeros(len(us)), np.zeros(len(us), dtype=bool)
     for i, u in enumerate(us):
-        tv = _tau_value(tau, complex(u))
-        if tv is not INF_FLAG and abs(tv.imag) > 1e-12 * (1.0 + abs(tv)):
+        t1, t2 = _tau_pair(tau, complex(u))
+        w = t1 * t2.conjugate()
+        if abs(w.imag) > 1e-12 * (1.0 + abs(w)):
             continue
         ph, ps = _endpoints(problem, float(u))
-        if tv is INF_FLAG:
-            den[i], num[i] = ph.y.real, ps.y.real
-        else:
-            scale = max(1.0, abs(tv.real))
-            den[i] = (ph.y.real * tv.real - ph.y1.real) / scale
-            num[i] = (ps.y.real * tv.real - ps.y1.real) / scale
+        scale = max(abs(t1), abs(t2))
+        den[i] = (ph.y.real * t1.real - ph.y1.real * t2.real) / scale
+        num[i] = (ps.y.real * t1.real - ps.y1.real * t2.real) / scale
         valid[i] = True
     return den, num, valid
 
 
-def _quotient_per_lambda(problem, lams, tv, inf):
+def _quotient_per_lambda(problem, lams, t):
     out = []
-    for lam, t, is_inf in zip(lams, tv, inf):
+    for lam, t1, t2 in zip(lams, *t):
         ph, ps = _endpoints(problem, complex(lam))
-        out.append((ps.y, ph.y) if is_inf else (ps.y * t - ps.y1, ph.y * t - ph.y1))
+        out.append((ps.y * t1 - ps.y1 * t2, ph.y * t1 - ph.y1 * t2))
     return np.array(out, dtype=complex).reshape(-1, 2).T
 
 
@@ -404,11 +417,8 @@ def _m_values_per_lambda(problem, tau, lams):
     for lam in lams:
         lam = complex(lam)
         ph, ps = _endpoints(problem, lam)
-        tv = _tau_value(tau, lam)
-        if tv is INF_FLAG:
-            num, den = ps.y, ph.y
-        else:
-            num, den = ps.y * tv - ps.y1, ph.y * tv - ph.y1
+        t1, t2 = _tau_pair(tau, lam)
+        num, den = ps.y * t1 - ps.y1 * t2, ph.y * t1 - ph.y1 * t2
         if abs(den) <= spectral._POLE_GUARD * abs(num):
             raise PoleProximityError(f"pole at {lam}")
         out.append(num / den)
@@ -418,14 +428,10 @@ def _m_values_per_lambda(problem, tau, lams):
 def _density_boundary_per_lambda(problem, tau, us):
     out = []
     for u in us:
-        tv = _tau_value(tau, complex(u))
+        t1, t2 = _tau_pair(tau, complex(u))
         ph, _ = _endpoints(problem, float(u))
-        if tv is INF_FLAG:
-            den, im_t, scale = ph.y, 0.0, abs(ph.y) + abs(ph.y1)
-        else:
-            den, im_t = ph.y * tv - ph.y1, tv.imag
-            scale = max(abs(ph.y * tv), abs(ph.y1), 1e-300)
-        if abs(den) < 1e-10 * scale:
+        den, im_t = ph.y * t1 - ph.y1 * t2, (t1 * t2.conjugate()).imag
+        if abs(den) < 1e-10 * (abs(ph.y) + abs(ph.y1)) * (abs(t1) + abs(t2)):
             raise PoleContaminatedError(f"pole near {u}")
         out.append(0.0 if im_t == 0.0 else im_t / (math.pi * abs(den) ** 2))
     return np.array(out)
@@ -439,9 +445,9 @@ def _winding_per_lambda(problem, tau, lam0):
     for z0, z1 in zip(corners[:-1], corners[1:]):
         for frac in np.linspace(0.0, 1.0, 50, endpoint=False):
             z = z0 + (z1 - z0) * frac
-            tv = _tau_value(tau, z)
+            t1, t2 = _tau_pair(tau, z)
             ph, _ = _endpoints(problem, z)
-            samples.append(ph.y if tv is INF_FLAG else ph.y * tv - ph.y1)
+            samples.append(ph.y * t1 - ph.y1 * t2)
     total = sum(math.atan2((w1 / w0).imag, (w1 / w0).real)
                 for w0, w1 in zip(samples, samples[1:] + samples[:1]))
     return round(total / (2 * math.pi)) >= 1
@@ -782,7 +788,7 @@ class TestScanSegment:
 
 
 class TestTauArray:
-    """_tau_array against the per-lambda _tau_value it batches."""
+    """_tau_array against the per-lambda pairs it batches."""
 
     REAL = np.array([-40.0, -1.0, 0.0, 0.5, 2.0, 900.0])
     COMPLEX = np.array([-40.0 + 1e-3j, 0.5 - 2.0j, 3.0 + 0.0j, 1e4j])
@@ -793,11 +799,10 @@ class TestTauArray:
         # real, mixed, empty, and all non-real in one and two dimensions
         off_axis = self.COMPLEX[self.COMPLEX.imag != 0.0]
         for lams in (self.REAL, self.COMPLEX, self.REAL[:0], off_axis, off_axis[[0, 1, 2, 0]].reshape(2, 2)):
-            tv, inf = spectral._tau_array(tau, lams)
-            want = [_tau_value(tau, complex(lam)) for lam in lams.ravel()]
-            np.testing.assert_array_equal(inf.ravel(), [w is INF_FLAG for w in want])
-            np.testing.assert_array_equal(tv.ravel(), [0.0 if w is INF_FLAG else w for w in want])
-            assert tv.dtype == complex and inf.dtype == bool and tv.shape == lams.shape
+            t = spectral._tau_array(tau, lams)
+            want = [_tau_pair(tau, complex(lam)) for lam in lams.ravel()]
+            np.testing.assert_array_equal(t.reshape(2, -1).T, np.reshape(want, (-1, 2)))
+            assert t.dtype == complex and t.shape == (2, *lams.shape)
 
 
 # Per-lambda oracles of the batched spectral assembly: point_mass as it was
@@ -812,10 +817,11 @@ def _point_mass_per_lambda(problem, tau, lam_k):
     eps = spectral._EPS
     h = spectral._COMPLEX_STEP * (1.0 + abs(lam_k))
     z = np.array([lam_k + 1j * h])
-    tv, inf = spectral._tau_array(tau, z)
-    if not inf[0] and abs(tv[0].imag) > 1e-12 * (1.0 + abs(tv[0])):
+    t = spectral._tau_array(tau, z)
+    w = complex(t[0, 0] * t[1, 0].conjugate())
+    if abs(w.imag) > 1e-12 * (1.0 + abs(w)):
         raise ConfigError(f"tau+({lam_k}) is not real; no real pole possible here")
-    num, den = spectral._quotient(problem, z, tv, inf)
+    num, den = spectral._quotient(problem, z, t)
     d_prime = float(den[0].imag) / h
     if d_prime == 0.0:
         raise CrossCheckError(f"D'({lam_k}) = 0: not a simple pole")
@@ -911,7 +917,7 @@ class TestBatchedAssembly:
         orig = spectral._quotient
         monkeypatch.setattr(
             spectral, "_quotient",
-            lambda prob, lams, tv, inf: edit(np.asarray(lams), orig(prob, lams, tv, inf)),
+            lambda prob, lams, t: edit(np.asarray(lams), orig(prob, lams, t)),
         )
 
     @pytest.mark.filterwarnings("error")
@@ -1049,8 +1055,7 @@ pieces =
 def _central_difference_mass(problem, tau, lam_k, h):
     """-N/D' at lambda_k with D' = (D(lambda_k + h) - D(lambda_k - h)) / 2h."""
     us = np.array([lam_k, lam_k + h, lam_k - h])
-    tv, inf = spectral._tau_array(tau, us)
-    num, den = spectral._quotient(problem, us, tv.real, inf)
+    num, den = spectral._quotient(problem, us, spectral._tau_array(tau, us).real)
     return -num[0] / ((den[1] - den[2]) / (2.0 * h))
 
 
@@ -1145,6 +1150,15 @@ class TestBatchInvariance:
         assert [spectral._is_pole(prob, tau, lam) for lam in candidates] == batch.tolist()
 
 
+def test_density_of_infinity(free):
+    # tau = (1, 0): Im m(u + i0) = 0 off the poles, and D = phi(1) =
+    # cos(sqrt(u)) vanishes at the Dirichlet eigenvalue pi^2/4
+    for u in (1.0, 10.0):
+        assert spectral_density(free, infinity(), u) == 0.0
+    with pytest.raises(PoleContaminatedError, match="boundary denominator vanishes"):
+        spectral_density(free, infinity(), math.pi**2 / 4.0)
+
+
 class TestMobiusScan:
     """A real Mobius tau scans as any analytic tau, past its own pole; the
     poles and jumps match the closed forms."""
@@ -1176,41 +1190,47 @@ class TestMobiusScan:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_scan_values_across_the_tau_pole(self, free):
-        # tau = u / (2 - u) scans as any analytic tau: (D, N) over max(1,
-        # |tau+|), so (2 - u) D over max(|2 - u|, u), which flips sign across
-        # the pole; a node reads (phi, psi) at it and stays valid next to it,
-        # however large |tau+| is there
+        # tau = u / (2 - u) is the pair (u, 2 - u): (D, N) over max(u, |2 -
+        # u|), continuous across the pole; a node at it reads (phi, psi)
         tau = mobius(1.0, 0.0, -1.0, 2.0)
         us = np.concatenate([np.linspace(1.0, 3.0, 9), 2.0 + np.array([-1e-9, -1e-7, 1e-7, 1e-9])])
         den, num, valid = spectral._scan_values(free, tau, us)
         assert np.all(valid)
         r, b = np.sqrt(us), 2.0 - us
-        scale = np.where(b == 0.0, 1.0, np.sign(b) * np.maximum(np.abs(b), us))
-        want = np.where(b == 0.0, np.cos(r), us * np.cos(r) + b * r * np.sin(r))
-        np.testing.assert_allclose(den, want / scale, rtol=1e-13)
-        want = np.where(b == 0.0, np.sin(r) / r, us * np.sin(r) / r - b * np.cos(r))
-        np.testing.assert_allclose(num, want / scale, rtol=1e-13)
+        scale = np.maximum(np.abs(b), us)
+        np.testing.assert_allclose(den, (us * np.cos(r) + b * r * np.sin(r)) / scale, rtol=1e-13)
+        np.testing.assert_allclose(num, (us * np.sin(r) / r - b * np.cos(r)) / scale, rtol=1e-13)
+
+    def test_pole_of_tau_at_a_dirichlet_eigenvalue(self, free):
+        # tau = u / (pi^2/4 - u) has its pole where phi(1) = cos(pi/2)
+        # vanishes: D = phi u - phi^[1] (pi^2/4 - u) has a zero there, a
+        # point mass 2/3 of m
+        lam0 = math.pi**2 / 4.0
+        tau = mobius(1.0, 0.0, -1.0, lam0)
+        got = find_eigenvalues(free, tau, (-3.0, 40.0))
+        want = oracles.mobius_poles_free(1.0, 0.0, -1.0, lam0, -3.0, 40.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        k = int(np.argmin(np.abs(np.array(got) - lam0)))
+        assert got[k] == pytest.approx(lam0, rel=1e-12)
+        mass = point_mass(free, tau, got[k])
+        assert abs(mass - oracles.mobius_mass_free(1.0, 0.0, -1.0, lam0, got[k])) <= 1e-10
+        assert mass == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
 def _pole_tau(p: float) -> BoundaryParam:
-    """tau = lambda - 1/(lambda - p): analytic, not Mobius, with a real pole at p."""
+    """tau = lambda - 1/(lambda - p): analytic, not Mobius, with a real pole
+    at p, as the pair (lambda^2 - p lambda - 1, lambda - p)."""
 
-    def fn(lam):
-        lam = np.asarray(lam, dtype=complex)
-        return lam - 1.0 / (lam - p)
+    def pair(lam):
+        lam = np.asarray(lam)
+        return np.stack([lam * lam - p * lam - 1.0, lam - p])
 
-    def boundary(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            return (u - 1.0 / (u - p)).astype(complex)
-
-    return BoundaryParam(kind="analytic", fn=fn, boundary_fn=boundary, name=f"pole-at-{p:g}")
+    return BoundaryParam(kind="analytic", fn=pair, boundary_fn=pair, name=f"pole-at-{p:g}")
 
 
 class TestTauPoleScan:
-    """A scan cell where an analytic tau+ falls holds a pole of tau, across
-    which the scaled pair flips sign; the search halves such cells until
-    the pole is cut off and finds every eigenvalue beside it."""
+    """A pole of tau is a zero of tau2, across which the scan's pair stays
+    continuous: the search finds every eigenvalue beside it."""
 
     @pytest.mark.parametrize("interval,n", [((-3.0, 40.0), 4), ((3.0, 40.0), 2)])
     def test_free_problem(self, free, interval, n):
@@ -1248,9 +1268,21 @@ class TestTauPoleScan:
         assert len(got) == len(want) == n
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
+    @pytest.mark.parametrize("p,interval", [
+        *((p, iv) for p in (30.0, 100.0, 1e3, 1e4, 3e4) for iv in ((p - 5e3, p + 5e3), (1.0, p + 5e3))),
+        (1e6, (1e6 - 5e3, 1e6 + 5e3))])
+    def test_root_just_above_the_pole(self, free, p, interval):
+        # D has a zero near p + 1/p, within 1e-4 of the pole for p = 1e4,
+        # in the scan cell that holds the pole
+        got = find_eigenvalues(free, _pole_tau(p), interval)
+        want = oracles.pole_tau_poles_free(p, *interval)
+        assert len(got) == len(want)
+        assert any(p < lam < p + 2.0 / p for lam in want)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
     def test_scan_node_at_the_pole(self, free):
-        # tau = lambda - 1/lambda is +inf at the node s = 0, its limit from the
-        # left: the cell to its right flips sign and is halved away
+        # tau = lambda - 1/lambda is the pair (-1, 0) at the node s = 0, a
+        # node like any other
         s = np.linspace(-3.0, 3.0, 13)
         assert 0.0 in s
         roots, brackets = spectral._scan_segment(free, _pole_tau(0.0), s)
@@ -1261,16 +1293,15 @@ class TestTauPoleScan:
 
 
 class TestTauArrayClosures:
-    """One closure call per batch: the array contract of BoundaryParam."""
+    """One closure call per batch: the pair contract of BoundaryParam."""
 
     def test_mobius_pole_mixed_batch(self):
         tau = mobius(1.0, 0.0, -1.0, 2.0)  # c u + d = 0 at u = 2
         lams = np.array([[2.0, 2.0 + 1e-3j, -40.0], [1e4j, 2.0 - 5.0j, 0.5]])
-        tv, inf = spectral._tau_array(tau, lams)
-        want = [_tau_value(tau, complex(lam)) for lam in lams.ravel()]
-        np.testing.assert_array_equal(inf.ravel(), [w is INF_FLAG for w in want])
-        np.testing.assert_array_equal(tv.ravel(), [0.0 if w is INF_FLAG else w for w in want])
-        assert inf[0, 0] and inf.sum() == 1
+        t = spectral._tau_array(tau, lams)
+        want = [_tau_pair(tau, complex(lam)) for lam in lams.ravel()]
+        np.testing.assert_array_equal(t.reshape(2, -1).T, np.reshape(want, (-1, 2)))
+        assert t[1, 0, 0] == 0.0 and np.count_nonzero(t[1] == 0.0) == 1
 
     def test_scalar_only_closure_refused(self, free):
         tau = BoundaryParam(kind="analytic", fn=lambda lam: cmath.sqrt(lam), name="scalar")
@@ -1282,6 +1313,29 @@ class TestTauArrayClosures:
         constant_one = BoundaryParam(kind="analytic", fn=lambda lam: 1j, name="one")
         with pytest.raises(ConfigError, match="elementwise"):
             spectral._tau_array(constant_one, np.array([1j, 2j]))
+
+    def test_one_value_closure_refused(self, free):
+        # the one-value form of tau, which the pair replaced
+        tau = BoundaryParam(kind="analytic", fn=lambda lam: np.sqrt(np.asarray(lam, complex)),
+                            name="one-value")
+        for lams in (np.array([1j, 2.0 + 1j]), np.array([[1j, 2j], [3j, 4j]])):
+            with pytest.raises(ConfigError, match=r"pair \(tau1, tau2\)"):
+                spectral._tau_array(tau, lams)
+        with pytest.raises(ConfigError, match=r"pair \(tau1, tau2\)"):
+            m_function(free, tau, 1j)
+
+    def test_non_finite_pair_refused(self, free):
+        # a pole hidden in tau1 instead of a zero of tau2
+        def pair(lam):
+            lam = np.asarray(lam)
+            with np.errstate(divide="ignore"):
+                return np.stack([lam - 1.0 / (lam - 2.0), np.ones_like(lam)])
+
+        tau = BoundaryParam(kind="analytic", fn=pair, boundary_fn=pair, name="hidden-pole")
+        with pytest.raises(ConfigError, match="non-finite pair"):
+            spectral._tau_array(tau, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ConfigError, match="zero of tau2"):
+            tau.boundary_value(2.0)
 
 
 class TestPhaseGuard:

@@ -383,12 +383,33 @@ class TestMembership:
         rep = membership_in_F(free, C0, y, y1, f)
         assert rep.in_F
 
+    def test_dirichlet_case(self, free):
+        # tau = infinity is bc1: y(b) = 0, checked as right_bc_value
+        c = math.pi / 2.0
+        y = lambda t: np.cos(c * np.asarray(t))
+        y1 = lambda t: -c * np.sin(c * np.asarray(t))
+        f = lambda t: c * c * np.cos(c * np.asarray(t))
+        rep = membership_in_F(free, infinity(), y, y1, f)
+        assert rep.in_F
+        assert [name for name, _, _ in rep.checks] == ["left_bc", "right_bc_value",
+                                                       "equation_residual"]
+
     def test_wrong_source_term_detected(self, free):
         rep = membership_in_F(
             free, SQRT, quartic, quartic_y1, lambda t: -quartic_f(t)
         )
         assert not rep.in_F
         assert [n for n, ok, _ in rep.checks if not ok] == ["equation_residual"]
+
+
+def test_scalar_source_is_vectorized(free, sigma_wide):
+    # a y that takes no array goes through np.vectorize, with the bits of
+    # its array form
+    want = fourier_transform(free, np.cos, sigma_wide)
+    got = fourier_transform(free, lambda t: math.cos(t), sigma_wide)
+    np.testing.assert_array_equal(got.ac_u, want.ac_u)
+    np.testing.assert_array_equal(got.ac_values, want.ac_values)
+    assert got.mass_values == want.mass_values and got.source_norm_sq == want.source_norm_sq
 
 
 class TestConvergenceProfile:
