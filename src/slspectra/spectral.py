@@ -93,10 +93,11 @@ def _quotient(problem: SLProblem, lams, t):
 
 def _complex_tau(t, rtol: float) -> np.ndarray:
     """Where tau = tau1/tau2 is not real: |Im tau| > rtol (1 + |tau|)
-    multiplied through by |tau2|^2, |Im(tau1 conj(tau2))| > rtol (1 +
-    |tau1 conj(tau2)|), so a pole of tau needs no division."""
-    w = t[0] * t[1].conj()
-    return np.abs(w.imag) > rtol * (1.0 + np.abs(w))
+    multiplied through by |tau2|^2, |Im(tau1 conj(tau2))| > rtol |tau2|
+    (|tau2| + |tau1|), so a pole of tau needs no division and a constant
+    factor of the pair does not move it."""
+    a, b = np.abs(t)
+    return np.abs((t[0] * t[1].conj()).imag) > rtol * b * (b + a)
 
 
 def _pole_error(lam, den) -> PoleProximityError:
@@ -266,21 +267,32 @@ def _u_of(s: float) -> float:
 def _complex_step(problem: SLProblem, tau: BoundaryParam, lams, eps=()):
     """One _quotient call at z = lambda_k + i h, h = 1e-20 (1 + |lambda_k|),
     and at every lambda_k + i eps: (z, N, D, D' = Im D(z[:, 0]) / h, and the
-    mask of lambda_k where tau(z[:, 0]) is not real to O(h), so tau+ is not)."""
+    mask of lambda_k where tau+ is not real).  For a real tau+, Im(tau1
+    conj(tau2)) at lambda_k + i h is h W + O(h^3), W the Wronskian of the
+    pair, however large W is; so tau is also read at lambda_k + i h/2 (in
+    the same closure call, but not walked), and the mask marks where
+    halving h does not halve it to 1e-3.  A constant factor of the pair
+    does not move that test."""
     h = _COMPLEX_STEP * (1.0 + np.abs(lams))
-    im = np.empty((lams.size, 1 + len(eps)))
-    im[:, 0], im[:, 1:] = h, eps
+    im = np.empty((lams.size, 2 + len(eps)))
+    im[:, 0], im[:, 1:-1], im[:, -1] = h, eps, 0.5 * h
     z = lams[:, None] + 1j * im
     t = _tau_array(tau, z)
-    num, den = _quotient(problem, z.ravel(), t.reshape(2, -1))
+    complex_tv = np.zeros(lams.size, bool)
+    if np.count_nonzero(t.imag):  # else the pair is real, as for a constant tau
+        w = (t[0] * t[1].conj()).imag
+        complex_tv = np.abs(w[:, 0] - 2.0 * w[:, -1]) > 1e-3 * np.abs(w[:, 0])
+    z = z[:, :-1]
+    num, den = _quotient(problem, z.ravel(), t[:, :, :-1].reshape(2, -1))
     num, den = num.reshape(z.shape), den.reshape(z.shape)
-    return z, num, den, den[:, 0].imag / h, _complex_tau(t[:, :, 0], 1e-12)
+    return z, num, den, den[:, 0].imag / h, complex_tv
 
 
 def _poles(problem: SLProblem, tau: BoundaryParam, roots) -> np.ndarray:
     """Which real zeros of D are poles of m: tau+ real and -N/D' > 0, the
     checks of _point_masses, from one complex-step walk.  A branch point of
-    tau fails the first: sqrt(i h) is ~ sqrt(h) off the axis."""
+    tau fails the first: sqrt(i h/2) is sqrt(h/2) off the axis, not half of
+    sqrt(h)."""
     _, num, _, d_prime, complex_tv = _complex_step(problem, tau, np.asarray(roots, dtype=float))
     return ~complex_tv & (np.sign(num[:, 0].real) * np.sign(d_prime) < 0.0)
 

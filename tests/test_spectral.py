@@ -818,8 +818,10 @@ def _point_mass_per_lambda(problem, tau, lam_k):
     h = spectral._COMPLEX_STEP * (1.0 + abs(lam_k))
     z = np.array([lam_k + 1j * h])
     t = spectral._tau_array(tau, z)
-    w = complex(t[0, 0] * t[1, 0].conjugate())
-    if abs(w.imag) > 1e-12 * (1.0 + abs(w)):
+    # a real tau+ makes Im(tau1 conj(tau2)) odd in h: halving h halves it
+    w0, w1 = (complex(a * b.conjugate()).imag for a, b in spectral._tau_array(
+        tau, np.array([lam_k + 1j * h, lam_k + 0.5j * h])).T)
+    if abs(w0 - 2.0 * w1) > 1e-3 * abs(w0):
         raise ConfigError(f"tau+({lam_k}) is not real; no real pole possible here")
     num, den = spectral._quotient(problem, z, t)
     d_prime = float(den[0].imag) / h
@@ -1168,7 +1170,9 @@ class TestMobiusScan:
         [((2.0, -1.0, 3.0, 0.5), (-50.0, 500.0)), ((1.0, 0.0, -1.0, 2.0), (-3.0, 40.0)),
          # |tau+| is above 1e6 (1 + |u|) on the whole window or on most of
          # it, far from any pole of tau: no node is dropped for its size
-         ((1.0, 1e7, 0.0, 1.0), (-3.0, 400.0)), ((1e7, 0.0, 0.0, 1.0), (-3.0, 400.0))],
+         ((1.0, 1e7, 0.0, 1.0), (-3.0, 400.0)), ((1e7, 0.0, 0.0, 1.0), (-3.0, 400.0)),
+         # the tau of (1, 0, -1, 2): a constant factor of the pair moves nothing
+         ((1e5, 0.0, -1e5, 2e5), (-3.0, 40.0))],
     )
     def test_free_problem(self, free, coefs, window):
         sigma = build_spectral_function(free, mobius(*coefs), window, ac_nodes=200)
@@ -1201,29 +1205,31 @@ class TestMobiusScan:
         np.testing.assert_allclose(den, (us * np.cos(r) + b * r * np.sin(r)) / scale, rtol=1e-13)
         np.testing.assert_allclose(num, (us * np.sin(r) / r - b * np.cos(r)) / scale, rtol=1e-13)
 
-    def test_pole_of_tau_at_a_dirichlet_eigenvalue(self, free):
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_pole_of_tau_at_a_dirichlet_eigenvalue(self, free, scale):
         # tau = u / (pi^2/4 - u) has its pole where phi(1) = cos(pi/2)
         # vanishes: D = phi u - phi^[1] (pi^2/4 - u) has a zero there, a
-        # point mass 2/3 of m
+        # point mass 2/3 of m, whatever constant factor the pair carries
         lam0 = math.pi**2 / 4.0
-        tau = mobius(1.0, 0.0, -1.0, lam0)
+        coefs = (scale, 0.0, -scale, scale * lam0)
+        tau = mobius(*coefs)
         got = find_eigenvalues(free, tau, (-3.0, 40.0))
-        want = oracles.mobius_poles_free(1.0, 0.0, -1.0, lam0, -3.0, 40.0)
+        want = oracles.mobius_poles_free(*coefs, -3.0, 40.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         k = int(np.argmin(np.abs(np.array(got) - lam0)))
         assert got[k] == pytest.approx(lam0, rel=1e-12)
         mass = point_mass(free, tau, got[k])
-        assert abs(mass - oracles.mobius_mass_free(1.0, 0.0, -1.0, lam0, got[k])) <= 1e-10
+        assert abs(mass - oracles.mobius_mass_free(*coefs, got[k])) <= 1e-10
         assert mass == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
-def _pole_tau(p: float) -> BoundaryParam:
+def _pole_tau(p: float, scale: float = 1.0) -> BoundaryParam:
     """tau = lambda - 1/(lambda - p): analytic, not Mobius, with a real pole
-    at p, as the pair (lambda^2 - p lambda - 1, lambda - p)."""
+    at p, as the pair scale (lambda^2 - p lambda - 1, lambda - p)."""
 
     def pair(lam):
         lam = np.asarray(lam)
-        return np.stack([lam * lam - p * lam - 1.0, lam - p])
+        return scale * np.stack([lam * lam - p * lam - 1.0, lam - p])
 
     return BoundaryParam(kind="analytic", fn=pair, boundary_fn=pair, name=f"pole-at-{p:g}")
 
@@ -1268,13 +1274,17 @@ class TestTauPoleScan:
         assert len(got) == len(want) == n
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
-    @pytest.mark.parametrize("p,interval", [
-        *((p, iv) for p in (30.0, 100.0, 1e3, 1e4, 3e4) for iv in ((p - 5e3, p + 5e3), (1.0, p + 5e3))),
-        (1e6, (1e6 - 5e3, 1e6 + 5e3))])
-    def test_root_just_above_the_pole(self, free, p, interval):
+    @pytest.mark.parametrize("p,interval,scale", [
+        *((p, iv, 1.0) for p in (30.0, 100.0, 1e3, 1e4, 3e4)
+          for iv in ((p - 5e3, p + 5e3), (1.0, p + 5e3))),
+        (1e6, (1e6 - 5e3, 1e6 + 5e3), 1.0),
+        # the same tau: a constant factor of the pair does not move the
+        # pole test of the root near p + 1/p, where tau is steep
+        *((1e4, (5e3, 1.5e4), scale) for scale in (1e-3, 1e3, 1e6))])
+    def test_root_just_above_the_pole(self, free, p, interval, scale):
         # D has a zero near p + 1/p, within 1e-4 of the pole for p = 1e4,
         # in the scan cell that holds the pole
-        got = find_eigenvalues(free, _pole_tau(p), interval)
+        got = find_eigenvalues(free, _pole_tau(p, scale), interval)
         want = oracles.pole_tau_poles_free(p, *interval)
         assert len(got) == len(want)
         assert any(p < lam < p + 2.0 / p for lam in want)
