@@ -34,7 +34,10 @@ takes each batch whole.  The eigenvalue search makes one call for its scan
 grid, one per halving level and one per refinement step.  Outside it,
 build_spectral_function makes one such call for the pole test of all
 roots (_poles), one for all point masses (_point_masses) and one for the
-density.
+density.  point_mass at a root of one of the last 8 find_eigenvalues calls
+on the same (problem, tau) objects, keyed by their ids, makes one such call
+for all roots of that call and keeps the masses; a batch walks and checks
+each lambda alone, so every mass has the bits of its one-pole call.
 """
 
 from __future__ import annotations
@@ -69,10 +72,10 @@ _COMPLEX_STEP = 1e-20  # D'(lambda) = Im D(lambda + i h) / h with h = 1e-20 (1 +
 _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2^-j, j = 7..12
 
 
-def _endpoints(problem: SLProblem, lams) -> np.ndarray:
-    """endpoint_states at every lam, refusing lam whose phase at b, about
-    sqrt|lam| ell, has a rounding error sqrt|lam| ell 2^-52 above
-    _PHASE_ERR_CAP.  With ell = 1 that allows |lam| up to about 2e19; the
+def _phase_checked(problem: SLProblem, lams):
+    """lams, refused if the phase at b of one, about sqrt|lam| ell, has a
+    rounding error sqrt|lam| ell 2^-52 above _PHASE_ERR_CAP (an infinite lam
+    among them).  With ell = 1 that allows |lam| up to about 2e19; the
     scan's node cap keeps it below sqrt|lam| ell = 1e5."""
     top = float(np.abs(lams).max(initial=0.0))
     if math.sqrt(top) * _ell(problem) * 2.0**-52 > _PHASE_ERR_CAP:
@@ -80,13 +83,14 @@ def _endpoints(problem: SLProblem, lams) -> np.ndarray:
             f"|lambda| = {top:.3g} is too large: the phase at b would carry a rounding "
             f"error above {_PHASE_ERR_CAP:g} rad"
         )
-    return endpoint_states(problem, lams)
+    return lams
 
 
 def _quotient(problem: SLProblem, lams, t):
     """N = psi tau1 - psi^[1] tau2 and D = phi tau1 - phi^[1] tau2 at b for
-    every lam, from the pairs t = (tau1, tau2) of _tau_array."""
-    y, y1 = _endpoints(problem, lams).transpose(1, 2, 0)  # columns phi, psi
+    every lam, from the pairs t = (tau1, tau2) of _tau_array (y, y1: columns
+    phi, psi)."""
+    y, y1 = endpoint_states(problem, _phase_checked(problem, lams)).transpose(1, 2, 0)
     den, num = y * t[0] - y1 * t[1]
     return num, den
 
@@ -126,14 +130,12 @@ def m_function(problem: SLProblem, tau: BoundaryParam, lam: complex) -> complex:
 # Stieltjes inversion: density
 
 
-def _density_boundary(problem: SLProblem, tau: BoundaryParam, us) -> np.ndarray:
+def _density_boundary(problem: SLProblem, us: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(1/pi) Im m(u+i0) = Im(tau1 conj(tau2)) / (pi |D|^2) at every u from
-    tau's boundary values; exact in eps.  D is refused where it is below
-    1e-10 of its bound (|phi| + |phi^[1]|) (|tau1| + |tau2|), which for tau =
-    infinity, D = phi, compares phi with phi^[1]."""
-    us = np.asarray(us, dtype=float)
-    t = _tau_array(tau, us)
-    (ph, _), (ph1, _) = _endpoints(problem, us).transpose(1, 2, 0)
+    tau's boundary values t = _tau_array(tau, us); exact in eps.  D is
+    refused where it is below 1e-10 of its bound (|phi| + |phi^[1]|) (|tau1|
+    + |tau2|), which for tau = infinity, D = phi, compares phi with phi^[1]."""
+    (ph, _), (ph1, _) = endpoint_states(problem, _phase_checked(problem, us)).transpose(1, 2, 0)
     den = ph * t[0] - ph1 * t[1]
     pole = np.abs(den) < 1e-10 * (np.abs(ph) + np.abs(ph1)) * (np.abs(t[0]) + np.abs(t[1]))
     if np.count_nonzero(pole):
@@ -201,13 +203,13 @@ def spectral_density(
     "extrapolation" fits a quadratic in eps through the six eps of _EPS;
     "auto" prefers the boundary route when tau supports it.
     """
-    u = float(u)
+    us = np.array([float(u)])
     if method == "auto":
         method = "boundary" if tau.has_boundary_values else "extrapolation"
     if method == "boundary":
-        return float(_density_boundary(problem, tau, [u])[0])
+        return float(_density_boundary(problem, us, _tau_array(tau, us))[0])
     if method == "extrapolation":
-        return float(_extrapolated_densities(problem, tau, [u])[0])
+        return float(_extrapolated_densities(problem, tau, us)[0])
     raise ConfigError(f"unknown density method {method!r}")
 
 
@@ -272,8 +274,8 @@ def _complex_step(problem: SLProblem, tau: BoundaryParam, lams, eps=()):
     pair, however large W is; so tau is also read at lambda_k + i h/2 (in
     the same closure call, but not walked), and the mask marks where
     halving h does not halve it to 1e-3.  A constant factor of the pair
-    does not move that test."""
-    h = _COMPLEX_STEP * (1.0 + np.abs(lams))
+    does not move that test.  An infinite lambda_k is refused first."""
+    h = _COMPLEX_STEP * (1.0 + np.abs(_phase_checked(problem, lams)))
     im = np.empty((lams.size, 2 + len(eps)))
     im[:, 0], im[:, 1:-1], im[:, -1] = h, eps, 0.5 * h
     z = lams[:, None] + 1j * im
@@ -378,10 +380,13 @@ def find_eigenvalues(
     (in s it is ~ s|s| at s = 0), with one _scan_values call per iteration.
     A bracket stops at width 2e-12 + 4e-14 |lambda|.  For an analytic tau
     a root is kept iff it passes _poles: tau+ real there and -N/D' > 0,
-    from one complex-step walk of all roots."""
+    from one complex-step walk of all roots.  The last 8 root sets are kept,
+    under the ids of (problem, tau), for point_mass to batch their masses."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigError(f"empty search interval [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"search interval [{lo}, {hi}] must be finite")
     if max_count < 1:
         raise ConfigError("max_count must be >= 1")
     step = math.pi / (6.0 * max(_ell(problem), 0.1))
@@ -416,11 +421,21 @@ def find_eigenvalues(
     roots = roots[(roots >= lo - 1e-12 * (1.0 + abs(lo))) & (roots <= hi + 1e-12 * (1.0 + abs(hi)))]
     if tau.kind == "analytic" and roots.size:
         roots = roots[_poles(problem, tau, roots)]
-    return roots[:max_count].tolist()
+    roots = roots[:max_count].tolist()
+    _root_sets.pop(key := (id(problem), id(tau)), None)  # the newest set goes last
+    _root_sets[key] = [problem, tau, {r.hex(): k for k, r in enumerate(roots)}, None]
+    if len(_root_sets) > _ROOT_SETS:
+        del _root_sets[next(iter(_root_sets))]
+    return roots
 
 
 # ---------------------------------------------------------------------------
 # point masses
+
+# (id(problem), id(tau)) -> [problem, tau, {root.hex(): k}, masses]; the record
+# pins both ids, masses is None until point_mass asks, False if the batch raised.
+_root_sets: dict = {}
+_ROOT_SETS = 8
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -485,9 +500,22 @@ def point_mass(
     (b) limit of eps * Im m(lambda_k + i eps), a quadratic in eps^2 through
         the six eps of _EPS.
     Returns (a).  Checks run in the order D' = 0, pole proximity, residue
-    <= 0, cross-check.  The one-pole call of _point_masses.
+    <= 0, cross-check.  At a lambda_k bit-equal to a root of one of the
+    last 8 find_eigenvalues calls on these (problem, tau) objects, the mass
+    comes from one _point_masses batch of that call's roots, run once; it
+    has the bits of the one-pole call, which any other lambda_k makes, as
+    each root does if its batch raised.
     """
-    return float(_point_masses(problem, tau, [lambda_k])[0])
+    rec = _root_sets.get((id(problem), id(tau)))
+    k = rec[2].get(lambda_k.hex()) if rec and isinstance(lambda_k, float) else None
+    if k is not None and rec[3] is None:
+        try:
+            rec[3] = _point_masses(problem, tau, list(map(float.fromhex, rec[2])))
+        except Exception:  # each root now raises its own error, if it has one
+            rec[3] = False
+    if k is None or rec[3] is False:
+        return float(_point_masses(problem, tau, [lambda_k])[0])
+    return float(rec[3][k])
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +635,10 @@ def build_spectral_function(
     dens = np.zeros(nodes.size)
     # real boundary value: Im m(u+i0) = 0 exactly off the poles, and pole
     # neighbourhoods are already excluded above
-    need = _complex_tau(_tau_array(tau, nodes), 1e-14)
+    t = _tau_array(tau, nodes)
+    need = _complex_tau(t, 1e-14)
     if np.any(need):
-        dens[need] = _density_boundary(problem, tau, nodes[need])
+        dens[need] = _density_boundary(problem, nodes[need], t[:, need])
     return SpectralFunction(
         ac_grid=nodes,
         ac_density=dens,

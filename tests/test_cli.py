@@ -43,6 +43,10 @@ class TestEig:
         assert run(tmp_path, "eig", "--tau", "sqrt", "--range", "5,5") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_infinite_range_exit_code(self, tmp_path, capsys):
+        assert run(tmp_path, "eig", "--tau", "constant:0", "--range=-inf,10") == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_range_beyond_scan_cap_exit_code(self, tmp_path, capsys):
         assert run(tmp_path, "eig", "--tau", "sqrt", "--range", "0,1e12") == 2
         assert "widest range allowed" in capsys.readouterr().err

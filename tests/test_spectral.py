@@ -185,6 +185,12 @@ class TestEigenvalues:
         with pytest.raises(ConfigError):
             find_eigenvalues(free, C0, (5.0, 5.0))
 
+    @pytest.mark.parametrize("interval", [(-math.inf, 10.0), (0.0, math.inf), (-math.inf, math.inf)])
+    def test_infinite_interval_rejected(self, free, interval):
+        # a typed refusal, not the OverflowError of counting the scan nodes
+        with pytest.raises(ConfigError, match="must be finite"):
+            find_eigenvalues(free, C0, interval)
+
     def test_max_count_truncates(self, free):
         got = find_eigenvalues(free, C0, (-1.0, 1000.0), max_count=2)
         assert got == pytest.approx([0.0, math.pi**2], abs=1e-8)
@@ -425,10 +431,10 @@ def _m_values_per_lambda(problem, tau, lams):
     return np.array(out)
 
 
-def _density_boundary_per_lambda(problem, tau, us):
+def _density_boundary_per_lambda(problem, us, t):
+    # the pairs t come from _tau_array, which TestTauArray checks per lambda
     out = []
-    for u in us:
-        t1, t2 = _tau_pair(tau, complex(u))
+    for u, t1, t2 in zip(us, *map(list, t)):
         ph, _ = _endpoints(problem, float(u))
         den, im_t = ph.y * t1 - ph.y1 * t2, (t1 * t2.conjugate()).imag
         if abs(den) < 1e-10 * (abs(ph.y) + abs(ph.y1)) * (abs(t1) + abs(t2)):
@@ -1152,6 +1158,118 @@ class TestBatchInvariance:
         assert [spectral._is_pole(prob, tau, lam) for lam in candidates] == batch.tolist()
 
 
+def _outcome(call):
+    """call()'s value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the outcome is compared, not raised
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def cleared_root_sets():
+    spectral._root_sets.clear()
+    yield spectral._root_sets
+    spectral._root_sets.clear()
+
+
+class TestRootSetMemo:
+    """point_mass on the roots of find_eigenvalues reads one batch of the
+    whole root set; every outcome is the one-pole call's."""
+
+    TAUS = {"c0": C0, "infinity": infinity(), "sqrt": SQRT, "mobius": parse_tau("mobius:1,0,-1,2")}
+
+    @pytest.fixture(params=["closed-form-free", "closed-form-mid", "cpm", "magnus", "dop853"])
+    def engine(self, request, free, mid, varcoef):
+        return {
+            "closed-form-free": lambda: (free, (-3.0, 1000.0)),
+            "closed-form-mid": lambda: (mid, (-50.0, 2000.0)),
+            "cpm": lambda: (varcoef, (-20.0, 1100.0)),
+            "magnus": lambda: (loads_problem(FREE_TABLE_INI), (-3.0, 1000.0)),
+            "dop853": lambda: (
+                replace(varcoef, quad=replace(varcoef.quad, closed_form_pieces=False)), (-20.0, 120.0)
+            ),
+        }[request.param]()
+
+    @pytest.mark.parametrize("tau", list(TAUS))
+    def test_masses_equal_the_one_pole_calls(self, engine, tau, cleared_root_sets):
+        prob, interval = engine
+        tau = self.TAUS[tau]
+        roots = find_eigenvalues(prob, tau, interval)
+        assert len(roots) >= 2
+        got = [_outcome(lambda: point_mass(prob, tau, lam)) for lam in roots]
+        assert isinstance(cleared_root_sets[id(prob), id(tau)][3], np.ndarray)
+        cleared_root_sets.clear()
+        want = [_outcome(lambda: point_mass(prob, tau, lam)) for lam in roots]
+        assert got == want
+        assert all(isinstance(m, float) and m > 0.0 for m in want)
+
+    def test_one_endpoint_call_for_the_masses(self, mid, monkeypatch, cleared_root_sets):
+        roots = find_eigenvalues(mid, C0, (-1.0, 99000.0))
+        assert len(roots) == 68
+        calls = []
+        endpoint_states = spectral.endpoint_states
+        monkeypatch.setattr(spectral, "endpoint_states",
+                            lambda *args: calls.append(1) or endpoint_states(*args))
+        masses = [point_mass(mid, C0, lam) for lam in roots]
+        masses += [point_mass(mid, C0, lam) for lam in roots[::-1]][::-1]
+        assert len(calls) == 1
+        np.testing.assert_array_equal(masses, 2 * list(spectral._point_masses(mid, C0, roots)))
+
+    def test_failing_root_raises_its_own_error(self, free, monkeypatch, cleared_root_sets):
+        roots = find_eigenvalues(free, C0, (-1.0, 250.0))  # 0, pi^2, ..., (5 pi)^2
+        assert len(roots) == 6
+        ok = [point_mass(free, C0, lam) for lam in roots[:3]]  # one batch of all six
+        find_eigenvalues(free, C0, (-1.0, 250.0))  # a new record: no masses yet
+
+        def flip_residue(lams, nd):  # as in test_typed_failures_from_the_batch
+            num, den = nd
+            step = (np.abs(lams.real - roots[2]) < 1.0) & (lams.imag < 1e-10)
+            return np.where(step, -num, num), den
+
+        TestBatchedAssembly._patch(monkeypatch, flip_residue)
+        batches = []
+        point_masses = spectral._point_masses
+        monkeypatch.setattr(spectral, "_point_masses",
+                            lambda p, t, lams: batches.append(len(lams)) or point_masses(p, t, lams))
+        order = [3, 2, 0, 5, 2, 1, 4]
+        got = [_outcome(lambda: point_mass(free, C0, roots[k])) for k in order]
+        # the batch of six raised once; then each root makes its one-pole call
+        assert batches == [6] + [1] * len(order)
+        want = [_outcome(lambda: float(point_masses(free, C0, [roots[k]])[0])) for k in order]
+        assert got == want
+        assert got[1][0] is CrossCheckError and "is not positive" in got[1][1]
+        assert got[2] == ok[0] and got[5] == ok[1]
+
+    def test_other_inputs_take_the_one_pole_call(self, mid, monkeypatch, cleared_root_sets):
+        roots = find_eigenvalues(mid, C0, (-1.0, 500.0))
+        batches = []
+        point_masses = spectral._point_masses
+        monkeypatch.setattr(spectral, "_point_masses",
+                            lambda p, t, lams: batches.append(len(lams)) or point_masses(p, t, lams))
+        lam = roots[1]
+        near = float(np.nextafter(lam, np.inf))
+        calls = [
+            (mid, C0, near),  # not bit-equal to a root
+            (mid, constant(0.0), lam),  # an equal tau, but another object
+            (replace(mid), C0, lam),  # an equal problem, but another object
+            (mid, C0, np.float32(lam)),  # not a float
+        ]
+        got = [_outcome(lambda: point_mass(*args)) for args in calls]
+        assert batches == [1] * len(calls)
+        assert isinstance(got[0], float)
+        assert got[1] == got[2] == point_mass(mid, C0, lam) and batches[-1] == len(roots)
+
+    def test_last_eight_sets_kept(self, free, cleared_root_sets):
+        taus = [constant(float(theta)) for theta in range(10)]
+        for tau in taus:
+            find_eigenvalues(free, tau, (-1.0, 50.0))
+        assert list(cleared_root_sets) == [(id(free), id(tau)) for tau in taus[2:]]
+        find_eigenvalues(free, taus[2], (-1.0, 60.0))  # the newest set of a pair goes last
+        assert list(cleared_root_sets)[-1] == (id(free), id(taus[2]))
+        assert len(cleared_root_sets) == 8
+
+
 def test_density_of_infinity(free):
     # tau = (1, 0): Im m(u + i0) = 0 off the poles, and D = phi(1) =
     # cos(sqrt(u)) vanishes at the Dirichlet eigenvalue pi^2/4
@@ -1355,6 +1473,14 @@ class TestPhaseGuard:
     def test_refused(self, free, lam):
         with pytest.raises(ConfigError, match="phase at b would carry a rounding error"):
             m_function(free, SQRT, lam)
+
+    @pytest.mark.parametrize("tau", ["constant:0", "infinity", "sqrt", "mobius:1,0,-1,2"])
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, 1e300, -1e300])
+    def test_point_mass_refused(self, free, tau, lam):
+        # refused before the complex step: h = 1e-20 (1 + |lam|) and the pair
+        # at lam + i h overflowed into a RuntimeWarning
+        with pytest.raises(ConfigError, match="phase at b would carry a rounding error"):
+            point_mass(free, parse_tau(tau), lam)
 
     def test_below_cap_allowed(self, free):
         assert np.isfinite(m_function(free, C0, 1e18 + 1j))
