@@ -35,14 +35,15 @@ grid, one per halving level and one per refinement step.  Outside it,
 build_spectral_function makes one such call for the pole test of all
 roots (_poles), one for all point masses (_point_masses) and one for the
 density.  point_mass at a root of one of the last 8 find_eigenvalues calls
-on the same (problem, tau) objects, keyed by their ids, makes one such call
-for all roots of that call and keeps the masses; a batch walks and checks
-each lambda alone, so every mass has the bits of its one-pole call.
+on the same (problem, tau) objects (keyed by ids) makes one for all roots of
+that call, which pays off when most are asked, and keeps the masses; a batch
+walks and checks each lambda alone: every mass has its one-pole call's bits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,8 +76,8 @@ _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2
 def _phase_checked(problem: SLProblem, lams):
     """lams, refused if the phase at b of one, about sqrt|lam| ell, has a
     rounding error sqrt|lam| ell 2^-52 above _PHASE_ERR_CAP (an infinite lam
-    among them).  With ell = 1 that allows |lam| up to about 2e19; the
-    scan's node cap keeps it below sqrt|lam| ell = 1e5."""
+    too); each walk checks its lams once.  With ell = 1 |lam| may reach
+    about 2e19; the scan's node cap keeps it below sqrt|lam| ell = 1e5."""
     top = float(np.abs(lams).max(initial=0.0))
     if math.sqrt(top) * _ell(problem) * 2.0**-52 > _PHASE_ERR_CAP:
         raise ConfigError(
@@ -88,9 +89,8 @@ def _phase_checked(problem: SLProblem, lams):
 
 def _quotient(problem: SLProblem, lams, t):
     """N = psi tau1 - psi^[1] tau2 and D = phi tau1 - phi^[1] tau2 at b for
-    every lam, from the pairs t = (tau1, tau2) of _tau_array (y, y1: columns
-    phi, psi)."""
-    y, y1 = endpoint_states(problem, _phase_checked(problem, lams)).transpose(1, 2, 0)
+    every lam, phase-checked by the caller, from the pairs t of _tau_array."""
+    y, y1 = endpoint_states(problem, lams).transpose(1, 2, 0)  # columns phi, psi
     den, num = y * t[0] - y1 * t[1]
     return num, den
 
@@ -113,7 +113,7 @@ def _pole_error(lam, den) -> PoleProximityError:
 def _m_values(problem: SLProblem, tau: BoundaryParam, lams) -> np.ndarray:
     """m_tau at every lam in lams; raises PoleProximityError if one is at a pole."""
     lams = np.asarray(lams, dtype=complex)
-    num, den = _quotient(problem, lams, _tau_array(tau, lams))
+    num, den = _quotient(problem, _phase_checked(problem, lams), _tau_array(tau, lams))
     at_pole = np.abs(den) <= _POLE_GUARD * np.abs(num)
     if np.count_nonzero(at_pole):
         i = int(np.argmax(at_pole))
@@ -245,8 +245,8 @@ def _scan_values(problem: SLProblem, tau: BoundaryParam, us):
     valid = ~_complex_tau(t, 1e-12)
     out = np.zeros((2, us.size))
     if np.any(valid):
-        t = t[:, valid].real
-        out[:, valid] = np.array(_quotient(problem, us[valid], t)) / np.maximum(*np.abs(t))
+        t, uv = t[:, valid].real, _phase_checked(problem, us[valid])
+        out[:, valid] = np.array(_quotient(problem, uv, t)) / np.maximum(*np.abs(t))
     return out[1], out[0], valid
 
 
@@ -274,7 +274,7 @@ def _complex_step(problem: SLProblem, tau: BoundaryParam, lams, eps=()):
     pair, however large W is; so tau is also read at lambda_k + i h/2 (in
     the same closure call, but not walked), and the mask marks where
     halving h does not halve it to 1e-3.  A constant factor of the pair
-    does not move that test.  An infinite lambda_k is refused first."""
+    does not move that test.  lambda_k (not z) is phase-checked first."""
     h = _COMPLEX_STEP * (1.0 + np.abs(_phase_checked(problem, lams)))
     im = np.empty((lams.size, 2 + len(eps)))
     im[:, 0], im[:, 1:-1], im[:, -1] = h, eps, 0.5 * h
@@ -315,7 +315,7 @@ def _winding_confirms(problem: SLProblem, tau: BoundaryParam, lam0: float) -> bo
     h, v = 1e-2 * (1.0 + abs(lam0)), 1e-2
     c = np.array([complex(lam0 + x, y) for x, y in ((-h, -v), (h, -v), (h, v), (-h, v), (-h, -v))])
     z = (c[:-1, None] + (c[1:] - c[:-1])[:, None] * np.linspace(0.0, 1.0, 50, endpoint=False)).ravel()
-    _, samples = _quotient(problem, z, _tau_array(tau, z))
+    _, samples = _quotient(problem, _phase_checked(problem, z), _tau_array(tau, z))
     q = np.roll(samples, -1) / samples
     total = float(np.sum(np.arctan2(q.imag, q.real)))
     return round(total / (2 * math.pi)) >= 1
@@ -383,10 +383,8 @@ def find_eigenvalues(
     from one complex-step walk of all roots.  The last 8 root sets are kept,
     under the ids of (problem, tau), for point_mass to batch their masses."""
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ConfigError(f"empty search interval [{lo}, {hi}]")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"search interval [{lo}, {hi}] must be finite")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"search interval [{lo}, {hi}] must be finite and not empty")
     if max_count < 1:
         raise ConfigError("max_count must be >= 1")
     step = math.pi / (6.0 * max(_ell(problem), 0.1))
@@ -423,7 +421,7 @@ def find_eigenvalues(
         roots = roots[_poles(problem, tau, roots)]
     roots = roots[:max_count].tolist()
     _root_sets.pop(key := (id(problem), id(tau)), None)  # the newest set goes last
-    _root_sets[key] = [problem, tau, {r.hex(): k for k, r in enumerate(roots)}, None]
+    _root_sets[key] = [problem, tau, tuple(roots), None]  # the caller may edit its list
     if len(_root_sets) > _ROOT_SETS:
         del _root_sets[next(iter(_root_sets))]
     return roots
@@ -432,8 +430,8 @@ def find_eigenvalues(
 # ---------------------------------------------------------------------------
 # point masses
 
-# (id(problem), id(tau)) -> [problem, tau, {root.hex(): k}, masses]; the record
-# pins both ids, masses is None until point_mass asks, False if the batch raised.
+# (id(problem), id(tau)) -> [problem, tau, roots (ascending), masses], which pins
+# both ids; masses is None until point_mass asks, False if the batch raised.
 _root_sets: dict = {}
 _ROOT_SETS = 8
 
@@ -502,20 +500,23 @@ def point_mass(
     Returns (a).  Checks run in the order D' = 0, pole proximity, residue
     <= 0, cross-check.  At a lambda_k bit-equal to a root of one of the
     last 8 find_eigenvalues calls on these (problem, tau) objects, the mass
-    comes from one _point_masses batch of that call's roots, run once; it
-    has the bits of the one-pole call, which any other lambda_k makes, as
-    each root does if its batch raised.
+    comes from one _point_masses batch of all that call's roots, run on the
+    first such call (so one mass of a wide set costs them all); it has the
+    bits of the one-pole call, which any other lambda_k makes, as each root
+    does if its batch raised.
     """
     rec = _root_sets.get((id(problem), id(tau)))
-    k = rec[2].get(lambda_k.hex()) if rec and isinstance(lambda_k, float) else None
-    if k is not None and rec[3] is None:
-        try:
-            rec[3] = _point_masses(problem, tau, list(map(float.fromhex, rec[2])))
-        except Exception:  # each root now raises its own error, if it has one
-            rec[3] = False
-    if k is None or rec[3] is False:
-        return float(_point_masses(problem, tau, [lambda_k])[0])
-    return float(rec[3][k])
+    roots = rec[2] if rec and isinstance(lambda_k, float) else []
+    k = bisect_left(roots, lambda_k)
+    if k < len(roots) and roots[k].hex() == lambda_k.hex():  # a bit-equal root
+        if rec[3] is None:
+            try:
+                rec[3] = _point_masses(problem, tau, roots)
+            except Exception:  # each root now raises its own error, if it has one
+                rec[3] = False
+        if rec[3] is not False:
+            return float(rec[3][k])
+    return float(_point_masses(problem, tau, [lambda_k])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ from slspectra import (
     SLProblem,
     constant_coefficient_problem,
 )
+from slspectra import spectral
+
+
+@pytest.fixture(autouse=True)
+def cleared_root_sets():
+    """No test reads the root sets (spectral._root_sets) that find_eigenvalues
+    kept in another test, whatever order the tests run in."""
+    spectral._root_sets.clear()
+    yield spectral._root_sets
+    spectral._root_sets.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1137,6 +1137,7 @@ class TestBatchInvariance:
         prob, interval = engine
         roots = find_eigenvalues(prob, C0, interval)
         assert len(roots) >= 4
+        spectral._root_sets.clear()  # so each point_mass makes its one-pole call
         batch = spectral._point_masses(prob, C0, roots)
         np.testing.assert_array_equal([point_mass(prob, C0, lam) for lam in roots], batch)
 
@@ -1164,13 +1165,6 @@ def _outcome(call):
         return call()
     except Exception as exc:  # the outcome is compared, not raised
         return type(exc), str(exc)
-
-
-@pytest.fixture
-def cleared_root_sets():
-    spectral._root_sets.clear()
-    yield spectral._root_sets
-    spectral._root_sets.clear()
 
 
 class TestRootSetMemo:
@@ -1240,6 +1234,17 @@ class TestRootSetMemo:
         assert got == want
         assert got[1][0] is CrossCheckError and "is not positive" in got[1][1]
         assert got[2] == ok[0] and got[5] == ok[1]
+
+    def test_caller_edits_its_list(self, mid, cleared_root_sets):
+        # the record keeps its own copy of the roots, so an edit of the
+        # returned list does not shift the kept masses
+        roots = find_eigenvalues(mid, C0, (-1.0, 3000.0))
+        want = list(spectral._point_masses(mid, C0, roots))
+        assert point_mass(mid, C0, roots[0]) == want[0]  # the batch of the set
+        roots.insert(0, -0.5)  # no eigenvalue: its one-pole call raises
+        got = [_outcome(lambda: point_mass(mid, C0, lam)) for lam in roots]
+        assert got[0][0] is CrossCheckError
+        assert got[1:] == want
 
     def test_other_inputs_take_the_one_pole_call(self, mid, monkeypatch, cleared_root_sets):
         roots = find_eigenvalues(mid, C0, (-1.0, 500.0))
@@ -1481,6 +1486,17 @@ class TestPhaseGuard:
         # at lam + i h overflowed into a RuntimeWarning
         with pytest.raises(ConfigError, match="phase at b would carry a rounding error"):
             point_mass(free, parse_tau(tau), lam)
+
+    @pytest.mark.parametrize("tau", ["constant:0", "infinity", "sqrt", "mobius:1,0,-1,2"])
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, complex(math.inf, 1.0), complex(-math.inf, 1.0)])
+    def test_infinite_lambda_refused_before_tau(self, free, tau, lam):
+        # the Moebius pair at inf + i overflowed into a RuntimeWarning, and
+        # sqrt's non-finite pair was blamed on the closure
+        tau = parse_tau(tau)
+        for call in (lambda: m_function(free, tau, lam),
+                     lambda: spectral_density(free, tau, lam.real, method="extrapolation")):
+            with pytest.raises(ConfigError, match="phase at b would carry a rounding error"):
+                call()
 
     def test_below_cap_allowed(self, free):
         assert np.isfinite(m_function(free, C0, 1e18 + 1j))
