@@ -2,7 +2,9 @@
 
 Subcommands: eig, mfun, spectral, expand, classify, verify-example.
 Global flags: --config PATH (problem INI; default is the built-in free
-problem on [0,1]), --out DIR (artifact directory), --ode-tol, --quad-tol.
+problem on [0,1]), --out DIR (artifact directory), --ode-tol (the
+propagation tolerance; only [quadrature] closed_form_pieces = false in
+the INI selects the DOP853 reference engine), --quad-tol.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 numerical failure.  Numeric tables are comma-separated with a
@@ -300,13 +302,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_example(args) -> int:
+    if args.ode_tol is not None:
+        raise ConfigError("verify-example takes no --ode-tol: its problems propagate in closed form")
     from . import verify  # only this command needs it
 
-    results = verify.run_all(
-        ode_tol=args.ode_tol,
-        k_max=args.k_max,
-        quad_tol=args.quad_tol,
-    )
+    results = verify.run_all(k_max=args.k_max, quad_tol=args.quad_tol)
     lines = []
     for r in results:
         lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="problem INI file (default: built-in free problem)")
     parser.add_argument("--out", default="slspectra-out", help="artifact directory")
     parser.add_argument("--ode-tol", type=float, dest="ode_tol",
-                        help="propagation tolerance; selects the DOP853 reference engine")
+                        help="propagation tolerance of the CPM, Magnus and DOP853 engines")
     parser.add_argument("--quad-tol", type=float, dest="quad_tol", help="quadrature tolerance")
     sub = parser.add_subparsers(dest="cmd", required=True)
 

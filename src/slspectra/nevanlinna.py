@@ -315,7 +315,7 @@ def asymptotics(
         raise ConfigError("asymptotics undefined for the infinite parameter")
 
     ys = y0 * np.exp2(np.arange(K + 1))
-    tv = np.array([_ratio(_apply(tau, tau.fn, 1j * y)) for y in ys])
+    tv = np.array([_ratio(pair) for pair in _apply(tau, tau.fn, 1j * ys).T])
     if not np.all(np.isfinite(tv)):
         raise UnresolvedAsymptoticsError("parameter evaluation not finite along iy")
 
@@ -441,18 +441,17 @@ def check_nevanlinna(
     worst_im = 0.0
     worst_sym = 0.0
     worst_at = 1j + 0.0
-    for r in radii:
-        for ang in args:
-            lam = r * cmath.exp(1j * ang)
-            val = _ratio(_apply(tau, tau.fn, lam))
-            mirror = _ratio(_apply(tau, tau.fn, lam.conjugate()))
-            if not (cmath.isfinite(val) and cmath.isfinite(mirror)):
-                raise UnresolvedAsymptoticsError(f"parameter not finite at {lam}")
-            neg_im = -val.imag
-            sym = abs(mirror - val.conjugate())
-            if neg_im > worst_im:
-                worst_im, worst_at = neg_im, lam
-            if sym > worst_sym:
-                worst_sym = max(worst_sym, sym)
+    lams = np.array([r * cmath.exp(1j * ang) for r in radii for ang in args])
+    pairs = _apply(tau, tau.fn, lams).T, _apply(tau, tau.fn, lams.conj()).T
+    for lam, at, at_mirror in zip(lams.tolist(), *pairs):
+        val, mirror = _ratio(at), _ratio(at_mirror)
+        if not (cmath.isfinite(val) and cmath.isfinite(mirror)):
+            raise UnresolvedAsymptoticsError(f"parameter not finite at {lam}")
+        neg_im = -val.imag
+        sym = abs(mirror - val.conjugate())
+        if neg_im > worst_im:
+            worst_im, worst_at = neg_im, lam
+        if sym > worst_sym:
+            worst_sym = max(worst_sym, sym)
     ok = worst_im <= tol_nev and worst_sym <= tol_nev
     return NevanlinnaCheck(ok=ok, worst_im=worst_im, worst_sym=worst_sym, worst_at=worst_at)

@@ -172,11 +172,11 @@ class QuadConfig:
     transfer matrix on pieces where p, q and Delta are all constant,
     constant-perturbation steps on a lambda-free mesh where p and Delta are
     constant or polynomial with p Delta > 0, and error-controlled Magnus
-    steps on the other pieces.  Disable it to select the reference engine,
-    the adaptive Runge-Kutta integrator DOP853, on every piece (mainly
-    useful for convergence studies and as a test oracle).  ode_tol is the
-    relative tolerance of the CPM mesh test and of the Magnus and DOP853
-    engines.
+    steps on the other pieces.  Disabling it is the only way to select the
+    reference engine, the adaptive Runge-Kutta integrator DOP853, on every
+    piece (mainly useful for convergence studies and as a test oracle).
+    ode_tol is the relative tolerance of the CPM mesh test and of the
+    Magnus and DOP853 engines; it never chooses the engine.
     """
 
     abs_tol: float = 1e-11
@@ -192,12 +192,12 @@ class QuadConfig:
             raise ConfigError("max_subdivisions must be at least 8")
 
     def with_tolerances(self, ode_tol: float | None, quad_tol: float | None) -> QuadConfig:
-        """This config under the --ode-tol and --quad-tol flags: ode_tol also
-        selects the reference engine (closed_form_pieces = False), and
-        quad_tol sets both abs_tol and rel_tol.  None leaves a field as is."""
+        """This config under the --ode-tol and --quad-tol flags: ode_tol sets
+        the tolerance alone (the engine stays as closed_form_pieces says),
+        and quad_tol sets both abs_tol and rel_tol.  None leaves a field as is."""
         kwargs: dict = {}
         if ode_tol is not None:
-            kwargs.update(ode_tol=float(ode_tol), closed_form_pieces=False)
+            kwargs.update(ode_tol=float(ode_tol))
         if quad_tol is not None:
             kwargs.update(abs_tol=float(quad_tol), rel_tol=float(quad_tol))
         return replace(self, **kwargs) if kwargs else self

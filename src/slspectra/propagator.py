@@ -43,9 +43,9 @@ its kind; there are four:
 * _ReferenceSegment: DOP853, adaptive Runge-Kutta of order 8(5,3) with
   dense output, one run per (lambda, column), restarted at the interior
   knots of table: rules and kept in _cache.  It covers every piece when
-  quad.closed_form_pieces = False (the CLI's --ode-tol sets that), and
-  nothing else: it is the oracle of the other three.  scipy is imported on
-  its first use.
+  quad.closed_form_pieces = False (the INI key, not a tolerance, sets
+  that), and nothing else: it is the oracle of the other three.  scipy is
+  imported on its first use.
 
 Complex lambda propagate a complex state; real ones stay real.  A
 Trajectory holds the segments of a walk.  endpoint_states reads phi, psi
@@ -307,7 +307,7 @@ def _start_steps(rules, t0: float, t1: float, lams: np.ndarray) -> np.ndarray:
 def _step_cap_error(t0: float, t1: float, lam) -> PropagationError:
     return PropagationError(
         f"Magnus steps on [{t0:.6g}, {t1:.6g}] would pass {_MAGNUS_MAX_STEPS} at "
-        f"lambda={lam}; closed_form_pieces = false (--ode-tol) runs the DOP853 reference engine"
+        f"lambda={lam}; [quadrature] closed_form_pieces = false runs the DOP853 reference engine"
     )
 
 
@@ -1050,8 +1050,10 @@ def fundamental_trajectory(problem: SLProblem, lam: complex, which: str) -> Traj
 
 def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
     """[[phi, psi], [phi^[1], psi^[1]]] at b for every lambda in lams, shape
-    (len(lams), 2, 2); real when every lambda is real.  Overflow raises
-    PropagationError."""
+    (len(lams), 2, 2); real when every lambda is real.  A batch holding a
+    complex lambda walks every lambda in complex arithmetic, so a real one
+    in it may differ from its real walk by rounding (up to 1e-13 of its
+    largest entry seen, on Magnus pieces).  Overflow raises PropagationError."""
     lams = np.atleast_1d(np.asarray(lams))
     if lams.dtype.kind == "c" and not np.count_nonzero(lams.imag):
         lams = lams.real

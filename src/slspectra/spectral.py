@@ -75,14 +75,14 @@ _EPS = 0.1 * 2.0 ** -np.arange(7.0, 13.0)  # the eps of both eps-limits: 0.1 * 2
 
 def _phase_checked(problem: SLProblem, lams):
     """lams, refused if the phase at b of one, about sqrt|lam| ell, has a
-    rounding error sqrt|lam| ell 2^-52 above _PHASE_ERR_CAP (an infinite lam
-    too); each walk checks its lams once.  With ell = 1 |lam| may reach
-    about 2e19; the scan's node cap keeps it below sqrt|lam| ell = 1e5."""
-    top = float(np.abs(lams).max(initial=0.0))
-    if math.sqrt(top) * _ell(problem) * 2.0**-52 > _PHASE_ERR_CAP:
+    rounding error sqrt|lam| ell 2^-52 above _PHASE_ERR_CAP (an infinite or
+    NaN lam too); each walk checks its lams once.  With ell = 1 |lam| may
+    reach about 2e19; the scan's node cap keeps it below sqrt|lam| ell = 1e5."""
+    top = float(np.abs(lams).max(initial=0.0))  # NaN if one lam is NaN
+    if not math.sqrt(top) * _ell(problem) * 2.0**-52 <= _PHASE_ERR_CAP:
         raise ConfigError(
-            f"|lambda| = {top:.3g} is too large: the phase at b would carry a rounding "
-            f"error above {_PHASE_ERR_CAP:g} rad"
+            f"|lambda| = {top:.3g} is not finite or too large: the phase at b would "
+            f"carry a rounding error above {_PHASE_ERR_CAP:g} rad"
         )
     return lams
 
@@ -203,7 +203,7 @@ def spectral_density(
     "extrapolation" fits a quadratic in eps through the six eps of _EPS;
     "auto" prefers the boundary route when tau supports it.
     """
-    us = np.array([float(u)])
+    us = _phase_checked(problem, np.array([float(u)]))  # before tau reads it
     if method == "auto":
         method = "boundary" if tau.has_boundary_values else "extrapolation"
     if method == "boundary":

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, artifacts, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import oracles
-from slspectra import cli, verify
+from slspectra import QuadConfig, cli, propagator, verify
 from slspectra.cli import main
+from slspectra.propagator import solve_ivp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -103,10 +105,19 @@ class TestMfun:
         first = [float(x) for x in lines[1].split(",")]
         assert first == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0], abs=1e-14)
 
-    def test_ode_tol_flag_uses_integrator(self, tmp_path, capsys):
-        code = run(tmp_path, "--ode-tol", "1e-6", "mfun", "--tau", "sqrt",
-                   "--lambda", "2j")
+    def test_ode_tol_flag_uses_integrator(self, tmp_path, capsys, monkeypatch):
+        # the config key selects DOP853; --ode-tol sets its tolerance
+        config = tmp_path / "rk.ini"
+        text = (CONFIG_DIR / "free_unit.ini").read_text()
+        config.write_text(text + "\n[quadrature]\nclosed_form_pieces = false\n")
+        runs = []
+        monkeypatch.setattr(propagator, "_cache", type(propagator._cache)())  # no kept runs
+        monkeypatch.setattr(propagator, "solve_ivp",
+                            lambda *a, **kw: runs.append(kw["rtol"]) or solve_ivp(*a, **kw))
+        code = run(tmp_path, "--config", str(config), "--ode-tol", "1e-6", "mfun", "--tau",
+                   "sqrt", "--lambda", "2j")
         assert code == 0
+        assert runs and set(runs) == {1e-6}
         line = capsys.readouterr().out.strip().splitlines()[0]
         re_s, im_s = line[4:].rstrip("i").split(" + ")
         want = oracles.m_sqrt_free(2j)
@@ -115,9 +126,14 @@ class TestMfun:
     @pytest.mark.parametrize("flags", [[], ["--ode-tol", "1e-9"], ["--quad-tol", "1e-8"],
                                        ["--ode-tol", "1e-9", "--quad-tol", "1e-8"]])
     def test_tolerance_flags_match_verify(self, monkeypatch, flags):
-        # the CLI and the verification suite map the flags onto one QuadConfig
+        # the flags map onto one QuadConfig, which keeps the fast engines, and
+        # the verification suite takes --quad-tol alone
         args = cli.build_parser().parse_args([*flags, "eig", "--tau", "sqrt", "--range", "0,1"])
         problem, _ = cli._load_problem(args)
+        quad = {"abs_tol": 1e-8, "rel_tol": 1e-8} if "--quad-tol" in flags else {}
+        ode = {"ode_tol": 1e-9} if "--ode-tol" in flags else {}
+        assert problem.quad == QuadConfig(**quad, **ode)
+        assert problem.quad.closed_form_pieces is True
 
         class Built(Exception):
             pass
@@ -127,9 +143,24 @@ class TestMfun:
 
         monkeypatch.setattr(verify, "free_problem", built)
         with pytest.raises(Built) as exc:
-            verify.run_all(ode_tol=args.ode_tol, quad_tol=args.quad_tol)
-        assert exc.value.args[0] == problem.quad
-        assert problem.quad.closed_form_pieces == ("--ode-tol" not in flags)
+            verify.run_all(quad_tol=args.quad_tol)
+        assert exc.value.args[0] == QuadConfig(**quad)
+        assert list(inspect.signature(verify.run_all).parameters) == ["k_max", "quad_tol"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eig", "--tau", "sqrt", "--range", "0,1000"],
+        ["--config", str(CONFIG_DIR / "linear_p.ini"), "eig", "--tau", "constant:0",
+         "--range", "0,1000"],
+    ], ids=["free-sqrt", "linear-p"])
+    def test_ode_tol_keeps_the_engine(self, tmp_path, capsys, argv):
+        # --ode-tol at its default value changes no byte: it sets a tolerance,
+        # and the engine stays closed form (free) or CPM (linear p)
+        outs = []
+        for out, flags in ((tmp_path / "a", []), (tmp_path / "b", ["--ode-tol", "1e-11"])):
+            assert run(out, *flags, *argv) == 0
+            outs.append((capsys.readouterr().out, (out / "eig.csv").read_bytes()))
+        assert outs[0] == outs[1]
+        assert outs[0][0].count("\n") == 11
 
 
 class TestNonFiniteInputs:
@@ -354,6 +385,12 @@ class TestVerifyExample:
         assert len(fails) == 1
         assert "mixed" in fails[0]
         assert (tmp_path / "verify.txt").read_text().count("\n") == 9
+
+    def test_ode_tol_refused(self, tmp_path, capsys):
+        # both problems propagate in closed form: the flag could only loosen
+        # the Wronskian bound
+        assert run(tmp_path, "--ode-tol", "1", "verify-example") == 2
+        assert "takes no --ode-tol" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("slspectra") is None,

@@ -235,6 +235,21 @@ class TestArrayClosures:
         assert eval_param(infinity(), 1j) == mobius(1.0, 0.0, -1.0, 2.0).boundary_value(2.0)
         assert math.isinf(mobius(1.0, 0.0, -1.0, 2.0).boundary_value(2.0).real)
 
+    def test_one_closure_call_per_batch(self):
+        # asymptotics reads its K + 1 samples in one call, check_nevanlinna
+        # its points and their mirrors in two
+        sqrt, shapes = sqrt_param(), []
+
+        def counted(lam):
+            shapes.append(np.shape(lam))
+            return sqrt.fn(lam)
+
+        tau = BoundaryParam(kind="analytic", fn=counted, name="counted")
+        assert asymptotics(tau, K=40) == asymptotics(sqrt, K=40)
+        assert shapes == [(41,)]
+        assert check_nevanlinna(tau) == check_nevanlinna(sqrt)
+        assert shapes[1:] == [(210,), (210,)]
+
     def test_one_value_closure_refused(self):
         tau = BoundaryParam(kind="analytic", fn=lambda lam: lam)
         for call in (lambda: eval_param(tau, 1j), lambda: asymptotics(tau),
