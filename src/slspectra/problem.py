@@ -466,26 +466,14 @@ def loads_problem(text: str) -> SLProblem:
         for key in ("abs_tol", "rel_tol", "ode_tol"):
             if key in qsec:
                 quad_kwargs[key] = _num(qsec[key], f"[quadrature] {key}")
-        if "max_subdivisions" in qsec:
-            try:
-                quad_kwargs["max_subdivisions"] = int(qsec["max_subdivisions"])
-            except ValueError as exc:
-                raise ConfigError("[quadrature] max_subdivisions must be an integer") from exc
-        if "closed_form_pieces" in qsec:
-            raw = qsec["closed_form_pieces"].strip().lower()
-            if raw in ("true", "1", "yes", "on"):
-                quad_kwargs["closed_form_pieces"] = True
-            elif raw in ("false", "0", "no", "off"):
-                quad_kwargs["closed_form_pieces"] = False
-            else:
-                raise ConfigError("[quadrature] closed_form_pieces must be a boolean")
-        unknown = set(qsec) - {
-            "abs_tol",
-            "rel_tol",
-            "ode_tol",
-            "max_subdivisions",
-            "closed_form_pieces",
-        }
+        for key, read, kind in (("max_subdivisions", qsec.getint, "an integer"),
+                                ("closed_form_pieces", qsec.getboolean, "a boolean")):
+            if key in qsec:
+                try:
+                    quad_kwargs[key] = read(key)
+                except ValueError as exc:
+                    raise ConfigError(f"[quadrature] {key} must be {kind}") from exc
+        unknown = set(qsec) - {f.name for f in fields(QuadConfig)}
         if unknown:
             raise ConfigError(f"[quadrature] unknown keys: {sorted(unknown)}")
 

@@ -42,17 +42,18 @@ its kind; there are four:
   PropagationError.  sol(t) is one partial step from the mesh node below t.
 * _ReferenceSegment: DOP853, adaptive Runge-Kutta of order 8(5,3) with
   dense output, one run per (lambda, column), restarted at the interior
-  knots of table: rules and kept in _cache.  It covers every piece when
-  quad.closed_form_pieces = False (the INI key, not a tolerance, sets
-  that), and nothing else: it is the oracle of the other three.  scipy is
-  imported on its first use.
+  knots of table: rules; the runs live as long as the walk's segment.  It
+  covers every piece when quad.closed_form_pieces = False (the INI key,
+  not a tolerance, sets that), and nothing else: it is the oracle of the
+  other three.  scipy is imported on its first use.
 
 Complex lambda propagate a complex state; real ones stay real.  A
 Trajectory holds the segments of a walk.  endpoint_states reads phi, psi
 and their quasi-derivatives at b, all that slspectra.spectral needs;
 phi_rows reads phi at points t for the inverse transform, phi_sums reduces
-phi or phi^2 on panel grids for the forward one; propagate and the cached
-fundamental_trajectory are the walk of one lambda.
+phi or phi^2 on panel grids for the forward one; propagate and
+fundamental_trajectory are the walk of one lambda.  No lambda-dependent
+result outlives its walk: a second call at the same lambda walks again.
 
 The two fundamental solutions are fixed by the left boundary angle alpha:
 
@@ -65,7 +66,7 @@ so their Wronskian phi psi^[1] - phi^[1] psi is identically 1.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import types
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -811,11 +812,11 @@ class _ReferenceSegment(_Segment):
     """DOP853 across one piece, one dense run per (column, lambda), in real
     arithmetic for a real lambda and start state, restarted at the interior
     knots of the piece's table: rules, where the spline's derivatives jump.
-    The runs are kept in _cache under key, lambda, start state and atol, so
-    later walks reuse them; a non-finite start state raises PropagationError
-    before any run."""
+    The runs are kept in the segment, so sol(t) reads any number of points
+    from them; a non-finite start state raises PropagationError before any
+    run."""
 
-    def __init__(self, t0, t1, start, rules, lams, rtol, atol, key):
+    def __init__(self, t0, t1, start, rules, lams, rtol, atol):
         self.t0, self.t1, self.start = t0, t1, start
         knots = {x for r in rules if isinstance(r, TableRule) for x in r.knots}
         self._edges = [t0, *sorted(x for x in knots if t0 < x < t1), t1]
@@ -829,22 +830,17 @@ class _ReferenceSegment(_Segment):
                 )
             if lam.imag == 0.0 and not np.any(np.imag(y0)):
                 lam, y0 = lam.real, y0.real
-            run_key = (*key, lam, tuple(y0.tolist()), atol[j])
-            runs = _cache.get(run_key)
-            if runs is None:
-                runs = []
-                for a, b in zip(self._edges[:-1], self._edges[1:]):
-                    run = solve_ivp(_piece_rhs(*rules, lam), (a, b), y0, method="DOP853",
-                                    rtol=rtol, atol=atol[j], dense_output=True)
-                    if not run.success:
-                        raise PropagationError(
-                            f"integration failed on [{a:.6g}, {b:.6g}] at lambda={lam}: "
-                            f"{run.message}"
-                        )
-                    runs.append(run)
-                    y0 = run.y[:, -1]
-                _cache.put(run_key, runs)
-            self._runs[j, i] = runs
+            runs = self._runs[j, i] = []
+            for a, b in zip(self._edges[:-1], self._edges[1:]):
+                run = solve_ivp(_piece_rhs(*rules, lam), (a, b), y0, method="DOP853",
+                                rtol=rtol, atol=atol[j], dense_output=True)
+                if not run.success:
+                    raise PropagationError(
+                        f"integration failed on [{a:.6g}, {b:.6g}] at lambda={lam}: "
+                        f"{run.message}"
+                    )
+                runs.append(run)
+                y0 = run.y[:, -1]
             self.end[:, j, i] = runs[-1].y[:, -1]
 
     def sol(self, t: np.ndarray) -> np.ndarray:
@@ -899,7 +895,7 @@ def _walk(problem: SLProblem, lams: np.ndarray, inits: np.ndarray) -> list:
     if exact and p_pieces:  # else no piece takes a closed form
         coef = q - lams * d
         closed = zip(p_pieces, coef, *_closed_form(coef / p, h))
-    for k, (t0, t1, rules, constant) in enumerate(_pieces(problem)):
+    for t0, t1, rules, constant in _pieces(problem):
         if exact and constant:
             seg = _ExactSegment(t0, t1, state, *next(closed))
         elif exact and (mesh := _cpm_mesh(rules, t0, t1, rtol)) is not None:
@@ -908,7 +904,7 @@ def _walk(problem: SLProblem, lams: np.ndarray, inits: np.ndarray) -> list:
             seg = _MagnusSegment(t0, t1, state, rules, lams, rtol)
         else:
             atol = [1e-3 * rtol * max(1.0, abs(y), abs(y1)) for y, y1 in inits.T.tolist()]
-            seg = _ReferenceSegment(t0, t1, state, rules, lams, rtol, atol, (problem, k))
+            seg = _ReferenceSegment(t0, t1, state, rules, lams, rtol, atol)
         segments.append(seg)
         state = seg.end
     if np.count_nonzero(np.isfinite(state)) < state.size:
@@ -989,7 +985,7 @@ def propagate(
 
 
 # ---------------------------------------------------------------------------
-# fundamental solutions, cached
+# fundamental solutions
 
 
 def _init(alpha: float, which: str) -> tuple[float, float]:
@@ -999,53 +995,15 @@ def _init(alpha: float, which: str) -> tuple[float, float]:
     return (-math.cos(alpha), -math.sin(alpha))
 
 
-class _TrajectoryCache:
-    """Bounded LRU of fundamental-solution trajectories and DOP853 runs."""
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        if key in self._data:
-            self._data.move_to_end(key)
-            self.hits += 1
-            return self._data[key]
-        self.misses += 1
-        return None
-
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_cache = _TrajectoryCache()
-
-
-def clear_cache() -> None:
-    _cache.clear()
+_cache = types.SimpleNamespace(hits=0, misses=0)  # read by perfbench/tracer.py; nothing is kept
 
 
 def fundamental_trajectory(problem: SLProblem, lam: complex, which: str) -> Trajectory:
-    """Cached trajectory of phi or psi at the given spectral parameter."""
+    """The trajectory of phi or psi at the given spectral parameter: one
+    walk per call, whose .eval(t) serves any number of points t."""
     if which not in ("phi", "psi"):
         raise ConfigError("which must be 'phi' or 'psi'")
-    lam = complex(lam)
-    key = (problem, lam.real, lam.imag, which)
-    traj = _cache.get(key)
-    if traj is None:
-        traj = propagate(problem, lam, _init(problem.alpha, which))
-        _cache.put(key, traj)
-    return traj
+    return propagate(problem, lam, _init(problem.alpha, which))
 
 
 def endpoint_states(problem: SLProblem, lams) -> np.ndarray:
@@ -1106,17 +1064,20 @@ def phi_sums(problem: SLProblem, lams, grids, squared: bool) -> np.ndarray:
 
 
 def phi_at(problem: SLProblem, lam: complex, t: float) -> StateVec:
-    """phi and its quasi-derivative at t."""
+    """phi and its quasi-derivative at t: one walk per call; for many
+    points, call .eval(t) on one fundamental_trajectory."""
     return fundamental_trajectory(problem, lam, "phi").state_at(t)
 
 
 def psi_at(problem: SLProblem, lam: complex, t: float) -> StateVec:
-    """psi and its quasi-derivative at t."""
+    """psi and its quasi-derivative at t: one walk per call; for many
+    points, call .eval(t) on one fundamental_trajectory."""
     return fundamental_trajectory(problem, lam, "psi").state_at(t)
 
 
 def wronskian(problem: SLProblem, lam: complex, t: float) -> complex:
-    """phi(t) psi^[1](t) - phi^[1](t) psi(t); identically 1 for exact solutions."""
+    """phi(t) psi^[1](t) - phi^[1](t) psi(t); identically 1 for exact
+    solutions.  Two walks per call, one of phi and one of psi."""
     ph = phi_at(problem, lam, t)
     ps = psi_at(problem, lam, t)
     return ph.y * ps.y1 - ph.y1 * ps.y

@@ -111,7 +111,6 @@ class TestMfun:
         text = (CONFIG_DIR / "free_unit.ini").read_text()
         config.write_text(text + "\n[quadrature]\nclosed_form_pieces = false\n")
         runs = []
-        monkeypatch.setattr(propagator, "_cache", type(propagator._cache)())  # no kept runs
         monkeypatch.setattr(propagator, "solve_ivp",
                             lambda *a, **kw: runs.append(kw["rtol"]) or solve_ivp(*a, **kw))
         code = run(tmp_path, "--config", str(config), "--ode-tol", "1e-6", "mfun", "--tau",

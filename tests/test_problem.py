@@ -194,10 +194,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="trivial"):
             loads_problem(bad)
 
-    def test_closed_form_pieces_flag_parsed(self):
-        text = FREE_INI + "\n[quadrature]\nclosed_form_pieces = false\node_tol = 1e-9\n"
+    @pytest.mark.parametrize("line,want", [
+        *(pytest.param(f"closed_form_pieces = {raw}", want, id=raw)
+          for raw, want in [("true", True), ("1", True), ("Yes", True), ("ON", True),
+                            ("False", False), ("0", False), ("no", False), ("off", False),
+                            ("maybe", "closed_form_pieces must be a boolean")]),
+        pytest.param("max_subdivisions = 12.5", "max_subdivisions must be an integer",
+                     id="max_subdivisions=12.5"),
+    ])
+    def test_closed_form_pieces_flag_parsed(self, line, want):
+        # the spellings configparser reads as booleans, in any case
+        text = FREE_INI + f"\n[quadrature]\n{line}\node_tol = 1e-9\n"
+        if isinstance(want, str):
+            with pytest.raises(ConfigError, match=want):
+                loads_problem(text)
+            return
         prob = loads_problem(text)
-        assert prob.quad.closed_form_pieces is False
+        assert prob.quad.closed_form_pieces is want
         assert prob.quad.ode_tol == 1e-9
 
     def test_unknown_quadrature_key_rejected(self):

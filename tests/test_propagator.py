@@ -1,6 +1,8 @@
 """Fundamental-solution propagation and its conservation laws."""
 
+import gc
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -435,7 +437,6 @@ class TestMagnusEngine:
         # DOP853 never runs in its place
         monkeypatch.setattr(propagator, "_MAGNUS_MAX_STEPS", 64)
         monkeypatch.setattr(propagator, "solve_ivp", _refuse)
-        propagator.clear_cache()
         with pytest.raises(PropagationError, match="closed_form_pieces = false"):
             propagate(vanishing, 1e4, (1.0, 0.0))
 
@@ -452,7 +453,7 @@ class TestMagnusEngine:
 
 
 def _per_lambda_endpoints(problem, lams):
-    """[[phi, psi], [phi^[1], psi^[1]]] at b, one cached trajectory per lambda."""
+    """[[phi, psi], [phi^[1], psi^[1]]] at b, one trajectory per lambda."""
     out = []
     for lam in lams:
         traj = (propagator.fundamental_trajectory(problem, lam, w) for w in ("phi", "psi"))
@@ -499,7 +500,7 @@ class TestEndpointStates:
 
 
 def _per_lambda_rows(problem, lams, t):
-    """phi(t_j, lambda_k), one cached trajectory per lambda."""
+    """phi(t_j, lambda_k), one trajectory per lambda."""
     rows = [propagator.fundamental_trajectory(problem, lam, "phi").eval(t)[0] for lam in lams]
     return np.array(rows).reshape(len(lams), len(t))
 
@@ -771,23 +772,39 @@ class TestOneWalk:
             np.testing.assert_array_equal(y, [sv.y for sv in points])
             np.testing.assert_array_equal(y1, [sv.y1 for sv in points])
 
-    def test_reference_runs_are_reused(self, free, monkeypatch):
-        # the endpoint walk's DOP853 runs serve later rows and trajectories
+    def test_reference_runs_per_walk(self, free, monkeypatch):
+        # one DOP853 run per (lambda, column) in each walk; nothing is kept
+        # between calls, so the same call runs them again
         rk = rk_variant(free, ode_tol=1e-9)
         runs = []
         solve_ivp = propagator.solve_ivp
         monkeypatch.setattr(
             propagator, "solve_ivp", lambda *a, **k: runs.append(1) or solve_ivp(*a, **k)
         )
-        propagator.clear_cache()
+        first = propagator.endpoint_states(rk, [3.0, 40.0])
+        assert len(runs) == 4
+        np.testing.assert_array_equal(propagator.endpoint_states(rk, [3.0, 40.0]), first)
+        assert len(runs) == 8
+
+    def test_no_results_kept_between_calls(self, free):
+        # distinct-lambda DOP853 walks leave no memory behind them
+        rk = rk_variant(free, ode_tol=1e-9)
+
+        def calls(lams):
+            for lam in lams:
+                propagator.endpoint_states(rk, [lam, lam + 0.5j])
+                propagator.phi_at(rk, lam + 0.25, 0.3)
+
+        calls([299.0])  # imports, the problem's pieces and constants
+        gc.collect()
+        tracemalloc.start()
         try:
-            propagator.endpoint_states(rk, [3.0, 40.0])
-            assert len(runs) == 4  # one per (lambda, column)
-            propagator.phi_rows(rk, [3.0, 40.0], np.linspace(0.0, 1.0, 5))
-            propagator.fundamental_trajectory(rk, 40.0, "psi").eval(0.5)
-            assert len(runs) == 4
+            calls([300.0, 350.0, 400.0])
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
         finally:
-            propagator.clear_cache()
+            tracemalloc.stop()
+        assert kept < 100_000
 
 
 def _magnus_transfer_per_lambda(rules, t0, t1, lam, tol):
@@ -919,7 +936,6 @@ class TestSixthOrderMagnus:
             raise AssertionError("DOP853 ran on the fast path")
 
         monkeypatch.setattr(propagator, "solve_ivp", refuse)
-        propagator.clear_cache()  # a cached DOP853 trajectory would hide a fallback
         assert np.isfinite(propagator.endpoint_states(prob, [3e7])).all()
 
     def test_exact_table_spline_at_1e9(self, monkeypatch):
@@ -928,7 +944,6 @@ class TestSixthOrderMagnus:
         segment = propagator._walk(prob, np.array([1.0]), np.eye(2))[0]
         assert isinstance(segment, propagator._MagnusSegment)
         monkeypatch.setattr(propagator, "solve_ivp", _refuse)
-        propagator.clear_cache()
         got = propagator.endpoint_states(prob, [1e9])[0]
         want = oracles.linear_p_endpoints(1e9)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
@@ -958,7 +973,6 @@ class TestConstantPerturbation:
         # took 61 s; the tolerance is that of the Bessel test above
         prob = load_problem(CONFIGS / "linear_p.ini")
         monkeypatch.setattr(propagator, "solve_ivp", _refuse)
-        propagator.clear_cache()
         got = propagator.endpoint_states(prob, [lam])[0]
         want = oracles.linear_p_endpoints(lam)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

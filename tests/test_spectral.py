@@ -388,7 +388,7 @@ class TestStieltjesCdf:
 
 
 # Per-lambda reference routes for the batched consumers of endpoint_states:
-# one pair of cached trajectories per lambda and scalar arithmetic.
+# one pair of trajectories per lambda and scalar arithmetic.
 
 
 def _endpoints(problem, lam):
